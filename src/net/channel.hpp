@@ -34,7 +34,7 @@ struct NodeRef {
 /// so a handler must never capture an owning shared_ptr to any object that
 /// (transitively) owns the channel — that is a reference cycle and the
 /// whole connection graph outlives the link. Capture a weak_ptr and lock it
-/// per message instead (tools/simlint2 reports violations as [cycle]).
+/// per message instead (tools/simlint reports violations as [cycle]).
 /// close() additionally clears the installed handler — deferred one sim
 /// event so a handler may close its own channel mid-delivery — which makes
 /// teardown safe even where a cycle slipped through.

@@ -4,8 +4,8 @@
 #include <map>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace skv::net {
@@ -76,8 +76,8 @@ public:
     /// earlier than the last delivery scheduled on this directed pair.
     sim::SimTime clamp_fifo(EndpointId from, EndpointId to, sim::SimTime arrival);
 
-    [[nodiscard]] sim::StatsRegistry& stats() { return stats_; }
-    [[nodiscard]] const sim::StatsRegistry& stats() const { return stats_; }
+    [[nodiscard]] obs::Registry& stats() { return stats_; }
+    [[nodiscard]] const obs::Registry& stats() const { return stats_; }
 
 private:
     void apply(const FaultSpec& spec, sim::SimTime now, Decision* d);
@@ -86,7 +86,10 @@ private:
     std::map<EndpointId, FaultSpec> endpoints_;
     std::map<std::pair<EndpointId, EndpointId>, sim::SimTime> last_arrival_;
     sim::Rng rng_;
-    sim::StatsRegistry stats_;
+    // Counters are created on first incr(), never pre-resolved as handles:
+    // format() lists only the fault kinds that fired, and the chaos
+    // fingerprints fold that text in.
+    obs::Registry stats_;
 };
 
 } // namespace skv::net

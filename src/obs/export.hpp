@@ -45,8 +45,8 @@ private:
 
 /// Full registry dump as sorted "scope.name=value" text lines, including
 /// timer summaries (count/mean/p50/p99/p999/max). Unlike Registry::format()
-/// this is the complete picture; format() stays byte-compatible with the
-/// old sim::StatsRegistry output.
+/// this is the complete picture; format() keeps its frozen counters-then-
+/// gauges layout without timers.
 [[nodiscard]] std::string registry_text(const Registry& r);
 
 /// Registry as a JSON object: {"scope":...,"counters":{...},"gauges":{...},

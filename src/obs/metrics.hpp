@@ -103,10 +103,9 @@ struct Snapshot {
 ///  - Typed handles (counter_handle/gauge_handle/timer_handle), resolved
 ///    once at wiring time so hot paths pay an array index, not a
 ///    std::map<std::string,...> lookup per event.
-///  - A string API mirroring sim::StatsRegistry (incr/set_gauge/counter/
-///    gauge/format/clear) so existing call sites and golden-output tests
-///    keep working after components swap their StatsRegistry member for a
-///    Registry. Both faces address the same cells.
+///  - A string API (incr/set_gauge/counter/gauge/format/clear) for cold
+///    paths that create a cell on first use, so only names that were ever
+///    touched appear in format(). Both faces address the same cells.
 ///
 /// Iteration anywhere in this class is over std::map — deterministic by
 /// construction, which the byte-identical export guarantee relies on.
@@ -123,15 +122,14 @@ public:
     Gauge gauge_handle(const std::string& name);
     Timer timer_handle(const std::string& name);
 
-    // --- sim::StatsRegistry-compatible string API ---
+    // --- string API (lazily created cells) ---
     void incr(const std::string& name, std::uint64_t delta = 1);
     void set_gauge(const std::string& name, std::int64_t value);
     [[nodiscard]] std::uint64_t counter(const std::string& name) const;
     [[nodiscard]] std::int64_t gauge(const std::string& name) const;
     /// "name=value\n" lines: counters first, then gauges, each sorted by
-    /// name — byte-compatible with sim::StatsRegistry::format(). Timers are
-    /// deliberately excluded (StatsRegistry had none; the chaos determinism
-    /// fingerprint folds this string in).
+    /// name. Timers are deliberately excluded: the chaos determinism
+    /// fingerprint folds this string in, so its layout is frozen.
     [[nodiscard]] std::string format() const;
     /// Zero every cell. Handles remain valid.
     void clear();

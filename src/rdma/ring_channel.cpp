@@ -172,7 +172,7 @@ void RingChannel::on_cq_event() {
             // Data frames are unsignaled (selective signaling), so the send
             // CQ only ever holds failed-post completions for credit SENDs;
             // the credit protocol already recovers those via the next credit.
-            self->send_cq_->poll(); // simlint2:allow(unchecked-status) drained for bookkeeping only
+            self->send_cq_->poll(); // simlint:allow(unchecked-status) drained for bookkeeping only
             self->channel_->req_notify();
             self->replenish_recvs();
         });

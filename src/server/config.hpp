@@ -32,7 +32,7 @@ const char* to_string(ReplicationMode m);
 struct ServerConfig {
     std::string name = "kv";
     Transport transport = Transport::kRdma;
-    std::uint16_t port = 6379;  // simlint3:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
+    std::uint16_t port = 6379;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
 
     /// SKV mode: the master posts one replication request to Nic-KV per
     /// write instead of fanning out to every slave itself.
@@ -56,10 +56,9 @@ struct ServerConfig {
     /// Active-expire sample size per cron tick.
     std::size_t expire_samples = 20;
 
-    /// Wrap every node-to-node link (replication, probes, registration) in
+    /// Every node-to-node link (replication, probes, registration) rides
     /// the sequence-numbered retransmitting layer so injected loss degrades
     /// throughput instead of silently losing replicated writes.
-    bool reliable_node_links = true;
     ReliableParams reliable{};
 
     /// Retry interval for node-link connection handshakes (the CM exchange

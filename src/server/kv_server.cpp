@@ -127,7 +127,7 @@ void KvServer::release_conn(const net::Channel* raw) {
 }
 
 net::ChannelPtr KvServer::wrap_node_link(net::ChannelPtr ch) {
-    if (!cfg_.reliable_node_links || !ch) return ch;
+    if (!ch) return ch;
     auto rel = ReliableChannel::wrap(sim_, std::move(ch), cfg_.reliable, &stats_);
     const net::Channel* raw = rel.get();
     rel->set_on_broken([this, raw]() { on_node_link_broken(raw); });
@@ -1188,7 +1188,7 @@ void KvServer::chain_forward_frame(std::int64_t offset,
     }
 }
 
-// simlint3:observe-only
+// simlint:observe-only
 bool KvServer::chain_read_ok() const {
     if (cfg_.replication_mode != ReplicationMode::kChain) return false;
     if (role_ != Role::kSlave || !chain_member_ || !chain_is_tail_) return false;
@@ -1367,7 +1367,7 @@ void KvServer::cron() {
 
         // Reap connections whose channel is gone (FIN received, protocol
         // error, reliable layer declared broken) — Redis frees the client
-        // object on EOF; retaining ours forever was the leak simlint2's
+        // object on EOF; retaining ours forever was the leak simlint's
         // [cycle] rule guards the fix for.
         std::erase_if(clients_, [](const ClientPtr& c) {
             return !c->channel || !c->channel->open();

@@ -90,7 +90,7 @@ struct NodeMsg {
 /// Every NodeMsg::Type, exactly once. decode() validates incoming tag bytes
 /// against this list and the protocol tests derive tag-uniqueness and
 /// round-trip coverage from it, so a new enum value only needs to be added
-/// here (simlint3's unhandled-tag rule fails the build if the list or any
+/// here (simlint's unhandled-tag rule fails the build if the list or any
 /// dispatch switch goes stale).
 inline constexpr NodeMsg::Type kNodeMsgTypes[] = {
     NodeMsg::Type::kInitSync,   NodeMsg::Type::kSyncNotify,

@@ -12,7 +12,7 @@
 namespace skv::sim {
 
 /// The discrete-event simulation kernel. Owns the clock, the event queue,
-/// the root RNG and the trace ring. Every simulated component holds a
+/// the root RNG and the determinism digest. Every simulated component holds a
 /// reference to one Simulation and schedules its behaviour through it.
 ///
 /// Single-threaded and deterministic: the same seed and the same sequence

@@ -4,13 +4,6 @@ namespace skv::sim {
 
 namespace {
 
-void fnv_mix(std::uint64_t& h, const std::string& s) {
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-}
-
 void fnv_mix(std::uint64_t& h, std::int64_t v) {
     for (int i = 0; i < 8; ++i) {
         h ^= static_cast<unsigned char>(v >> (i * 8));
@@ -24,16 +17,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 
 } // namespace
 
-void Trace::emit(SimTime at, std::string component, std::string message) {
-    if (!enabled_) return;
-    ++total_;
-    fnv_mix(digest_, at.ns());
-    fnv_mix(digest_, component);
-    fnv_mix(digest_, message);
-    records_.push_back(TraceRecord{at, std::move(component), std::move(message)});
-    while (records_.size() > capacity_) records_.pop_front();
-}
-
 void Trace::note(TraceEvent ev, SimTime at, std::uint64_t a, std::uint64_t b) {
     ++noted_;
     fnv_mix(digest_, static_cast<std::int64_t>(ev));
@@ -42,19 +25,8 @@ void Trace::note(TraceEvent ev, SimTime at, std::uint64_t a, std::uint64_t b) {
     fnv_mix(digest_, b);
 }
 
-std::vector<std::string> Trace::format() const {
-    std::vector<std::string> out;
-    out.reserve(records_.size());
-    for (const auto& r : records_) {
-        out.push_back(to_string(r.at) + " [" + r.component + "] " + r.message);
-    }
-    return out;
-}
-
 void Trace::clear() {
-    records_.clear();
     digest_ = 0xcbf29ce484222325ULL;
-    total_ = 0;
     noted_ = 0;
 }
 

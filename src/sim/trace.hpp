@@ -1,22 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
-#include <vector>
 
 #include "sim/time.hpp"
 
 namespace skv::sim {
-
-/// One trace record: a timestamped, categorised message emitted by a
-/// simulated component. Used for debugging and for determinism checks
-/// (two runs with the same seed must produce identical digests).
-struct TraceRecord {
-    SimTime at;
-    std::string component;
-    std::string message;
-};
 
 /// Compact event kinds mixed into the determinism digest by Trace::note().
 /// Values are part of the digest, so append only — reordering or renumbering
@@ -35,50 +23,28 @@ enum class TraceEvent : std::uint16_t {
     kHandlerClear = 8,
 };
 
-/// Bounded in-memory trace ring. Keeps the most recent `capacity` records
-/// and a rolling FNV-1a digest over everything ever emitted, so determinism
-/// can be asserted without retaining the full history.
+/// Rolling FNV-1a digest over fixed-width simulation events, so
+/// determinism can be asserted without retaining any history.
 ///
-/// Two feeds share the digest: emit() records human-readable strings (and
-/// can be disabled), while note() mixes fixed-width event tuples
-/// (event type, sim time, endpoints) with no allocation and is always on —
-/// it is the determinism auditor's signal. Two runs of the same seeded
-/// scenario must produce identical digests; the first divergent event is
-/// where reproducibility broke.
+/// note() mixes event tuples (event type, sim time, endpoints) with no
+/// allocation and is always on — it is the determinism auditor's signal.
+/// Two runs of the same seeded scenario must produce identical digests; the
+/// first divergent event is where reproducibility broke.
 class Trace {
 public:
-    explicit Trace(std::size_t capacity = 4096) : capacity_(capacity) {}
-
-    void emit(SimTime at, std::string component, std::string message);
-
     /// Audit feed: fold one simulation event into the rolling digest.
-    /// Cheap enough for per-message call sites (a few integer multiplies);
-    /// never retained as a record and never disabled.
+    /// Cheap enough for per-message call sites (a few integer multiplies).
     void note(TraceEvent ev, SimTime at, std::uint64_t a = 0,
               std::uint64_t b = 0);
 
-    [[nodiscard]] const std::deque<TraceRecord>& records() const { return records_; }
     [[nodiscard]] std::uint64_t digest() const { return digest_; }
-    [[nodiscard]] std::uint64_t total_emitted() const { return total_; }
     /// Number of note() calls folded into the digest.
     [[nodiscard]] std::uint64_t total_noted() const { return noted_; }
-
-    /// Enable/disable recording (digest still accumulates when disabled is
-    /// false; when fully disabled both stop).
-    void set_enabled(bool on) { enabled_ = on; }
-    [[nodiscard]] bool enabled() const { return enabled_; }
-
-    /// Render the retained records as lines, newest last.
-    [[nodiscard]] std::vector<std::string> format() const;
 
     void clear();
 
 private:
-    std::size_t capacity_;
-    bool enabled_ = true;
-    std::deque<TraceRecord> records_;
     std::uint64_t digest_ = 0xcbf29ce484222325ULL; // FNV offset basis
-    std::uint64_t total_ = 0;
     std::uint64_t noted_ = 0;
 };
 

@@ -47,10 +47,8 @@ void Cluster::start() {
         np.arm_cores = cfg_.costs.nic_cores;
         nic_ = std::make_unique<nic::SmartNic>(sim_, fabric_, master_ep,
                                                "master/bf2", np);
-        // Both ends of a node link must agree on whether the reliable
-        // envelope is spoken.
+        // Both ends of a node link speak the same reliable envelope.
         NicKvConfig ncfg = cfg_.nic_cfg;
-        ncfg.reliable_node_links = cfg_.server_tmpl.reliable_node_links;
         ncfg.reliable = cfg_.server_tmpl.reliable;
         // The NIC executes the same protocol the servers were configured
         // for (chain successor tables / quorum ack aggregation).

@@ -59,13 +59,11 @@ void NicKv::recover() {
 }
 
 void NicKv::on_accept(net::ChannelPtr ch) {
-    if (cfg_.reliable_node_links) {
-        auto rel = server::ReliableChannel::wrap(sim_, std::move(ch),
-                                                 cfg_.reliable, &stats_);
-        const net::Channel* rel_raw = rel.get();
-        rel->set_on_broken([this, rel_raw]() { on_link_broken(rel_raw); });
-        ch = rel;
-    }
+    auto rel = server::ReliableChannel::wrap(sim_, std::move(ch),
+                                             cfg_.reliable, &stats_);
+    const net::Channel* rel_raw = rel.get();
+    rel->set_on_broken([this, rel_raw]() { on_link_broken(rel_raw); });
+    ch = rel;
     auto raw = ch.get();
     ch->set_on_message([this, raw](std::string payload) {
         if (crashed_) return;
@@ -189,7 +187,7 @@ void NicKv::handle(const net::ChannelPtr& ch, const NodeMsg& msg) {
             break;
         // The NIC originates these (or they flow host<->host around it) and
         // must never receive them; each is named so that adding an enum
-        // value forces a decision here (simlint3 unhandled-tag).
+        // value forces a decision here (simlint unhandled-tag).
         case NodeMsg::Type::kSyncNotify:
         case NodeMsg::Type::kFullSync:
         case NodeMsg::Type::kBacklog:
@@ -375,7 +373,7 @@ void NicKv::chain_forward(const NodeMsg& msg) {
     stats_.incr("chain_no_head");
 }
 
-// simlint3:observe-only
+// simlint:observe-only
 std::vector<std::string> NicKv::chain_order() const {
     std::vector<std::string> out;
     for (const auto& e : nodes_) {

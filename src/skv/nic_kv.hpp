@@ -20,7 +20,7 @@ namespace skv::offload {
 
 struct NicKvConfig {
     std::string name = "nic-kv";
-    std::uint16_t port = 7000;  // simlint3:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
+    std::uint16_t port = 7000;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
     /// Replication threads on the SmartNIC (paper §III-C). Clamped at run
     /// time to min(ARM cores, slave count); 1 disables multi-threading,
     /// the paper's default.
@@ -32,9 +32,8 @@ struct NicKvConfig {
     sim::Duration waiting_time{sim::milliseconds(1500)};
     /// Node-list entry footprint charged against on-board DRAM.
     std::size_t node_entry_bytes = 512 * 1024;
-    /// Wrap accepted node links in the retransmitting layer (must match the
-    /// KvServer-side setting, both ends speak the same envelope).
-    bool reliable_node_links = true;
+    /// Retransmitting-layer parameters for accepted node links (must match
+    /// the KvServer side, both ends speak the same envelope).
     server::ReliableParams reliable{};
     /// Which replication protocol this NIC executes (mirrors
     /// ServerConfig::replication_mode; Cluster keeps the two in sync).

@@ -163,6 +163,13 @@ struct LlCase {
     long long v;
 };
 
+// gtest would otherwise print the raw object bytes (a string-literal
+// address plus padding), and gtest_discover_tests copies the printed value
+// into the ctest name, so the names would change from build to build.
+void PrintTo(const LlCase& c, std::ostream* os) {
+    *os << '"' << c.in << "\" ok=" << (c.ok ? "true" : "false") << " v=" << c.v;
+}
+
 class String2llTest : public ::testing::TestWithParam<LlCase> {};
 
 TEST_P(String2llTest, ParsesStrictly) {

@@ -8,7 +8,7 @@ namespace skv::server {
 namespace {
 
 // Driven by kNodeMsgTypes so a newly added enum value is covered the moment
-// it lands in the authoritative list (and simlint3's unhandled-tag rule
+// it lands in the authoritative list (and simlint's unhandled-tag rule
 // fails if the list itself goes stale).
 TEST(NodeMsg, RoundTripAllTypes) {
     for (const auto type : kNodeMsgTypes) {

@@ -1,37 +1,17 @@
 #include <gtest/gtest.h>
 
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
 namespace skv::sim {
 namespace {
 
-TEST(Trace, RecordsInOrder) {
-    Trace t;
-    t.emit(SimTime(1), "a", "one");
-    t.emit(SimTime(2), "b", "two");
-    ASSERT_EQ(t.records().size(), 2u);
-    EXPECT_EQ(t.records()[0].message, "one");
-    EXPECT_EQ(t.records()[1].component, "b");
-}
-
-TEST(Trace, CapacityBoundsRetention) {
-    Trace t(4);
-    for (int i = 0; i < 10; ++i) {
-        t.emit(SimTime(i), "c", std::to_string(i));
-    }
-    EXPECT_EQ(t.records().size(), 4u);
-    EXPECT_EQ(t.records().front().message, "6");
-    EXPECT_EQ(t.total_emitted(), 10u);
-}
-
 TEST(Trace, DigestIsOrderSensitive) {
     Trace a;
     Trace b;
-    a.emit(SimTime(1), "x", "m1");
-    a.emit(SimTime(2), "x", "m2");
-    b.emit(SimTime(2), "x", "m2");
-    b.emit(SimTime(1), "x", "m1");
+    a.note(TraceEvent::kFabricSend, SimTime(1), 1, 2);
+    a.note(TraceEvent::kFabricDeliver, SimTime(2), 1, 2);
+    b.note(TraceEvent::kFabricDeliver, SimTime(2), 1, 2);
+    b.note(TraceEvent::kFabricSend, SimTime(1), 1, 2);
     EXPECT_NE(a.digest(), b.digest());
 }
 
@@ -39,68 +19,21 @@ TEST(Trace, DigestDeterministic) {
     Trace a;
     Trace b;
     for (int i = 0; i < 100; ++i) {
-        a.emit(SimTime(i), "c", "msg" + std::to_string(i));
-        b.emit(SimTime(i), "c", "msg" + std::to_string(i));
+        a.note(TraceEvent::kFabricSend, SimTime(i), i, i + 1);
+        b.note(TraceEvent::kFabricSend, SimTime(i), i, i + 1);
     }
     EXPECT_EQ(a.digest(), b.digest());
-}
-
-TEST(Trace, DisabledEmitsNothing) {
-    Trace t;
-    t.set_enabled(false);
-    t.emit(SimTime(1), "a", "hidden");
-    EXPECT_EQ(t.total_emitted(), 0u);
-    EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Trace, FormatLines) {
-    Trace t;
-    t.emit(SimTime(1000), "net", "hello");
-    const auto lines = t.format();
-    ASSERT_EQ(lines.size(), 1u);
-    EXPECT_NE(lines[0].find("[net]"), std::string::npos);
-    EXPECT_NE(lines[0].find("hello"), std::string::npos);
+    EXPECT_EQ(a.total_noted(), 100u);
 }
 
 TEST(Trace, ClearResetsDigest) {
     Trace t;
     const auto d0 = t.digest();
-    t.emit(SimTime(1), "a", "x");
+    t.note(TraceEvent::kChannelClose, SimTime(1), 7);
     EXPECT_NE(t.digest(), d0);
     t.clear();
     EXPECT_EQ(t.digest(), d0);
-}
-
-TEST(Stats, CountersAccumulate) {
-    StatsRegistry s;
-    s.incr("ops");
-    s.incr("ops", 4);
-    EXPECT_EQ(s.counter("ops"), 5u);
-    EXPECT_EQ(s.counter("missing"), 0u);
-}
-
-TEST(Stats, Gauges) {
-    StatsRegistry s;
-    s.set_gauge("depth", 7);
-    s.set_gauge("depth", 3);
-    EXPECT_EQ(s.gauge("depth"), 3);
-    EXPECT_EQ(s.gauge("missing"), 0);
-}
-
-TEST(Stats, FormatSortedDeterministic) {
-    StatsRegistry s;
-    s.incr("zeta");
-    s.incr("alpha", 2);
-    const auto text = s.format();
-    EXPECT_LT(text.find("alpha=2"), text.find("zeta=1"));
-}
-
-TEST(Stats, ClearEmpties) {
-    StatsRegistry s;
-    s.incr("x");
-    s.clear();
-    EXPECT_EQ(s.counter("x"), 0u);
-    EXPECT_TRUE(s.counters().empty());
+    EXPECT_EQ(t.total_noted(), 0u);
 }
 
 } // namespace

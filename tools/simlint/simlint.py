@@ -1,237 +1,118 @@
 #!/usr/bin/env python3
-"""simlint — project-specific determinism / safety lint for the SKV DES.
+"""simlint — the SKV simulator's lint driver.
 
-Every guarantee this repository makes (bit-identical reruns, the figure
-regression curves, the chaos suite) rests on the discrete-event simulation
-staying deterministic. This checker enforces the source-level rules that
-keep it that way; see DESIGN.md "Determinism rules" for the rationale.
+Builds the file list once, parses each file once through the text frontend
+(frontend.py), and runs three rule families over that shared parse:
 
-Rules
-  raw-rng             rand()/srand()/std::random_device/std::mt19937/... are
-                      banned outside src/sim/rng.* — all randomness must flow
-                      from the seeded xoshiro Rng.
-  wall-clock          system_clock/steady_clock/time()/gettimeofday/... are
-                      banned outside src/sim/time.* — sim code may only
-                      observe SimTime.
-  unordered-iteration iterating a std::unordered_{map,set} is banned in
-                      sim-visible code: iteration order is
-                      implementation-defined and leaks into event scheduling.
-                      Lookup/insert/erase are fine.
-  bare-assert         assert() is banned in src/ — use SKV_CHECK/SKV_DCHECK
-                      (sim/check.hpp), which print seed, sim time and owning
-                      node on failure.
-  stdout-io           std::cout / printf / puts are banned in library code —
-                      components report through sim::Trace / StatsRegistry;
-                      diagnostics go to stderr.
+  determinism.py  raw-rng, wall-clock, unordered-iteration, bare-assert,
+                  stdout-io (DESIGN.md §9)
+  ownership.py    cycle, use-after-move, unchecked-status,
+                  reentrant-handler (DESIGN.md §10)
+  protocol.py     duplicate-tag, unhandled-tag, dead-send, dead-handler,
+                  repl-command, observe-taint, knob-drift (DESIGN.md §14)
+
+Every rule applies to every file; each module's docstring explains its
+rules. Findings print as `file:line: [rule] message (detail)`.
 
 Suppressions
   A finding on line N is suppressed by a comment on line N or line N-1:
       // simlint:allow(<rule>) <reason>
-  The reason is mandatory; an allow-comment without one is itself an error,
-  so every intentional exception stays self-documenting.
+  The reason is mandatory, and an unknown rule name is an error, so every
+  intentional exception stays self-documenting. `// simlint:observe-only`
+  on a function definition (or the line above) makes it an observe-taint
+  seed, like everything under src/obs/.
 
 Usage
-  simlint.py --compile-commands build/compile_commands.json --src-root src
-  simlint.py file1.cpp file2.hpp          # explicit files (fixture testing)
+  simlint.py --compile-commands build/compile_commands.json --src-root src \\
+             --doc EXPERIMENTS.md
+  simlint.py [--doc knobs.md] file1.cpp file2.hpp   # explicit files
 
-Exit status: 0 clean, 1 findings, 2 usage/configuration error.
+Explicit files override --compile-commands. knob-drift runs only with
+--doc. Exit status: 0 clean, 1 findings, 2 usage/configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-import lintcommon
+import determinism
+import ownership
+import protocol
+from frontend import SourceFile, UsageError
 
-# ---------------------------------------------------------------------------
-# Rule definitions
-
-RAW_RNG = re.compile(
-    r"""(?<![\w:])(?:
-        rand\s*\( |
-        srand\s*\( |
-        [ld]rand48\s*\( |
-        (?:std\s*::\s*)?random_device\b |
-        (?:std\s*::\s*)?mt19937(?:_64)?\b |
-        (?:std\s*::\s*)?minstd_rand0?\b |
-        (?:std\s*::\s*)?default_random_engine\b |
-        (?:std\s*::\s*)?(?:uniform_int|uniform_real|bernoulli|normal|
-                          exponential|poisson)_distribution\b |
-        (?:std\s*::\s*)?(?:random_)?shuffle\s*[(<]
-    )""",
-    re.X,
-)
-
-WALL_CLOCK = re.compile(
-    r"""(?<![\w:])(?:
-        (?:std\s*::\s*)?(?:chrono\s*::\s*)?(?:system_clock|steady_clock|
-                                             high_resolution_clock)\b |
-        time\s*\(\s*(?:NULL|nullptr|0|&)?[\w\s]*\) |
-        clock\s*\(\s*\) |
-        gettimeofday\s*\( |
-        clock_gettime\s*\( |
-        localtime(?:_r)?\s*\( |
-        gmtime(?:_r)?\s*\(
-    )""",
-    re.X,
-)
-
-BARE_ASSERT = re.compile(r"(?<![\w.])assert\s*\(")
-
-STDOUT_IO = re.compile(
-    r"""(?:
-        (?<![\w:])std\s*::\s*cout\b |
-        (?<![\w:])printf\s*\( |
-        (?<![\w:])puts\s*\(
-    )""",
-    re.X,
-)
-
-UNORDERED_DECL = re.compile(r"(?:std\s*::\s*)?unordered_(?:map|set|multimap|multiset)\s*<")
-
-RULES = {
-    "raw-rng": "raw RNG source; use sim::Rng (src/sim/rng.hpp) so results are seed-determined",
-    "wall-clock": "wall-clock read; sim code must use sim::SimTime (src/sim/time.hpp)",
-    "unordered-iteration": "iteration over an unordered container; order is implementation-defined and leaks into event scheduling",
-    "bare-assert": "bare assert(); use SKV_CHECK/SKV_DCHECK (sim/check.hpp) for seed/sim-time/node diagnostics",
-    "stdout-io": "stdout in library code; report via sim::Trace/StatsRegistry, diagnostics to stderr",
-}
-
-# Files where a rule is allowed by design (the single blessed implementation).
-EXEMPT = {
-    "raw-rng": (re.compile(r"(?:^|/)src/sim/rng\.(?:hpp|cpp)$"),),
-    "wall-clock": (re.compile(r"(?:^|/)src/sim/time\.(?:hpp|cpp)$"),),
-    # The observability exporters are the single place library code may
-    # write to stdout (obs::print_stdout/print_line/print_bench_json);
-    # everything else routes its output through them.
-    "stdout-io": (re.compile(r"(?:^|/)src/obs/export[^/]*$"),),
-}
-
-
-class Finding(lintcommon.Finding):
-    rules = RULES
-
-
-def exempt(rule: str, path: Path) -> bool:
-    posix = path.as_posix()
-    return any(pat.search(posix) for pat in EXEMPT.get(rule, ()))
-
-
-def unordered_names(code_lines: list[str]) -> set[str]:
-    """Names of variables/members declared with an unordered container type
-    anywhere in the file (heuristic: identifier following the closing '>' of
-    an unordered_* template argument list, also through alias declarations)."""
-    text = "\n".join(code_lines)
-    names: set[str] = set()
-    aliases: set[str] = set()
-    for m in UNORDERED_DECL.finditer(text):
-        # walk the balanced <...> to its end
-        i = text.index("<", m.start())
-        depth = 0
-        while i < len(text):
-            if text[i] == "<":
-                depth += 1
-            elif text[i] == ">":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        tail = text[i + 1 : i + 200]
-        # using Alias = std::unordered_map<...>;
-        head = text[max(0, m.start() - 120) : m.start()]
-        am = re.search(r"using\s+(\w+)\s*=\s*$", head)
-        if am:
-            aliases.add(am.group(1))
-            continue
-        dm = re.match(r"[&\s]*(\w+)\s*[;={(]", tail)
-        if dm and dm.group(1) not in ("const", "final", "override"):
-            names.add(dm.group(1))
-    for alias in aliases:
-        for m in re.finditer(rf"(?<![\w:]){alias}\s+(\w+)\s*[;={{(]", text):
-            names.add(m.group(1))
-    return names
-
-
-def check_file(path: Path, library_code: bool) -> list[Finding]:
-    sf = lintcommon.SourceFile(path, "simlint", RULES)
-    findings: list[Finding] = []
-    code_lines = sf.code
-
-    unordered = unordered_names(code_lines)
-
-    seen: set[tuple[int, str]] = set()
-
-    for lineno, code in enumerate(code_lines, 1):
-        def report(rule: str, detail: str = "") -> None:
-            if exempt(rule, path) or sf.suppressed(lineno, rule):
-                return
-            if (lineno, rule) in seen:
-                return
-            seen.add((lineno, rule))
-            findings.append(Finding(path, lineno, rule, detail))
-
-        if RAW_RNG.search(code):
-            report("raw-rng")
-        if WALL_CLOCK.search(code):
-            report("wall-clock")
-        if BARE_ASSERT.search(code):
-            report("bare-assert")
-        if library_code and STDOUT_IO.search(code):
-            report("stdout-io")
-        # unordered-iteration: range-for over a tracked name, begin()/cbegin()
-        # on a tracked name, or range-for directly over an unordered temporary.
-        for m in re.finditer(r"for\s*\([^;)]*:\s*([\w.\->]+)\s*\)", code):
-            base = m.group(1).split(".")[-1].split("->")[-1]
-            if base in unordered:
-                report("unordered-iteration", f"range-for over '{base}'")
-        # begin() starts an iteration; a lone end() is the find()-idiom
-        # sentinel and stays legal.
-        for m in re.finditer(r"(\w+)\s*\.\s*c?r?begin\s*\(", code):
-            if m.group(1) in unordered:
-                report("unordered-iteration", f"'{m.group(1)}.begin()'")
-        if re.search(r"for\s*\([^;)]*:\s*[^)]*unordered_(?:map|set)", code):
-            report("unordered-iteration", "range-for over unordered temporary")
-
-    return findings
+RULES = {**determinism.RULES, **ownership.RULES, **protocol.RULES}
 
 
 def files_from_compile_commands(db_path: Path, src_root: Path) -> list[Path]:
-    return lintcommon.files_from_compile_commands(db_path, src_root, "simlint")
+    """Every TU under src_root that appears in the compile database, plus a
+    header sweep (headers never appear in the database but carry
+    declarations the rules must see)."""
+    try:
+        entries = json.loads(db_path.read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise UsageError(f"simlint: cannot load {db_path}: {e}") from e
+    root = src_root.resolve()
+    out: set[Path] = set()
+    for entry in entries:
+        f = Path(entry["directory"], entry["file"]).resolve()
+        if f.is_relative_to(root):
+            out.add(f)
+    for pattern in ("*.hpp", "*.h"):
+        out.update(h.resolve() for h in root.rglob(pattern))
+    return sorted(out)
+
+
+def load(args: argparse.Namespace) -> tuple[list[SourceFile], str | None]:
+    """The parsed files and the knob documentation text (None: no --doc)."""
+    paths = args.files or files_from_compile_commands(args.compile_commands,
+                                                      args.src_root)
+    if not paths:
+        raise UsageError("simlint: no files to lint")
+    doc_text = None
+    if args.doc:
+        try:
+            doc_text = args.doc.read_text()
+        except OSError as e:
+            raise UsageError(f"simlint: cannot read --doc {args.doc}: {e}") from e
+    return [SourceFile(p, RULES) for p in paths], doc_text
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--compile-commands", type=Path,
                     help="compile_commands.json to take the file list from")
     ap.add_argument("--src-root", type=Path, default=Path("src"),
                     help="only lint files under this root (default: src)")
-    ap.add_argument("--no-library-rules", action="store_true",
-                    help="skip rules that only apply to library code (stdout-io)")
+    ap.add_argument("--doc", type=Path,
+                    help="knob documentation checked by knob-drift")
     ap.add_argument("files", nargs="*", type=Path,
                     help="explicit files to lint (overrides --compile-commands)")
     args = ap.parse_args()
-
-    if args.files:
-        files = args.files
-    elif args.compile_commands:
-        files = files_from_compile_commands(args.compile_commands, args.src_root)
-    else:
+    if not args.files and not args.compile_commands:
         ap.error("need either explicit files or --compile-commands")
 
-    if not files:
-        print("simlint: no files to lint", file=sys.stderr)
+    try:
+        files, doc_text = load(args)
+    except UsageError as e:
+        print(e, file=sys.stderr)
         return 2
 
-    findings: list[Finding] = []
-    for f in files:
-        findings.extend(check_file(f, library_code=not args.no_library_rules))
-
-    return lintcommon.report(findings, len(files), "simlint")
+    findings = (determinism.check(files) + ownership.check(files)
+                + protocol.check(files, doc_text))
+    findings.sort(key=lambda f: (str(f.path), f.line, f.rule))
+    for f in findings:
+        detail = f" ({f.detail})" if f.detail else ""
+        print(f"{f.path}:{f.line}: [{f.rule}] {RULES[f.rule]}{detail}")
+    if findings:
+        print(f"simlint: {len(findings)} finding(s) in {len(files)} file(s)",
+              file=sys.stderr)
+        return 1
+    print(f"simlint: clean ({len(files)} files)", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
