@@ -53,8 +53,8 @@ int main() {
     ch->send(kv::resp::command({"SET", "counter", "41"}));
     ch->send(kv::resp::command({"INCR", "counter"}));
     ch->send(kv::resp::command({"GET", "greeting"}));
-    ch->send(kv::resp::command({"LPUSH", "jobs", "a", "b", "c"}));
-    ch->send(kv::resp::command({"LRANGE", "jobs", "0", "-1"}));
+    ch->send(kv::resp::command({"APPEND", "greeting", ", offloaded"}));
+    ch->send(kv::resp::command({"GETRANGE", "greeting", "7", "-1"}));
 
     // Let the commands execute and replication drain.
     cluster.sim().run_until(cluster.sim().now() + sim::milliseconds(500));

@@ -19,25 +19,21 @@ std::string lower(std::string_view s) {
 
 } // namespace
 
-ObjectPtr CommandContext::lookup_typed(std::string_view key, ObjType t,
-                                       bool* type_error) {
-    *type_error = false;
-    ObjectPtr o = db.lookup(key);
-    if (o != nullptr && o->type() != t) {
-        *type_error = true;
-        reply_wrongtype();
-        return nullptr;
+std::optional<std::int64_t> CommandContext::expire_deadline(long long value,
+                                                            std::int64_t unit_ms,
+                                                            bool absolute) {
+    std::int64_t at = 0;
+    if (__builtin_mul_overflow(value, unit_ms, &at) ||
+        (!absolute && __builtin_add_overflow(at, db.now_ms(), &at))) {
+        reply_error("ERR invalid expire time in '" + lower(argv[0]) + "' command");
+        return std::nullopt;
     }
-    return o;
+    return at;
 }
 
 CommandTable::CommandTable() {
     register_string_commands(*this);
     register_key_commands(*this);
-    register_list_commands(*this);
-    register_set_commands(*this);
-    register_hash_commands(*this);
-    register_zset_commands(*this);
     register_server_commands(*this);
     register_scan_commands(*this);
     register_bit_commands(*this);

@@ -32,10 +32,10 @@ struct CommandContext {
     /// replication: only dirty writes propagate).
     bool dirty = false;
 
-    /// Effect replication: when a command is non-deterministic (SPOP,
-    /// INCRBYFLOAT) or time-relative (EXPIRE), the handler records the
-    /// deterministic command slaves must execute instead, exactly as Redis
-    /// rewrites them in the replication stream.
+    /// Effect replication: when a command's effect depends on float
+    /// formatting (INCRBYFLOAT) or on the clock (EXPIRE, SET EX), the
+    /// handler records the deterministic command slaves must execute
+    /// instead, exactly as Redis rewrites them in the replication stream.
     std::optional<std::vector<std::string>> repl_override;
 
     // -- handler conveniences ------------------------------------------------
@@ -45,14 +45,13 @@ struct CommandContext {
     void reply_integer(long long v) { reply += resp::integer(v); }
     void reply_bulk(std::string_view s) { reply += resp::bulk(s); }
     void reply_null() { reply += resp::null_bulk(); }
-    void reply_wrongtype() {
-        reply += resp::error(
-            "WRONGTYPE Operation against a key holding the wrong kind of value");
-    }
 
-    /// Look up `key` requiring type `t`: nullptr + WRONGTYPE reply on type
-    /// mismatch, nullptr without reply when missing.
-    ObjectPtr lookup_typed(std::string_view key, ObjType t, bool* type_error);
+    /// Absolute deadline in ms for an expiry of `value` units of `unit_ms`,
+    /// counted from now unless `absolute`. When the deadline does not fit
+    /// in int64, replies "invalid expire time" (as Redis does) and returns
+    /// nullopt; the caller must then leave the key untouched.
+    std::optional<std::int64_t> expire_deadline(long long value, std::int64_t unit_ms,
+                                                bool absolute);
 };
 
 struct CommandSpec {
@@ -76,7 +75,7 @@ struct ExecResult {
         kOk,
         kUnknownCommand,
         kArityError,
-        kExecError, // handler replied with -ERR/-WRONGTYPE
+        kExecError, // handler replied with -ERR
     };
     Status status = Status::kOk;
     bool dirty = false;
@@ -114,16 +113,12 @@ private:
 };
 
 /// Glob-style pattern match (Redis stringmatchlen): *, ?, [class], \escape.
-/// Used by KEYS and the SCAN family's MATCH option.
+/// Used by KEYS and SCAN's MATCH option.
 bool glob_match(std::string_view pattern, std::string_view str);
 
 // Per-family registration (defined in commands_*.cpp).
 void register_string_commands(CommandTable& t);
 void register_key_commands(CommandTable& t);
-void register_list_commands(CommandTable& t);
-void register_set_commands(CommandTable& t);
-void register_hash_commands(CommandTable& t);
-void register_zset_commands(CommandTable& t);
 void register_server_commands(CommandTable& t);
 void register_scan_commands(CommandTable& t);
 void register_bit_commands(CommandTable& t);

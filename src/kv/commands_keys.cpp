@@ -33,12 +33,13 @@ void generic_expire(CommandContext& ctx, std::int64_t unit_ms, bool absolute) {
         ctx.reply_error("ERR value is not an integer or out of range");
         return;
     }
-    const std::int64_t at_ms = absolute ? *v * unit_ms : ctx.db.now_ms() + *v * unit_ms;
+    const auto at_ms = ctx.expire_deadline(*v, unit_ms, absolute);
+    if (!at_ms.has_value()) return;
     if (!ctx.db.exists(ctx.argv[1])) {
         ctx.reply_integer(0);
         return;
     }
-    if (at_ms <= ctx.db.now_ms()) {
+    if (*at_ms <= ctx.db.now_ms()) {
         // Already in the past: delete, and replicate the deletion.
         ctx.db.remove(ctx.argv[1]);
         ctx.dirty = true;
@@ -46,10 +47,10 @@ void generic_expire(CommandContext& ctx, std::int64_t unit_ms, bool absolute) {
         ctx.reply_integer(1);
         return;
     }
-    ctx.db.set_expire(ctx.argv[1], at_ms);
+    ctx.db.set_expire(ctx.argv[1], *at_ms);
     ctx.dirty = true;
     ctx.repl_override =
-        std::vector<std::string>{"PEXPIREAT", ctx.argv[1], ll2string(at_ms)};
+        std::vector<std::string>{"PEXPIREAT", ctx.argv[1], ll2string(*at_ms)};
     ctx.reply_integer(1);
 }
 
@@ -72,8 +73,7 @@ void cmd_persist(CommandContext& ctx) {
 }
 
 void cmd_type(CommandContext& ctx) {
-    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
-    ctx.reply_simple(o == nullptr ? "none" : to_string(o->type()));
+    ctx.reply_simple(ctx.db.exists(ctx.argv[1]) ? "string" : "none");
 }
 
 } // namespace

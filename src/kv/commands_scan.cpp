@@ -1,6 +1,3 @@
-#include <algorithm>
-#include <cstdio>
-
 #include "kv/command.hpp"
 #include "kv/sds.hpp"
 
@@ -8,8 +5,7 @@ namespace skv::kv {
 
 namespace {
 
-/// Shared option parsing for SCAN/SSCAN/HSCAN/ZSCAN:
-/// [MATCH pattern] [COUNT n].
+/// SCAN's options: [MATCH pattern] [COUNT n].
 struct ScanOptions {
     std::string pattern;
     bool has_pattern = false;
@@ -17,9 +13,9 @@ struct ScanOptions {
     bool bad = false;
 };
 
-ScanOptions parse_scan_options(CommandContext& ctx, std::size_t first) {
+ScanOptions parse_scan_options(CommandContext& ctx) {
     ScanOptions o;
-    for (std::size_t i = first; i < ctx.argv.size(); ++i) {
+    for (std::size_t i = 2; i < ctx.argv.size(); ++i) {
         const Sds a(ctx.argv[i]);
         if (a.iequals("MATCH") && i + 1 < ctx.argv.size()) {
             o.pattern = ctx.argv[i + 1];
@@ -43,18 +39,6 @@ ScanOptions parse_scan_options(CommandContext& ctx, std::size_t first) {
     return o;
 }
 
-bool matches(const ScanOptions& o, std::string_view s) {
-    return !o.has_pattern || glob_match(o.pattern, s);
-}
-
-void reply_scan(CommandContext& ctx, std::uint64_t cursor,
-                const std::vector<std::string>& items) {
-    ctx.reply += resp::array_header(2);
-    ctx.reply_bulk(ll2string(static_cast<long long>(cursor)));
-    ctx.reply += resp::array_header(items.size());
-    for (const auto& it : items) ctx.reply_bulk(it);
-}
-
 /// SCAN cursor [MATCH pattern] [COUNT n] — incremental keyspace iteration
 /// with the usual guarantee: keys present for the whole scan are returned
 /// at least once, and the cursor is stable across rehashes.
@@ -64,7 +48,7 @@ void cmd_scan(CommandContext& ctx) {
         ctx.reply_error("ERR invalid cursor");
         return;
     }
-    const ScanOptions o = parse_scan_options(ctx, 2);
+    const ScanOptions o = parse_scan_options(ctx);
     if (o.bad) return;
 
     std::vector<std::string> out;
@@ -72,98 +56,19 @@ void cmd_scan(CommandContext& ctx) {
     long long buckets = 0;
     do {
         c = ctx.db.keys().scan(c, [&](const Sds& k, const ObjectPtr&) {
-            if (matches(o, k.view())) out.push_back(k.str());
+            if (!o.has_pattern || glob_match(o.pattern, k.view())) out.push_back(k.str());
         });
         ++buckets;
     } while (c != 0 && buckets < o.count);
-    reply_scan(ctx, c, out);
-}
-
-void cmd_sscan(CommandContext& ctx) {
-    const auto cursor = string2ll(ctx.argv[2]);
-    if (!cursor.has_value() || *cursor < 0) {
-        ctx.reply_error("ERR invalid cursor");
-        return;
-    }
-    const ScanOptions o = parse_scan_options(ctx, 3);
-    if (o.bad) return;
-    bool type_err = false;
-    ObjectPtr obj = ctx.lookup_typed(ctx.argv[1], ObjType::kSet, &type_err);
-    if (type_err) return;
-    // Small sets (and intsets) are returned whole in one step, as Redis
-    // does for compact encodings.
-    std::vector<std::string> out;
-    if (obj != nullptr) {
-        for (auto& m : obj->set_members()) {
-            if (matches(o, m)) out.push_back(std::move(m));
-        }
-        std::sort(out.begin(), out.end());
-    }
-    reply_scan(ctx, 0, out);
-}
-
-void cmd_hscan(CommandContext& ctx) {
-    const auto cursor = string2ll(ctx.argv[2]);
-    if (!cursor.has_value() || *cursor < 0) {
-        ctx.reply_error("ERR invalid cursor");
-        return;
-    }
-    const ScanOptions o = parse_scan_options(ctx, 3);
-    if (o.bad) return;
-    bool type_err = false;
-    ObjectPtr obj = ctx.lookup_typed(ctx.argv[1], ObjType::kHash, &type_err);
-    if (type_err) return;
-    std::vector<std::pair<std::string, std::string>> pairs;
-    if (obj != nullptr) {
-        obj->hash().for_each([&](const Sds& f, const Sds& v) {
-            if (matches(o, f.view())) pairs.emplace_back(f.str(), v.str());
-        });
-        std::sort(pairs.begin(), pairs.end());
-    }
-    std::vector<std::string> out;
-    out.reserve(pairs.size() * 2);
-    for (auto& [f, v] : pairs) {
-        out.push_back(std::move(f));
-        out.push_back(std::move(v));
-    }
-    reply_scan(ctx, 0, out);
-}
-
-void cmd_zscan(CommandContext& ctx) {
-    const auto cursor = string2ll(ctx.argv[2]);
-    if (!cursor.has_value() || *cursor < 0) {
-        ctx.reply_error("ERR invalid cursor");
-        return;
-    }
-    const ScanOptions o = parse_scan_options(ctx, 3);
-    if (o.bad) return;
-    bool type_err = false;
-    ObjectPtr obj = ctx.lookup_typed(ctx.argv[1], ObjType::kZSet, &type_err);
-    if (type_err) return;
-    std::vector<std::string> out;
-    if (obj != nullptr) {
-        for (const SkipList::Node* n = obj->zsl().head(); n != nullptr;
-             n = n->level[0].forward) {
-            if (matches(o, n->member.view())) {
-                out.push_back(n->member.str());
-                char buf[64];
-                if (n->score == static_cast<long long>(n->score)) {
-                    out.push_back(ll2string(static_cast<long long>(n->score)));
-                } else {
-                    std::snprintf(buf, sizeof(buf), "%.17g", n->score);
-                    out.push_back(buf);
-                }
-            }
-        }
-    }
-    reply_scan(ctx, 0, out);
+    ctx.reply += resp::array_header(2);
+    ctx.reply_bulk(ll2string(static_cast<long long>(c)));
+    ctx.reply += resp::array_header(out.size());
+    for (const auto& k : out) ctx.reply_bulk(k);
 }
 
 /// GETDEL: GET then delete (Redis 6.2).
 void cmd_getdel(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     if (o == nullptr) {
         ctx.reply_null();
         return;
@@ -176,9 +81,7 @@ void cmd_getdel(CommandContext& ctx) {
 
 /// GETEX key [EX s | PX ms | PERSIST] — GET that can touch the TTL.
 void cmd_getex(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     if (o == nullptr) {
         ctx.reply_null();
         return;
@@ -202,12 +105,12 @@ void cmd_getex(CommandContext& ctx) {
             ctx.reply_error("ERR invalid expire time in 'getex' command");
             return;
         }
-        const std::int64_t at =
-            ctx.db.now_ms() + (opt.iequals("EX") ? *v * 1000 : *v);
-        ctx.db.set_expire(ctx.argv[1], at);
+        const auto at = ctx.expire_deadline(*v, opt.iequals("EX") ? 1000 : 1, false);
+        if (!at.has_value()) return;
+        ctx.db.set_expire(ctx.argv[1], *at);
         ctx.dirty = true;
         ctx.repl_override =
-            std::vector<std::string>{"PEXPIREAT", ctx.argv[1], ll2string(at)};
+            std::vector<std::string>{"PEXPIREAT", ctx.argv[1], ll2string(*at)};
         ctx.reply_bulk(o->string_value());
         return;
     }
@@ -218,9 +121,6 @@ void cmd_getex(CommandContext& ctx) {
 
 void register_scan_commands(CommandTable& t) {
     t.add({"SCAN", -2, kCmdReadOnly, cmd_scan});
-    t.add({"SSCAN", -3, kCmdReadOnly, cmd_sscan});
-    t.add({"HSCAN", -3, kCmdReadOnly, cmd_hscan});
-    t.add({"ZSCAN", -3, kCmdReadOnly, cmd_zscan});
     t.add({"GETDEL", 2, kCmdWrite | kCmdFast, cmd_getdel});
     t.add({"GETEX", -2, kCmdWrite | kCmdFast, cmd_getex});
 }

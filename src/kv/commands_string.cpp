@@ -39,8 +39,11 @@ SetOptions parse_set_options(CommandContext& ctx, std::size_t first) {
                 o.bad = true;
                 return o;
             }
-            const std::int64_t ms = iequals("EX") ? *v * 1000 : *v;
-            o.expire_at_ms = ctx.db.now_ms() + ms;
+            o.expire_at_ms = ctx.expire_deadline(*v, iequals("EX") ? 1000 : 1, false);
+            if (!o.expire_at_ms.has_value()) {
+                o.bad = true;
+                return o;
+            }
             ++i;
         } else {
             ctx.reply_error("ERR syntax error");
@@ -115,19 +118,18 @@ void cmd_setex_ms(CommandContext& ctx, std::int64_t unit_ms) {
         ctx.reply_error("ERR invalid expire time in 'setex' command");
         return;
     }
-    const std::int64_t at = ctx.db.now_ms() + *secs * unit_ms;
+    const auto at = ctx.expire_deadline(*secs, unit_ms, false);
+    if (!at.has_value()) return;
     ctx.db.set(ctx.argv[1], Object::make_string(ctx.argv[3]));
-    ctx.db.set_expire(ctx.argv[1], at);
+    ctx.db.set_expire(ctx.argv[1], *at);
     ctx.repl_override = std::vector<std::string>{"SETPXAT", ctx.argv[1],
-                                                 ctx.argv[3], ll2string(at)};
+                                                 ctx.argv[3], ll2string(*at)};
     ctx.dirty = true;
     ctx.reply_ok();
 }
 
 void cmd_get(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     if (o == nullptr) {
         ctx.reply_null();
         return;
@@ -136,9 +138,7 @@ void cmd_get(CommandContext& ctx) {
 }
 
 void cmd_getset(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     if (o == nullptr) {
         ctx.reply_null();
     } else {
@@ -149,9 +149,7 @@ void cmd_getset(CommandContext& ctx) {
 }
 
 void cmd_append(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     std::size_t newlen;
     if (o == nullptr) {
         ctx.db.set(ctx.argv[1], Object::make_string(ctx.argv[2]));
@@ -165,16 +163,12 @@ void cmd_append(CommandContext& ctx) {
 }
 
 void cmd_strlen(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     ctx.reply_integer(o == nullptr ? 0 : static_cast<long long>(o->string_len()));
 }
 
 void generic_incr(CommandContext& ctx, long long delta) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     long long cur = 0;
     if (o != nullptr) {
         const auto v = o->int_value();
@@ -224,9 +218,7 @@ void cmd_incrbyfloat(CommandContext& ctx) {
         ctx.reply_error("ERR value is not a valid float");
         return;
     }
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     double cur = 0;
     if (o != nullptr) {
         const auto v = string2d(o->string_value());
@@ -284,7 +276,7 @@ void cmd_mget(CommandContext& ctx) {
     ctx.reply += resp::array_header(ctx.argv.size() - 1);
     for (std::size_t i = 1; i < ctx.argv.size(); ++i) {
         ObjectPtr o = ctx.db.lookup(ctx.argv[i]);
-        if (o == nullptr || o->type() != ObjType::kString) {
+        if (o == nullptr) {
             ctx.reply_null();
         } else {
             ctx.reply_bulk(o->string_value());
@@ -299,9 +291,7 @@ void cmd_getrange(CommandContext& ctx) {
         ctx.reply_error("ERR value is not an integer or out of range");
         return;
     }
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     if (o == nullptr) {
         ctx.reply_bulk("");
         return;
@@ -317,16 +307,20 @@ void cmd_setrange(CommandContext& ctx) {
         ctx.reply_error("ERR offset is out of range");
         return;
     }
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
+    ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     const std::string& patch = ctx.argv[3];
     std::string value = o == nullptr ? std::string() : o->string_value();
     if (patch.empty()) {
         ctx.reply_integer(static_cast<long long>(value.size()));
         return;
     }
+    // Cap the result at the largest bulk string a request may carry, as
+    // Redis's checkStringLength does, before the resize can ask for it.
     const std::size_t need = static_cast<std::size_t>(*offset) + patch.size();
+    if (need > static_cast<std::size_t>(resp::RequestParser::kMaxBulk)) {
+        ctx.reply_error("ERR string exceeds maximum allowed size");
+        return;
+    }
     if (value.size() < need) value.resize(need, '\0');
     value.replace(static_cast<std::size_t>(*offset), patch.size(), patch);
     ctx.db.set_keep_ttl(ctx.argv[1], Object::make_string(value));

@@ -1,30 +1,11 @@
 #include "kv/object.hpp"
 
-#include <algorithm>
-
-#include "sim/check.hpp"
-
 namespace skv::kv {
-
-const char* to_string(ObjType t) {
-    switch (t) {
-        case ObjType::kString: return "string";
-        case ObjType::kList: return "list";
-        case ObjType::kSet: return "set";
-        case ObjType::kHash: return "hash";
-        case ObjType::kZSet: return "zset";
-    }
-    return "?";
-}
 
 const char* to_string(ObjEncoding e) {
     switch (e) {
         case ObjEncoding::kInt: return "int";
         case ObjEncoding::kRaw: return "raw";
-        case ObjEncoding::kQuickList: return "quicklist";
-        case ObjEncoding::kIntSet: return "intset";
-        case ObjEncoding::kHashTable: return "hashtable";
-        case ObjEncoding::kSkipList: return "skiplist";
     }
     return "?";
 }
@@ -33,55 +14,31 @@ ObjectPtr Object::make_string(std::string_view v) {
     if (auto ll = string2ll(v)) {
         return make_string_ll(*ll);
     }
-    auto o = ObjectPtr(new Object(ObjType::kString, ObjEncoding::kRaw));
+    auto o = ObjectPtr(new Object(ObjEncoding::kRaw));
     o->str_.assign(v);
     return o;
 }
 
 ObjectPtr Object::make_string_ll(long long v) {
-    auto o = ObjectPtr(new Object(ObjType::kString, ObjEncoding::kInt));
+    auto o = ObjectPtr(new Object(ObjEncoding::kInt));
     o->ival_ = v;
     return o;
 }
 
-ObjectPtr Object::make_list() {
-    return ObjectPtr(new Object(ObjType::kList, ObjEncoding::kQuickList));
-}
-
-ObjectPtr Object::make_set() {
-    return ObjectPtr(new Object(ObjType::kSet, ObjEncoding::kIntSet));
-}
-
-ObjectPtr Object::make_hash() {
-    return ObjectPtr(new Object(ObjType::kHash, ObjEncoding::kHashTable));
-}
-
-ObjectPtr Object::make_zset() {
-    auto o = ObjectPtr(new Object(ObjType::kZSet, ObjEncoding::kSkipList));
-    o->zsl_ = std::make_unique<SkipList>();
-    return o;
-}
-
-// --- string -------------------------------------------------------------
-
 std::string Object::string_value() const {
-    SKV_DCHECK(type_ == ObjType::kString);
     return encoding_ == ObjEncoding::kInt ? ll2string(ival_) : str_.str();
 }
 
 std::size_t Object::string_len() const {
-    SKV_DCHECK(type_ == ObjType::kString);
     return encoding_ == ObjEncoding::kInt ? ll2string(ival_).size() : str_.size();
 }
 
 std::optional<long long> Object::int_value() const {
-    if (type_ != ObjType::kString) return std::nullopt;
     if (encoding_ == ObjEncoding::kInt) return ival_;
     return string2ll(str_.view());
 }
 
 std::size_t Object::string_append(std::string_view tail) {
-    SKV_DCHECK(type_ == ObjType::kString);
     if (encoding_ == ObjEncoding::kInt) {
         str_.assign(ll2string(ival_));
         encoding_ = ObjEncoding::kRaw;
@@ -91,7 +48,6 @@ std::size_t Object::string_append(std::string_view tail) {
 }
 
 void Object::string_set(std::string_view v) {
-    SKV_DCHECK(type_ == ObjType::kString);
     if (auto ll = string2ll(v)) {
         string_set_ll(*ll);
         return;
@@ -101,207 +57,13 @@ void Object::string_set(std::string_view v) {
 }
 
 void Object::string_set_ll(long long v) {
-    SKV_DCHECK(type_ == ObjType::kString);
     encoding_ = ObjEncoding::kInt;
     ival_ = v;
     str_.clear();
 }
 
-// --- set ------------------------------------------------------------------
+std::size_t Object::memory_bytes() const { return sizeof(Object) + str_.capacity(); }
 
-void Object::set_upgrade_to_hashtable() {
-    SKV_DCHECK(encoding_ == ObjEncoding::kIntSet);
-    for (std::size_t i = 0; i < intset_.size(); ++i) {
-        setdict_.insert(Sds(ll2string(intset_.at(i))), 0);
-    }
-    intset_ = IntSet();
-    encoding_ = ObjEncoding::kHashTable;
-}
-
-bool Object::set_add(std::string_view member) {
-    SKV_DCHECK(type_ == ObjType::kSet);
-    if (encoding_ == ObjEncoding::kIntSet) {
-        if (auto ll = string2ll(member)) {
-            const bool added = intset_.insert(*ll);
-            if (added && intset_.size() > kSetMaxIntsetEntries) {
-                set_upgrade_to_hashtable();
-            }
-            return added;
-        }
-        set_upgrade_to_hashtable();
-    }
-    return setdict_.insert(Sds(member), 0);
-}
-
-bool Object::set_remove(std::string_view member) {
-    SKV_DCHECK(type_ == ObjType::kSet);
-    if (encoding_ == ObjEncoding::kIntSet) {
-        if (auto ll = string2ll(member)) return intset_.erase(*ll);
-        return false;
-    }
-    return setdict_.erase(Sds(member));
-}
-
-bool Object::set_contains(std::string_view member) const {
-    SKV_DCHECK(type_ == ObjType::kSet);
-    if (encoding_ == ObjEncoding::kIntSet) {
-        if (auto ll = string2ll(member)) return intset_.contains(*ll);
-        return false;
-    }
-    return setdict_.find(Sds(member)) != nullptr;
-}
-
-std::size_t Object::set_size() const {
-    SKV_DCHECK(type_ == ObjType::kSet);
-    return encoding_ == ObjEncoding::kIntSet ? intset_.size() : setdict_.size();
-}
-
-std::vector<std::string> Object::set_members() const {
-    SKV_DCHECK(type_ == ObjType::kSet);
-    std::vector<std::string> out;
-    if (encoding_ == ObjEncoding::kIntSet) {
-        out.reserve(intset_.size());
-        for (std::size_t i = 0; i < intset_.size(); ++i) {
-            out.push_back(ll2string(intset_.at(i)));
-        }
-    } else {
-        out.reserve(setdict_.size());
-        setdict_.for_each([&](const Sds& k, const char&) { out.push_back(k.str()); });
-    }
-    return out;
-}
-
-std::optional<std::string> Object::set_pop(sim::Rng& rng) {
-    SKV_DCHECK(type_ == ObjType::kSet);
-    if (set_size() == 0) return std::nullopt;
-    if (encoding_ == ObjEncoding::kIntSet) {
-        const std::int64_t v = intset_.random(rng);
-        intset_.erase(v);
-        return ll2string(v);
-    }
-    auto [key, val] = setdict_.random_entry(rng);
-    (void)val;
-    std::string out = key->str();
-    setdict_.erase(*key);
-    return out;
-}
-
-// --- zset -------------------------------------------------------------------
-
-bool Object::zadd(double score, std::string_view member) {
-    SKV_DCHECK(type_ == ObjType::kZSet);
-    const Sds m(member);
-    if (double* cur = zdict_.find(m)) {
-        if (*cur != score) {
-            zsl_->update_score(*cur, m, score);
-            *cur = score;
-        }
-        return false;
-    }
-    zdict_.insert(m, score);
-    zsl_->insert(score, m);
-    return true;
-}
-
-bool Object::zrem(std::string_view member) {
-    SKV_DCHECK(type_ == ObjType::kZSet);
-    const Sds m(member);
-    double* cur = zdict_.find(m);
-    if (cur == nullptr) return false;
-    const bool erased = zsl_->erase(*cur, m);
-    SKV_DCHECK(erased);
-    (void)erased;
-    zdict_.erase(m);
-    return true;
-}
-
-std::optional<double> Object::zscore(std::string_view member) const {
-    SKV_DCHECK(type_ == ObjType::kZSet);
-    const double* s = zdict_.find(Sds(member));
-    if (s == nullptr) return std::nullopt;
-    return *s;
-}
-
-std::optional<std::size_t> Object::zrank(std::string_view member) const {
-    SKV_DCHECK(type_ == ObjType::kZSet);
-    const Sds m(member);
-    const double* s = zdict_.find(m);
-    if (s == nullptr) return std::nullopt;
-    const std::size_t r = zsl_->rank(*s, m);
-    SKV_DCHECK(r > 0);
-    return r - 1;
-}
-
-// --- misc ----------------------------------------------------------------------
-
-std::size_t Object::memory_bytes() const {
-    std::size_t n = sizeof(Object);
-    switch (type_) {
-        case ObjType::kString:
-            n += str_.capacity();
-            break;
-        case ObjType::kList:
-            for (const auto& e : list_) n += sizeof(Sds) + e.capacity();
-            break;
-        case ObjType::kSet:
-            if (encoding_ == ObjEncoding::kIntSet) {
-                n += intset_.memory_bytes();
-            } else {
-                setdict_.for_each(
-                    [&](const Sds& k, const char&) { n += sizeof(Sds) + k.capacity() + 1; });
-            }
-            break;
-        case ObjType::kHash:
-            hash_.for_each([&](const Sds& k, const Sds& v) {
-                n += 2 * sizeof(Sds) + k.capacity() + v.capacity();
-            });
-            break;
-        case ObjType::kZSet:
-            zdict_.for_each([&](const Sds& k, const double&) {
-                // dict entry + skiplist node
-                n += 2 * (sizeof(Sds) + k.capacity()) + sizeof(double) + 64;
-            });
-            break;
-    }
-    return n;
-}
-
-bool Object::equals(const Object& o) const {
-    if (type_ != o.type_) return false;
-    switch (type_) {
-        case ObjType::kString:
-            return string_value() == o.string_value();
-        case ObjType::kList: {
-            if (list_.size() != o.list_.size()) return false;
-            return std::equal(list_.begin(), list_.end(), o.list_.begin());
-        }
-        case ObjType::kSet: {
-            if (set_size() != o.set_size()) return false;
-            for (const auto& m : set_members()) {
-                if (!o.set_contains(m)) return false;
-            }
-            return true;
-        }
-        case ObjType::kHash: {
-            if (hash_.size() != o.hash_.size()) return false;
-            bool same = true;
-            hash_.for_each([&](const Sds& k, const Sds& v) {
-                const Sds* ov = o.hash_.find(k);
-                if (ov == nullptr || !(*ov == v)) same = false;
-            });
-            return same;
-        }
-        case ObjType::kZSet: {
-            if (zcard() != o.zcard()) return false;
-            bool same = true;
-            zdict_.for_each([&](const Sds& k, const double& s) {
-                const auto os = o.zscore(k.view());
-                if (!os.has_value() || *os != s) same = false;
-            });
-            return same;
-        }
-    }
-    return false;
-}
+bool Object::equals(const Object& o) const { return string_value() == o.string_value(); }
 
 } // namespace skv::kv

@@ -1,60 +1,40 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "kv/dict.hpp"
-#include "kv/intset.hpp"
 #include "kv/sds.hpp"
-#include "kv/skiplist.hpp"
 
 namespace skv::kv {
 
-enum class ObjType : std::uint8_t { kString, kList, kSet, kHash, kZSet };
 enum class ObjEncoding : std::uint8_t {
-    kInt,       // string holding a long long
-    kRaw,       // sds string
-    kQuickList, // list of sds
-    kIntSet,    // small all-integer set
-    kHashTable, // dict-backed set or hash
-    kSkipList,  // zset (dict + skiplist)
+    kInt, // string holding a long long
+    kRaw, // sds string
 };
 
-const char* to_string(ObjType t);
 const char* to_string(ObjEncoding e);
 
 class Object;
 using ObjectPtr = std::shared_ptr<Object>;
 
-/// A Redis object: a type tag, an encoding, and the payload. Encodings
-/// follow Redis's space/speed conversions: strings that parse as integers
-/// use the int encoding; small all-integer sets start as intsets and
-/// upgrade to hash tables when a non-integer member arrives or the set
-/// outgrows `kSetMaxIntsetEntries`.
+/// A Redis string object: an encoding plus the payload. Strings that parse
+/// as integers use the int encoding, everything else is a raw sds, following
+/// Redis's space/speed conversion. Strings are the engine's only type: the
+/// paper's workloads issue SET and GET and nothing else.
 class Object {
 public:
-    static constexpr std::size_t kSetMaxIntsetEntries = 512;
-
     // --- constructors -----------------------------------------------------
     static ObjectPtr make_string(std::string_view v);
     static ObjectPtr make_string_ll(long long v);
-    static ObjectPtr make_list();
-    static ObjectPtr make_set();
-    static ObjectPtr make_hash();
-    static ObjectPtr make_zset();
 
-    [[nodiscard]] ObjType type() const { return type_; }
     [[nodiscard]] ObjEncoding encoding() const { return encoding_; }
 
-    // --- string -----------------------------------------------------------
     /// Rendered value (decodes the int encoding).
     [[nodiscard]] std::string string_value() const;
     [[nodiscard]] std::size_t string_len() const;
-    /// The integer behind an int-encoded string; nullopt otherwise.
+    /// The integer behind the value; nullopt when it is not one.
     [[nodiscard]] std::optional<long long> int_value() const;
     /// Append to the string value (forces raw encoding); returns new length.
     std::size_t string_append(std::string_view tail);
@@ -62,62 +42,19 @@ public:
     void string_set(std::string_view v);
     void string_set_ll(long long v);
 
-    // --- list ---------------------------------------------------------------
-    [[nodiscard]] std::deque<Sds>& list() { return list_; }
-    [[nodiscard]] const std::deque<Sds>& list() const { return list_; }
-
-    // --- set ----------------------------------------------------------------
-    /// Add a member; returns true when newly added. Handles the
-    /// intset -> hashtable encoding upgrade.
-    bool set_add(std::string_view member);
-    bool set_remove(std::string_view member);
-    [[nodiscard]] bool set_contains(std::string_view member) const;
-    [[nodiscard]] std::size_t set_size() const;
-    [[nodiscard]] std::vector<std::string> set_members() const;
-    /// Remove and return a uniformly random member; nullopt when empty.
-    std::optional<std::string> set_pop(sim::Rng& rng);
-
-    // --- hash ---------------------------------------------------------------
-    [[nodiscard]] Dict<Sds>& hash() { return hash_; }
-    [[nodiscard]] const Dict<Sds>& hash() const { return hash_; }
-
-    // --- zset ----------------------------------------------------------------
-    /// Add or update; returns true when the member is new.
-    bool zadd(double score, std::string_view member);
-    bool zrem(std::string_view member);
-    [[nodiscard]] std::optional<double> zscore(std::string_view member) const;
-    [[nodiscard]] std::size_t zcard() const { return zsl_ ? zsl_->size() : 0; }
-    /// 0-based rank, or nullopt when absent.
-    [[nodiscard]] std::optional<std::size_t> zrank(std::string_view member) const;
-    [[nodiscard]] const SkipList& zsl() const { return *zsl_; }
-
     /// Approximate heap footprint, for INFO and NIC memory budgeting.
     [[nodiscard]] std::size_t memory_bytes() const;
 
-    /// Deep structural equality (used by replication-convergence tests).
+    /// Value equality across encodings (used by replication-convergence
+    /// tests).
     [[nodiscard]] bool equals(const Object& o) const;
 
 private:
-    Object(ObjType t, ObjEncoding e) : type_(t), encoding_(e) {}
+    explicit Object(ObjEncoding e) : encoding_(e) {}
 
-    void set_upgrade_to_hashtable();
-
-    ObjType type_;
     ObjEncoding encoding_;
-
-    // string payloads
     long long ival_ = 0;
     Sds str_;
-    // list payload
-    std::deque<Sds> list_;
-    // set payloads
-    IntSet intset_;
-    Dict<char> setdict_;
-    // hash payload
-    Dict<Sds> hash_;
-    // zset payload
-    Dict<double> zdict_;
-    std::unique_ptr<SkipList> zsl_;
 };
 
 } // namespace skv::kv

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "sim/check.hpp"
 
@@ -12,12 +11,9 @@ namespace {
 
 constexpr std::string_view kMagic = "SKVRDB01";
 
-// Record opcodes.
+// Record opcodes. Every other opcode is corrupt, 1-4 included: those tag
+// list, set, hash and sorted-set records, types this engine does not hold.
 constexpr std::uint8_t kOpString = 0;
-constexpr std::uint8_t kOpList = 1;
-constexpr std::uint8_t kOpSet = 2;
-constexpr std::uint8_t kOpHash = 3;
-constexpr std::uint8_t kOpZSet = 4;
 constexpr std::uint8_t kOpExpireMs = 0xFD;
 constexpr std::uint8_t kOpEof = 0xFF;
 
@@ -100,143 +96,6 @@ bool get_i64(std::string_view in, std::size_t* p, std::int64_t* v) {
     return true;
 }
 
-void put_double(std::string& out, double d) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    put_i64(out, static_cast<std::int64_t>(bits));
-}
-
-bool get_double(std::string_view in, std::size_t* p, double* d) {
-    std::int64_t v = 0;
-    if (!get_i64(in, p, &v)) return false;
-    const auto bits = static_cast<std::uint64_t>(v);
-    std::memcpy(d, &bits, sizeof(*d));
-    return true;
-}
-
-std::uint8_t type_opcode(const Object& o) {
-    switch (o.type()) {
-        case ObjType::kString: return kOpString;
-        case ObjType::kList: return kOpList;
-        case ObjType::kSet: return kOpSet;
-        case ObjType::kHash: return kOpHash;
-        case ObjType::kZSet: return kOpZSet;
-    }
-    return kOpString;
-}
-
-void save_payload(std::string& out, const Object& o) {
-    switch (o.type()) {
-        case ObjType::kString:
-            put_string(out, o.string_value());
-            break;
-        case ObjType::kList: {
-            put_len(out, o.list().size());
-            for (const auto& e : o.list()) put_string(out, e.view());
-            break;
-        }
-        case ObjType::kSet: {
-            auto members = o.set_members();
-            std::sort(members.begin(), members.end());
-            put_len(out, members.size());
-            for (const auto& m : members) put_string(out, m);
-            break;
-        }
-        case ObjType::kHash: {
-            // Sorted fields keep snapshots byte-identical across runs.
-            std::vector<std::pair<std::string, std::string>> pairs;
-            pairs.reserve(o.hash().size());
-            o.hash().for_each([&](const Sds& k, const Sds& v) {
-                pairs.emplace_back(k.str(), v.str());
-            });
-            std::sort(pairs.begin(), pairs.end());
-            put_len(out, pairs.size());
-            for (const auto& [k, v] : pairs) {
-                put_string(out, k);
-                put_string(out, v);
-            }
-            break;
-        }
-        case ObjType::kZSet: {
-            put_len(out, o.zcard());
-            for (const SkipList::Node* n = o.zsl().head(); n != nullptr;
-                 n = n->level[0].forward) {
-                put_string(out, n->member.view());
-                put_double(out, n->score);
-            }
-            break;
-        }
-    }
-}
-
-ObjectPtr load_object(std::string_view in, std::size_t* p, std::uint8_t op,
-                      bool* ok) {
-    *ok = false;
-    switch (op) {
-        case kOpString: {
-            std::string s;
-            if (!get_string(in, p, &s)) return nullptr;
-            *ok = true;
-            return Object::make_string(s);
-        }
-        case kOpList: {
-            std::uint64_t n = 0;
-            if (!get_len(in, p, &n)) return nullptr;
-            auto o = Object::make_list();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string s;
-                if (!get_string(in, p, &s)) return nullptr;
-                o->list().push_back(Sds(s));
-            }
-            *ok = true;
-            return o;
-        }
-        case kOpSet: {
-            std::uint64_t n = 0;
-            if (!get_len(in, p, &n)) return nullptr;
-            auto o = Object::make_set();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string s;
-                if (!get_string(in, p, &s)) return nullptr;
-                o->set_add(s);
-            }
-            *ok = true;
-            return o;
-        }
-        case kOpHash: {
-            std::uint64_t n = 0;
-            if (!get_len(in, p, &n)) return nullptr;
-            auto o = Object::make_hash();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string k;
-                std::string v;
-                if (!get_string(in, p, &k) || !get_string(in, p, &v)) return nullptr;
-                o->hash().set(Sds(k), Sds(v));
-            }
-            *ok = true;
-            return o;
-        }
-        case kOpZSet: {
-            std::uint64_t n = 0;
-            if (!get_len(in, p, &n)) return nullptr;
-            auto o = Object::make_zset();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string m;
-                double score;
-                if (!get_string(in, p, &m) || !get_double(in, p, &score)) {
-                    return nullptr;
-                }
-                o->zadd(score, m);
-            }
-            *ok = true;
-            return o;
-        }
-        default:
-            return nullptr;
-    }
-}
-
 } // namespace
 
 std::uint64_t crc64(std::uint64_t crc, std::string_view data) {
@@ -286,9 +145,9 @@ std::string save(const Database& db) {
             out.push_back(static_cast<char>(kOpExpireMs));
             put_i64(out, *expire);
         }
-        out.push_back(static_cast<char>(type_opcode(**o)));
+        out.push_back(static_cast<char>(kOpString));
         put_string(out, k->view());
-        save_payload(out, **o);
+        put_string(out, (*o)->string_value());
     }
     out.push_back(static_cast<char>(kOpEof));
     const std::uint64_t crc = crc64(0, out);
@@ -330,18 +189,21 @@ LoadStatus load(std::string_view bytes, Database& db) {
             has_pending_expire = true;
             continue;
         }
+        if (op != kOpString) {
+            db.clear();
+            return LoadStatus::kCorrupt;
+        }
         std::string key;
         if (!get_string(body, &p, &key)) {
             db.clear();
             return LoadStatus::kTruncated;
         }
-        bool ok = false;
-        ObjectPtr o = load_object(body, &p, op, &ok);
-        if (!ok) {
+        std::string value;
+        if (!get_string(body, &p, &value)) {
             db.clear();
             return LoadStatus::kCorrupt;
         }
-        db.set(key, std::move(o));
+        db.set(key, Object::make_string(value));
         if (has_pending_expire) {
             db.set_expire(key, pending_expire);
             has_pending_expire = false;

@@ -46,30 +46,6 @@ void Sds::range(std::ptrdiff_t start, std::ptrdiff_t end) {
     len_ = newlen;
 }
 
-void Sds::trim(std::string_view cset) {
-    std::size_t start = 0;
-    std::size_t end = len_;
-    while (start < end && cset.find(buf_[start]) != std::string_view::npos) ++start;
-    while (end > start && cset.find(buf_[end - 1]) != std::string_view::npos) --end;
-    const std::size_t newlen = end - start;
-    if (start != 0 && newlen != 0) {
-        std::memmove(buf_.data(), buf_.data() + start, newlen);
-    }
-    len_ = newlen;
-}
-
-void Sds::tolower() {
-    for (std::size_t i = 0; i < len_; ++i) {
-        buf_[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(buf_[i])));
-    }
-}
-
-void Sds::toupper() {
-    for (std::size_t i = 0; i < len_; ++i) {
-        buf_[i] = static_cast<char>(std::toupper(static_cast<unsigned char>(buf_[i])));
-    }
-}
-
 int Sds::compare(const Sds& o) const {
     const std::size_t minlen = std::min(len_, o.len_);
     const int c = minlen ? std::memcmp(buf_.data(), o.buf_.data(), minlen) : 0;

@@ -12,8 +12,8 @@ namespace skv::kv {
 /// Simple Dynamic String, after Redis's sds: a length-prefixed,
 /// binary-safe byte string with amortized O(1) append via capacity
 /// preallocation (double up to 1 MB, then +1 MB per growth), plus the
-/// small algorithmic helpers Redis layers on top (trim, range, case
-/// folding, integer conversion, argument splitting).
+/// small algorithmic helpers Redis layers on top (range, integer
+/// conversion, argument splitting).
 ///
 /// std::string would be functionally equivalent; Sds exists because the
 /// paper inherits "the implementation of data structures such as dynamic
@@ -50,12 +50,6 @@ public:
     /// Keep only the byte range [start, end] (negative indexes count from
     /// the end, as in Redis GETRANGE/SETRANGE semantics).
     void range(std::ptrdiff_t start, std::ptrdiff_t end);
-
-    /// Remove the characters in `cset` from both ends.
-    void trim(std::string_view cset);
-
-    void tolower();
-    void toupper();
 
     [[nodiscard]] int compare(const Sds& o) const;
     bool operator==(const Sds& o) const { return view() == o.view(); }

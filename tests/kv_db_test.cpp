@@ -158,14 +158,16 @@ TEST(Database, EqualsDeep) {
     Database b(clk.fn());
     a.set("s", Object::make_string("v"));
     b.set("s", Object::make_string("v"));
-    auto la = Object::make_list();
-    la->list().push_back(Sds("e"));
-    auto lb = Object::make_list();
-    lb->list().push_back(Sds("e"));
-    a.set("l", la);
-    b.set("l", lb);
+    // Same value in different encodings: int in a, raw bytes in b.
+    a.set("n", Object::make_string("42"));
+    auto raw = Object::make_string("4");
+    raw->string_append("2");
+    b.set("n", raw);
     EXPECT_TRUE(a.equals(b));
     EXPECT_TRUE(b.equals(a));
+    b.set("s", Object::make_string("w"));
+    EXPECT_FALSE(a.equals(b));
+    b.set("s", Object::make_string("v"));
     b.set("extra", Object::make_string("x"));
     EXPECT_FALSE(a.equals(b));
 }

@@ -84,52 +84,6 @@ TEST_F(ScanCommandTest, ScanInvalidCursorAndOptions) {
     EXPECT_EQ(out.front(), '-');
 }
 
-TEST_F(ScanCommandTest, SscanReturnsMembers) {
-    run({"SADD", "s", "alpha", "beta", "gamma"});
-    const auto v = run({"SSCAN", "s", "0"});
-    EXPECT_EQ(v.elems[0].str, "0");
-    ASSERT_EQ(v.elems[1].elems.size(), 3u);
-    EXPECT_EQ(v.elems[1].elems[0].str, "alpha");
-}
-
-TEST_F(ScanCommandTest, SscanMatch) {
-    run({"SADD", "s", "aa", "ab", "bb"});
-    const auto v = run({"SSCAN", "s", "0", "MATCH", "a*"});
-    ASSERT_EQ(v.elems[1].elems.size(), 2u);
-}
-
-TEST_F(ScanCommandTest, HscanReturnsPairs) {
-    run({"HSET", "h", "f1", "v1", "f2", "v2"});
-    const auto v = run({"HSCAN", "h", "0"});
-    ASSERT_EQ(v.elems[1].elems.size(), 4u);
-    EXPECT_EQ(v.elems[1].elems[0].str, "f1");
-    EXPECT_EQ(v.elems[1].elems[1].str, "v1");
-}
-
-TEST_F(ScanCommandTest, ZscanReturnsMembersWithScores) {
-    run({"ZADD", "z", "1", "a", "2.5", "b"});
-    const auto v = run({"ZSCAN", "z", "0"});
-    ASSERT_EQ(v.elems[1].elems.size(), 4u);
-    EXPECT_EQ(v.elems[1].elems[0].str, "a");
-    EXPECT_EQ(v.elems[1].elems[1].str, "1");
-    EXPECT_EQ(v.elems[1].elems[3].str, "2.5");
-}
-
-TEST_F(ScanCommandTest, ScansOnMissingKeysReturnEmpty) {
-    for (const char* cmd : {"SSCAN", "HSCAN", "ZSCAN"}) {
-        const auto v = run({cmd, "missing", "0"});
-        EXPECT_EQ(v.elems[0].str, "0") << cmd;
-        EXPECT_TRUE(v.elems[1].elems.empty()) << cmd;
-    }
-}
-
-TEST_F(ScanCommandTest, ScanWrongType) {
-    run({"SET", "str", "v"});
-    std::string out;
-    CommandTable::instance().execute(db_, rng_, {"SSCAN", "str", "0"}, out);
-    EXPECT_EQ(out.rfind("-WRONGTYPE", 0), 0u);
-}
-
 TEST_F(ScanCommandTest, GetdelReturnsAndRemoves) {
     run({"SET", "k", "v"});
     const auto v = run({"GETDEL", "k"});
@@ -175,6 +129,18 @@ TEST_F(ScanCommandTest, GetexBadSyntax) {
     out.clear();
     CommandTable::instance().execute(db_, rng_, {"GETEX", "k", "WAT"}, out);
     EXPECT_EQ(out.front(), '-');
+    // Deadlines past int64 are rejected and the TTL is left alone.
+    for (const char* unit : {"EX", "PX"}) {
+        for (const char* v : {"9223372036854775807", "-9223372036854775808"}) {
+            out.clear();
+            const auto res =
+                CommandTable::instance().execute(db_, rng_, {"GETEX", "k", unit, v}, out);
+            EXPECT_EQ(out.front(), '-') << unit << " " << v;
+            EXPECT_TRUE(res.repl_argv.empty()) << unit << " " << v;
+        }
+    }
+    EXPECT_TRUE(db_.exists("k"));
+    EXPECT_FALSE(db_.expire_at("k").has_value());
 }
 
 } // namespace

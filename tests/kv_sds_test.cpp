@@ -72,26 +72,6 @@ TEST(Sds, RangeClampsEnd) {
     EXPECT_EQ(s.view(), "bc");
 }
 
-TEST(Sds, TrimBothEnds) {
-    Sds s("xxyabcyxx");
-    s.trim("xy");
-    EXPECT_EQ(s.view(), "abc");
-}
-
-TEST(Sds, TrimAllCharacters) {
-    Sds s("aaaa");
-    s.trim("a");
-    EXPECT_TRUE(s.empty());
-}
-
-TEST(Sds, CaseFolding) {
-    Sds s("MiXeD123");
-    s.tolower();
-    EXPECT_EQ(s.view(), "mixed123");
-    s.toupper();
-    EXPECT_EQ(s.view(), "MIXED123");
-}
-
 TEST(Sds, CompareLexicographic) {
     EXPECT_LT(Sds("abc").compare(Sds("abd")), 0);
     EXPECT_GT(Sds("abd").compare(Sds("abc")), 0);

@@ -52,8 +52,9 @@ TEST_F(BaselineReplTest, WritesReachEverySlave) {
     auto c = make(3);
     run_commands(*c, {{"SET", "k1", "v1"},
                       {"SET", "k2", "v2"},
-                      {"LPUSH", "l", "a", "b"},
-                      {"HSET", "h", "f", "x"}});
+                      {"MSET", "a", "1", "b", "2"},
+                      {"APPEND", "k1", "-more"},
+                      {"INCR", "a"}});
     EXPECT_TRUE(c->converged());
     for (int i = 0; i < 3; ++i) {
         EXPECT_TRUE(c->master().db().equals(c->slave(i).db())) << i;
@@ -130,9 +131,13 @@ TEST_F(BaselineReplTest, SlaveRejectsDirectWrites) {
 
 TEST_F(BaselineReplTest, NonDeterministicCommandsConverge) {
     auto c = make(2);
-    run_commands(*c, {{"SADD", "s", "a", "b", "c", "d"},
-                      {"SPOP", "s"},
-                      {"SPOP", "s"},
+    // Each is effect-replicated: relative TTLs become absolute deadlines,
+    // GETDEL a DEL, and INCRBYFLOAT the rendered value.
+    run_commands(*c, {{"SET", "t", "v", "EX", "100"},
+                      {"SET", "g", "x"},
+                      {"GETEX", "g", "PX", "60000"},
+                      {"SET", "d", "y"},
+                      {"GETDEL", "d"},
                       {"INCRBYFLOAT", "f", "0.1"},
                       {"INCRBYFLOAT", "f", "0.2"}});
     EXPECT_TRUE(c->converged());
@@ -188,15 +193,19 @@ TEST_P(ReplConvergenceTest, RandomStreamConverges) {
             case 0: cmd = {"SET", key(), "v" + std::to_string(i)}; break;
             case 1: cmd = {"DEL", key()}; break;
             case 2: cmd = {"INCR", "ctr" + std::to_string(rng.next_below(3))}; break;
-            case 3: cmd = {"LPUSH", "l" + std::to_string(rng.next_below(3)),
-                           "e" + std::to_string(i)}; break;
-            case 4: cmd = {"RPOP", "l" + std::to_string(rng.next_below(3))}; break;
-            case 5: cmd = {"SADD", "s", std::to_string(rng.next_below(50))}; break;
-            case 6: cmd = {"SPOP", "s"}; break;
-            case 7: cmd = {"HSET", "h", "f" + std::to_string(rng.next_below(5)),
-                           std::to_string(i)}; break;
-            case 8: cmd = {"ZADD", "z", std::to_string(rng.next_below(100)),
-                           "m" + std::to_string(rng.next_below(10))}; break;
+            // Cases 3-8 take the effect-replication rewrites. TTLs are long
+            // enough that nothing expires before the comparison.
+            case 3: cmd = {"SET", key(), "v" + std::to_string(i), "EX",
+                           std::to_string(10 + rng.next_below(90))}; break;
+            case 4: cmd = {"PEXPIRE", key(),
+                           std::to_string(10'000 + rng.next_below(90'000))}; break;
+            case 5: cmd = {"INCRBYFLOAT", "f" + std::to_string(rng.next_below(3)),
+                           "0.1"}; break;
+            case 6: cmd = {"GETDEL", key()}; break;
+            case 7: cmd = {"SETRANGE", key(), std::to_string(rng.next_below(8)),
+                           "r" + std::to_string(i)}; break;
+            case 8: cmd = {"GETEX", key(), "PX",
+                           std::to_string(10'000 + rng.next_below(90'000))}; break;
             case 9: cmd = {"APPEND", key(), "x"}; break;
         }
         ch->send(kv::resp::command(cmd));
