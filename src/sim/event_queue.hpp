@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -11,67 +9,61 @@
 
 namespace skv::sim {
 
-/// Opaque handle to a scheduled event, used for cancellation.
-class EventId {
-public:
-    constexpr EventId() = default;
-
-    [[nodiscard]] constexpr bool valid() const { return seq_ != 0; }
-    constexpr bool operator==(const EventId&) const = default;
-
-private:
-    friend class EventQueue;
-    constexpr explicit EventId(std::uint64_t seq) : seq_(seq) {}
-    std::uint64_t seq_ = 0;
-};
-
 /// Priority queue of timestamped callbacks. Ties in time are broken by
 /// insertion order (FIFO), which together with the seeded RNG makes the
 /// whole simulation deterministic.
 ///
-/// Cancellation is lazy: a cancelled event stays in the heap and is skipped
-/// when it reaches the top. That keeps push/pop at O(log n) with no
-/// secondary heap index.
+/// Events are never cancelled. A component that no longer wants a timer
+/// bumps its own epoch and the stale callback returns early when it fires.
+///
+/// Callbacks sit in a slab of reusable slots; the heaps order small
+/// {at, seq, slot} keys, so sifting never moves a std::function. Events due
+/// within a short horizon of the last popped time (network hops) go to a
+/// small `near_` heap, and everything later (timeouts, probes) to `far_`,
+/// so the common hop never sifts through the thousands of pending timers.
+/// pop() takes the smaller (at, seq) of the two tops, so the tier an event
+/// lands in changes speed only, never order.
 class EventQueue {
 public:
     using Callback = std::function<void()>;
 
+    EventQueue();
+
     /// Schedule `fn` at absolute time `at`. Events scheduled for the same
     /// time fire in the order they were scheduled.
-    EventId schedule(SimTime at, Callback fn);
+    void schedule(SimTime at, Callback fn);
 
-    /// Cancel a previously scheduled event. Returns false (and does nothing)
-    /// if the event already fired or was already cancelled.
-    bool cancel(EventId id);
+    [[nodiscard]] bool empty() const { return near_.empty() && far_.empty(); }
+    [[nodiscard]] std::size_t size() const { return near_.size() + far_.size(); }
 
-    [[nodiscard]] bool empty() const { return live_.empty(); }
-    [[nodiscard]] std::size_t size() const { return live_.size(); }
+    /// Time of the earliest event; SimTime::max() when empty.
+    [[nodiscard]] SimTime next_time() const;
 
-    /// Time of the earliest live event; SimTime::max() when empty.
-    [[nodiscard]] SimTime next_time();
-
-    /// Pop and return the earliest live event. Must not be called when
-    /// empty(). Returns {time, callback}.
+    /// Pop and return the earliest event. Must not be called when empty().
+    /// Returns {time, callback}.
     std::pair<SimTime, Callback> pop();
 
 private:
-    struct Entry {
+    struct Key {
         SimTime at;
         std::uint64_t seq = 0;
-        Callback fn;
+        std::uint32_t slot = 0;
 
-        bool operator>(const Entry& o) const {
-            if (at != o.at) return at > o.at;
-            return seq > o.seq;
-        }
+        bool operator<(const Key& o) const { return at != o.at ? at < o.at : seq < o.seq; }
     };
 
-    /// Remove cancelled entries sitting at the top of the heap.
-    void skim();
+    /// True when near_ holds the earliest key. Must not be called when empty().
+    [[nodiscard]] bool near_first() const {
+        return far_.empty() || (!near_.empty() && near_.front() < far_.front());
+    }
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    std::vector<Key> near_;
+    std::vector<Key> far_;
+    std::vector<Callback> slots_;
+    std::vector<std::uint32_t> free_slots_;
     std::uint64_t next_seq_ = 1;
-    std::unordered_set<std::uint64_t> live_;
+    /// Events due before this go to near_; set from each popped time.
+    SimTime near_limit_;
 };
 
 } // namespace skv::sim

@@ -54,9 +54,11 @@ std::uint64_t Rng::next_below(std::uint64_t n) {
 
 std::int64_t Rng::next_range(std::int64_t lo, std::int64_t hi) {
     SKV_DCHECK(lo <= hi);
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    // Unsigned arithmetic: hi - lo overflows int64 once the span passes
+    // INT64_MAX, and the full range wraps the span to 0.
+    const std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
     if (span == 0) return static_cast<std::int64_t>(next_u64()); // full range
-    return lo + static_cast<std::int64_t>(next_below(span));
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + next_below(span));
 }
 
 double Rng::next_double() {

@@ -15,14 +15,14 @@ Simulation::~Simulation() {
     if (diag().sim == this) diag().sim = nullptr;
 }
 
-EventId Simulation::after(Duration delay, EventQueue::Callback fn) {
+void Simulation::after(Duration delay, EventQueue::Callback fn) {
     SKV_CHECK(delay.ns() >= 0, "negative delay");
-    return queue_.schedule(now_ + delay, std::move(fn));
+    queue_.schedule(now_ + delay, std::move(fn));
 }
 
-EventId Simulation::at(SimTime when, EventQueue::Callback fn) {
+void Simulation::at(SimTime when, EventQueue::Callback fn) {
     SKV_CHECK(when >= now_, "scheduling into the past");
-    return queue_.schedule(when, std::move(fn));
+    queue_.schedule(when, std::move(fn));
 }
 
 bool Simulation::step() {

@@ -27,14 +27,13 @@ public:
 
     [[nodiscard]] SimTime now() const { return now_; }
 
-    /// Schedule `fn` to run after `delay` from now.
-    EventId after(Duration delay, EventQueue::Callback fn);
+    /// Schedule `fn` to run after `delay` from now. Events cannot be
+    /// cancelled: a component retires a timer by bumping its own epoch so
+    /// the stale callback returns early.
+    void after(Duration delay, EventQueue::Callback fn);
 
     /// Schedule `fn` at an absolute time (must not be in the past).
-    EventId at(SimTime when, EventQueue::Callback fn);
-
-    /// Cancel a pending event; no-op if it already ran.
-    bool cancel(EventId id) { return queue_.cancel(id); }
+    void at(SimTime when, EventQueue::Callback fn);
 
     /// Run until the event queue drains or `deadline` is reached, whichever
     /// comes first. Returns the number of events executed.

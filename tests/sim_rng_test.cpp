@@ -52,6 +52,17 @@ TEST(Rng, NextRangeInclusiveBounds) {
     }
     EXPECT_TRUE(saw_lo);
     EXPECT_TRUE(saw_hi);
+    // Spans as wide as the whole int64 range must not overflow.
+    bool saw_negative = false;
+    bool saw_positive = false;
+    for (int i = 0; i < 1'000; ++i) {
+        ASSERT_GE(r.next_range(-10, INT64_MAX), -10);
+        const auto v = r.next_range(INT64_MIN, INT64_MAX);
+        saw_negative |= v < 0;
+        saw_positive |= v > 0;
+    }
+    EXPECT_TRUE(saw_negative);
+    EXPECT_TRUE(saw_positive);
 }
 
 TEST(Rng, NextDoubleInHalfOpenUnit) {
