@@ -42,7 +42,7 @@ void BM_DictLookup(benchmark::State& state) {
     }
     sim::Rng rng(1);
     for (auto _ : state) {
-        const kv::Sds k("key:" + std::to_string(rng.next_below(n)));
+        const std::string k = "key:" + std::to_string(rng.next_below(n));
         benchmark::DoNotOptimize(d.find(k));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

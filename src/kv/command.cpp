@@ -46,12 +46,18 @@ const CommandTable& CommandTable::instance() {
 
 void CommandTable::add(CommandSpec spec) {
     std::string key = lower(spec.name);
+    SKV_CHECK(key.size() <= kMaxNameLen, "command name too long");
     SKV_CHECK(!commands_.contains(key), "duplicate command registration");
     commands_.emplace(std::move(key), std::move(spec));
 }
 
 const CommandSpec* CommandTable::lookup(std::string_view name) const {
-    auto it = commands_.find(lower(name));
+    if (name.size() > kMaxNameLen) return nullptr; // longer than any command
+    char buf[kMaxNameLen];
+    std::transform(name.begin(), name.end(), buf, [](unsigned char c) {
+        return static_cast<char>(std::tolower(c));
+    });
+    auto it = commands_.find(std::string_view(buf, name.size()));
     return it == commands_.end() ? nullptr : &it->second;
 }
 

@@ -43,7 +43,13 @@ struct CommandContext {
     void reply_simple(std::string_view s) { reply += resp::simple(s); }
     void reply_error(std::string_view s) { reply += resp::error(s); }
     void reply_integer(long long v) { reply += resp::integer(v); }
-    void reply_bulk(std::string_view s) { reply += resp::bulk(s); }
+    void reply_bulk(std::string_view s) { resp::append_bulk(reply, s); }
+    /// A string object's value as a bulk reply, copied once, straight in.
+    void reply_bulk(const Object& o) {
+        char buf[kLongStrSize];
+        resp::append_bulk(reply, o.value_view(buf));
+    }
+    void reply_array_header(std::size_t n) { resp::append_array_header(reply, n); }
     void reply_null() { reply += resp::null_bulk(); }
 
     /// Absolute deadline in ms for an expiry of `value` units of `unit_ms`,
@@ -109,7 +115,10 @@ public:
     void add(CommandSpec spec);
 
 private:
-    std::map<std::string, CommandSpec> commands_; // lower-cased name
+    /// Longest registrable name; lookup lower-cases into a buffer this big.
+    static constexpr std::size_t kMaxNameLen = 32;
+
+    std::map<std::string, CommandSpec, std::less<>> commands_; // lower-cased name
 };
 
 /// Glob-style pattern match (Redis stringmatchlen): *, ?, [class], \escape.

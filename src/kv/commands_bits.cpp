@@ -58,7 +58,8 @@ void cmd_getbit(CommandContext& ctx) {
         ctx.reply_integer(0);
         return;
     }
-    const std::string value = o->string_value();
+    char buf[kLongStrSize];
+    const std::string_view value = o->value_view(buf);
     const std::size_t byte = offset >> 3;
     if (byte >= value.size()) {
         ctx.reply_integer(0);
@@ -74,7 +75,8 @@ void cmd_bitcount(CommandContext& ctx) {
         ctx.reply_integer(0);
         return;
     }
-    std::string value = o->string_value();
+    char buf[kLongStrSize];
+    const std::string_view value = o->value_view(buf);
     std::ptrdiff_t start = 0;
     std::ptrdiff_t end = static_cast<std::ptrdiff_t>(value.size()) - 1;
     if (ctx.argv.size() == 4) {
@@ -115,7 +117,8 @@ void cmd_bitpos(CommandContext& ctx) {
         ctx.reply_integer(*bit == 0 ? 0 : -1);
         return;
     }
-    const std::string value = o->string_value();
+    char buf[kLongStrSize];
+    const std::string_view value = o->value_view(buf);
     const bool has_range = ctx.argv.size() >= 4;
     std::ptrdiff_t start = 0;
     std::ptrdiff_t end = static_cast<std::ptrdiff_t>(value.size()) - 1;
@@ -158,11 +161,11 @@ void cmd_bitpos(CommandContext& ctx) {
 }
 
 void cmd_bitop(CommandContext& ctx) {
-    const Sds op(ctx.argv[1]);
-    const bool is_not = op.iequals("NOT");
-    const bool is_and = op.iequals("AND");
-    const bool is_or = op.iequals("OR");
-    const bool is_xor = op.iequals("XOR");
+    const std::string& op = ctx.argv[1];
+    const bool is_not = iequals(op, "NOT");
+    const bool is_and = iequals(op, "AND");
+    const bool is_or = iequals(op, "OR");
+    const bool is_xor = iequals(op, "XOR");
     if (!is_not && !is_and && !is_or && !is_xor) {
         ctx.reply_error("ERR syntax error");
         return;

@@ -143,7 +143,7 @@ void cmd_keys(CommandContext& ctx) {
         if (glob_match(pattern, k)) matched.push_back(std::move(k));
     }
     std::sort(matched.begin(), matched.end()); // deterministic output
-    ctx.reply += resp::array_header(matched.size());
+    ctx.reply_array_header(matched.size());
     for (const auto& k : matched) ctx.reply_bulk(k);
 }
 
@@ -197,7 +197,7 @@ void cmd_renamenx(CommandContext& ctx) {
 }
 
 void cmd_object(CommandContext& ctx) {
-    if (!Sds(ctx.argv[1]).iequals("ENCODING") || ctx.argv.size() != 3) {
+    if (!iequals(ctx.argv[1], "ENCODING") || ctx.argv.size() != 3) {
         ctx.reply_error("ERR Unknown OBJECT subcommand or wrong number of arguments");
         return;
     }

@@ -16,12 +16,12 @@ struct ScanOptions {
 ScanOptions parse_scan_options(CommandContext& ctx) {
     ScanOptions o;
     for (std::size_t i = 2; i < ctx.argv.size(); ++i) {
-        const Sds a(ctx.argv[i]);
-        if (a.iequals("MATCH") && i + 1 < ctx.argv.size()) {
+        const std::string& a = ctx.argv[i];
+        if (iequals(a, "MATCH") && i + 1 < ctx.argv.size()) {
             o.pattern = ctx.argv[i + 1];
             o.has_pattern = true;
             ++i;
-        } else if (a.iequals("COUNT") && i + 1 < ctx.argv.size()) {
+        } else if (iequals(a, "COUNT") && i + 1 < ctx.argv.size()) {
             const auto n = string2ll(ctx.argv[i + 1]);
             if (!n.has_value() || *n <= 0) {
                 ctx.reply_error("ERR syntax error");
@@ -60,9 +60,9 @@ void cmd_scan(CommandContext& ctx) {
         });
         ++buckets;
     } while (c != 0 && buckets < o.count);
-    ctx.reply += resp::array_header(2);
+    ctx.reply_array_header(2);
     ctx.reply_bulk(ll2string(static_cast<long long>(c)));
-    ctx.reply += resp::array_header(out.size());
+    ctx.reply_array_header(out.size());
     for (const auto& k : out) ctx.reply_bulk(k);
 }
 
@@ -73,7 +73,7 @@ void cmd_getdel(CommandContext& ctx) {
         ctx.reply_null();
         return;
     }
-    ctx.reply_bulk(o->string_value());
+    ctx.reply_bulk(*o);
     ctx.db.remove(ctx.argv[1]);
     ctx.dirty = true;
     ctx.repl_override = std::vector<std::string>{"DEL", ctx.argv[1]};
@@ -87,31 +87,31 @@ void cmd_getex(CommandContext& ctx) {
         return;
     }
     if (ctx.argv.size() == 2) {
-        ctx.reply_bulk(o->string_value());
+        ctx.reply_bulk(*o);
         return;
     }
-    const Sds opt(ctx.argv[2]);
-    if (opt.iequals("PERSIST") && ctx.argv.size() == 3) {
+    const std::string& opt = ctx.argv[2];
+    if (iequals(opt, "PERSIST") && ctx.argv.size() == 3) {
         if (ctx.db.persist(ctx.argv[1])) {
             ctx.dirty = true;
             ctx.repl_override = std::vector<std::string>{"PERSIST", ctx.argv[1]};
         }
-        ctx.reply_bulk(o->string_value());
+        ctx.reply_bulk(*o);
         return;
     }
-    if ((opt.iequals("EX") || opt.iequals("PX")) && ctx.argv.size() == 4) {
+    if ((iequals(opt, "EX") || iequals(opt, "PX")) && ctx.argv.size() == 4) {
         const auto v = string2ll(ctx.argv[3]);
         if (!v.has_value() || *v <= 0) {
             ctx.reply_error("ERR invalid expire time in 'getex' command");
             return;
         }
-        const auto at = ctx.expire_deadline(*v, opt.iequals("EX") ? 1000 : 1, false);
+        const auto at = ctx.expire_deadline(*v, iequals(opt, "EX") ? 1000 : 1, false);
         if (!at.has_value()) return;
         ctx.db.set_expire(ctx.argv[1], *at);
         ctx.dirty = true;
         ctx.repl_override =
             std::vector<std::string>{"PEXPIREAT", ctx.argv[1], ll2string(*at)};
-        ctx.reply_bulk(o->string_value());
+        ctx.reply_bulk(*o);
         return;
     }
     ctx.reply_error("ERR syntax error");

@@ -37,19 +37,19 @@ void cmd_select(CommandContext& ctx) {
 
 void cmd_time(CommandContext& ctx) {
     const std::int64_t ms = ctx.db.now_ms();
-    ctx.reply += resp::array_header(2);
+    ctx.reply_array_header(2);
     ctx.reply_bulk(ll2string(ms / 1000));
     ctx.reply_bulk(ll2string((ms % 1000) * 1000));
 }
 
 void cmd_command(CommandContext& ctx) {
     // COMMAND COUNT is all clients here need.
-    if (ctx.argv.size() == 2 && Sds(ctx.argv[1]).iequals("COUNT")) {
+    if (ctx.argv.size() == 2 && iequals(ctx.argv[1], "COUNT")) {
         ctx.reply_integer(
             static_cast<long long>(CommandTable::instance().size()));
         return;
     }
-    ctx.reply += resp::array_header(0);
+    ctx.reply_array_header(0);
 }
 
 } // namespace

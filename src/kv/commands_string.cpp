@@ -23,23 +23,20 @@ SetOptions parse_set_options(CommandContext& ctx, std::size_t first) {
     const auto& argv = ctx.argv;
     for (std::size_t i = first; i < argv.size(); ++i) {
         const std::string& a = argv[i];
-        auto iequals = [&](std::string_view lit) {
-            return Sds(a).iequals(lit);
-        };
-        if (iequals("NX")) {
+        if (iequals(a, "NX")) {
             o.nx = true;
-        } else if (iequals("XX")) {
+        } else if (iequals(a, "XX")) {
             o.xx = true;
-        } else if (iequals("KEEPTTL")) {
+        } else if (iequals(a, "KEEPTTL")) {
             o.keep_ttl = true;
-        } else if ((iequals("EX") || iequals("PX")) && i + 1 < argv.size()) {
+        } else if ((iequals(a, "EX") || iequals(a, "PX")) && i + 1 < argv.size()) {
             const auto v = string2ll(argv[i + 1]);
             if (!v.has_value() || *v <= 0) {
                 ctx.reply_error("ERR invalid expire time in 'set' command");
                 o.bad = true;
                 return o;
             }
-            o.expire_at_ms = ctx.expire_deadline(*v, iequals("EX") ? 1000 : 1, false);
+            o.expire_at_ms = ctx.expire_deadline(*v, iequals(a, "EX") ? 1000 : 1, false);
             if (!o.expire_at_ms.has_value()) {
                 o.bad = true;
                 return o;
@@ -134,7 +131,7 @@ void cmd_get(CommandContext& ctx) {
         ctx.reply_null();
         return;
     }
-    ctx.reply_bulk(o->string_value());
+    ctx.reply_bulk(*o);
 }
 
 void cmd_getset(CommandContext& ctx) {
@@ -142,7 +139,7 @@ void cmd_getset(CommandContext& ctx) {
     if (o == nullptr) {
         ctx.reply_null();
     } else {
-        ctx.reply_bulk(o->string_value());
+        ctx.reply_bulk(*o);
     }
     ctx.db.set(ctx.argv[1], Object::make_string(ctx.argv[2]));
     ctx.dirty = true;
@@ -221,7 +218,8 @@ void cmd_incrbyfloat(CommandContext& ctx) {
     ObjectPtr o = ctx.db.lookup(ctx.argv[1]);
     double cur = 0;
     if (o != nullptr) {
-        const auto v = string2d(o->string_value());
+        char buf[kLongStrSize];
+        const auto v = string2d(o->value_view(buf));
         if (!v.has_value()) {
             ctx.reply_error("ERR value is not a valid float");
             return;
@@ -273,13 +271,13 @@ void cmd_msetnx(CommandContext& ctx) {
 }
 
 void cmd_mget(CommandContext& ctx) {
-    ctx.reply += resp::array_header(ctx.argv.size() - 1);
+    ctx.reply_array_header(ctx.argv.size() - 1);
     for (std::size_t i = 1; i < ctx.argv.size(); ++i) {
         ObjectPtr o = ctx.db.lookup(ctx.argv[i]);
         if (o == nullptr) {
             ctx.reply_null();
         } else {
-            ctx.reply_bulk(o->string_value());
+            ctx.reply_bulk(*o);
         }
     }
 }
@@ -296,7 +294,8 @@ void cmd_getrange(CommandContext& ctx) {
         ctx.reply_bulk("");
         return;
     }
-    Sds s(o->string_value());
+    char buf[kLongStrSize];
+    Sds s(o->value_view(buf));
     s.range(static_cast<std::ptrdiff_t>(*start), static_cast<std::ptrdiff_t>(*end));
     ctx.reply_bulk(s.view());
 }

@@ -5,27 +5,25 @@
 namespace skv::kv {
 
 bool Database::key_is_expired(std::string_view key) const {
-    const std::int64_t* at = expires_.find(Sds(key));
+    const std::int64_t* at = expires_.find(key);
     return at != nullptr && *at <= clock_ms_();
 }
 
 ObjectPtr Database::lookup(std::string_view key) {
-    const Sds k(key);
     if (key_is_expired(key)) {
-        keys_.erase(k);
-        expires_.erase(k);
+        keys_.erase(key);
+        expires_.erase(key);
         ++dirty_;
         return nullptr;
     }
-    ObjectPtr* o = keys_.find(k);
+    ObjectPtr* o = keys_.find(key);
     return o != nullptr ? *o : nullptr;
 }
 
 void Database::set(std::string_view key, ObjectPtr obj) {
     SKV_DCHECK(obj);
-    const Sds k(key);
-    keys_.set(k, std::move(obj));
-    expires_.erase(k);
+    keys_.set(Sds(key), std::move(obj));
+    expires_.erase(key);
     ++dirty_;
 }
 
@@ -36,9 +34,8 @@ void Database::set_keep_ttl(std::string_view key, ObjectPtr obj) {
 }
 
 bool Database::remove(std::string_view key) {
-    const Sds k(key);
-    expires_.erase(k);
-    if (keys_.erase(k)) {
+    expires_.erase(key);
+    if (keys_.erase(key)) {
         ++dirty_;
         return true;
     }
@@ -56,7 +53,7 @@ bool Database::set_expire(std::string_view key, std::int64_t at_ms) {
 
 bool Database::persist(std::string_view key) {
     if (lookup(key) == nullptr) return false;
-    if (expires_.erase(Sds(key))) {
+    if (expires_.erase(key)) {
         ++dirty_;
         return true;
     }
@@ -64,14 +61,14 @@ bool Database::persist(std::string_view key) {
 }
 
 std::optional<std::int64_t> Database::expire_at(std::string_view key) const {
-    const std::int64_t* at = expires_.find(Sds(key));
+    const std::int64_t* at = expires_.find(key);
     if (at == nullptr) return std::nullopt;
     return *at;
 }
 
 std::int64_t Database::ttl_ms(std::string_view key) {
     if (lookup(key) == nullptr) return -2;
-    const std::int64_t* at = expires_.find(Sds(key));
+    const std::int64_t* at = expires_.find(key);
     if (at == nullptr) return -1;
     const std::int64_t rem = *at - clock_ms_();
     return rem > 0 ? rem : 0;
@@ -90,7 +87,7 @@ std::size_t Database::active_expire_cycle(sim::Rng& rng, std::size_t samples) {
         auto [key, at] = expires_.random_entry(rng);
         if (key == nullptr) break;
         if (*at <= now) {
-            const Sds k = *key; // copy before erasing invalidates the pointer
+            const std::string k(key->view()); // erasing invalidates *key
             keys_.erase(k);
             expires_.erase(k);
             ++dirty_;
@@ -133,13 +130,13 @@ bool Database::equals(const Database& o) const {
     bool same = true;
     keys_.for_each([&](const Sds& k, const ObjectPtr& v) {
         if (!same) return;
-        const ObjectPtr* ov = o.keys_.find(k);
+        const ObjectPtr* ov = o.keys_.find(k.view());
         if (ov == nullptr || !v->equals(**ov)) {
             same = false;
             return;
         }
-        const std::int64_t* e = expires_.find(k);
-        const std::int64_t* oe = o.expires_.find(k);
+        const std::int64_t* e = expires_.find(k.view());
+        const std::int64_t* oe = o.expires_.find(k.view());
         if ((e == nullptr) != (oe == nullptr)) same = false;
         else if (e != nullptr && *e != *oe) same = false;
     });

@@ -21,9 +21,11 @@ std::uint64_t dict_hash(std::string_view key);
 /// latency of any single command — the property that keeps the Host-KV
 /// event loop responsive and that dict_test verifies.
 ///
-/// Keys are Sds; values are V (moved in). Iteration, SCAN-style cursors
-/// (reverse-binary, stable across rehashes) and uniform random sampling
-/// (for active expiry) are supported, as the engine needs all three.
+/// Keys are Sds, moved into their entry on insertion; values are V (moved
+/// in). Lookups hash and compare the caller's bytes, so finding a key never
+/// builds one. Iteration, SCAN-style cursors (reverse-binary, stable across
+/// rehashes) and uniform random sampling (for active expiry) are supported,
+/// as the engine needs all three.
 template <typename V>
 class Dict {
 public:
@@ -41,52 +43,47 @@ public:
     [[nodiscard]] bool rehashing() const { return rehash_idx_ >= 0; }
 
     /// Insert only if absent. Returns false if the key already exists.
-    bool insert(const Sds& key, V val) {
+    bool insert(Sds key, V val) {
         expand_if_needed();
         step_rehash();
-        if (find(key) != nullptr) return false;
+        if (find(key.view()) != nullptr) return false;
         const int t = rehashing() ? 1 : 0;
         const std::size_t b = dict_hash(key.view()) & mask(t);
-        table_[t][b].push_back(Entry{key, std::move(val)});
+        table_[t][b].push_back(Entry{std::move(key), std::move(val)});
         ++used_[t];
         return true;
     }
 
     /// Insert or overwrite. Returns true if the key was newly created.
-    bool set(const Sds& key, V val) {
-        if (V* existing = find(key)) {
+    bool set(Sds key, V val) {
+        if (V* existing = find(key.view())) {
             *existing = std::move(val);
             return false;
         }
-        const bool inserted = insert(key, std::move(val));
+        const bool inserted = insert(std::move(key), std::move(val));
         SKV_DCHECK(inserted);
         (void)inserted;
         return true;
     }
 
-    [[nodiscard]] V* find(const Sds& key) {
+    /// Find, advancing an in-progress rehash by one step.
+    [[nodiscard]] V* find(std::string_view key) {
         if (empty()) return nullptr;
         step_rehash();
-        const std::uint64_t h = dict_hash(key.view());
-        for (int t = 0; t <= (rehashing() ? 1 : 0); ++t) {
-            if (table_[t].empty()) continue;
-            for (auto& e : table_[t][h & mask(t)]) {
-                if (e.key == key) return &e.val;
-            }
-        }
-        return nullptr;
+        return find_nostep(key);
     }
 
-    [[nodiscard]] const V* find(const Sds& key) const {
+    /// Find without rehashing (a const dict cannot step).
+    [[nodiscard]] const V* find(std::string_view key) const {
         return const_cast<Dict*>(this)->find_nostep(key);
     }
 
-    bool contains(const Sds& key) const { return find(key) != nullptr; }
+    bool contains(std::string_view key) const { return find(key) != nullptr; }
 
-    bool erase(const Sds& key) {
+    bool erase(std::string_view key) {
         if (empty()) return false;
         step_rehash();
-        const std::uint64_t h = dict_hash(key.view());
+        const std::uint64_t h = dict_hash(key);
         for (int t = 0; t <= (rehashing() ? 1 : 0); ++t) {
             if (table_[t].empty()) continue;
             auto& bucket = table_[t][h & mask(t)];
@@ -209,9 +206,9 @@ private:
         return (v >> 32) | (v << 32);
     }
 
-    V* find_nostep(const Sds& key) {
+    V* find_nostep(std::string_view key) {
         if (empty()) return nullptr;
-        const std::uint64_t h = dict_hash(key.view());
+        const std::uint64_t h = dict_hash(key);
         for (int t = 0; t <= (rehashing() ? 1 : 0); ++t) {
             if (table_[t].empty()) continue;
             for (auto& e : table_[t][h & mask(t)]) {

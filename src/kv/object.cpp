@@ -14,23 +14,25 @@ ObjectPtr Object::make_string(std::string_view v) {
     if (auto ll = string2ll(v)) {
         return make_string_ll(*ll);
     }
-    auto o = ObjectPtr(new Object(ObjEncoding::kRaw));
-    o->str_.assign(v);
-    return o;
+    return std::make_shared<Object>(Private{}, v);
 }
 
 ObjectPtr Object::make_string_ll(long long v) {
-    auto o = ObjectPtr(new Object(ObjEncoding::kInt));
-    o->ival_ = v;
-    return o;
+    return std::make_shared<Object>(Private{}, v);
+}
+
+std::string_view Object::value_view(char (&buf)[kLongStrSize]) const {
+    return encoding_ == ObjEncoding::kInt ? ll2str(ival_, buf) : str_.view();
 }
 
 std::string Object::string_value() const {
-    return encoding_ == ObjEncoding::kInt ? ll2string(ival_) : str_.str();
+    char buf[kLongStrSize];
+    return std::string(value_view(buf));
 }
 
 std::size_t Object::string_len() const {
-    return encoding_ == ObjEncoding::kInt ? ll2string(ival_).size() : str_.size();
+    char buf[kLongStrSize];
+    return value_view(buf).size();
 }
 
 std::optional<long long> Object::int_value() const {
@@ -40,7 +42,8 @@ std::optional<long long> Object::int_value() const {
 
 std::size_t Object::string_append(std::string_view tail) {
     if (encoding_ == ObjEncoding::kInt) {
-        str_.assign(ll2string(ival_));
+        char buf[kLongStrSize];
+        str_.assign(ll2str(ival_, buf));
         encoding_ = ObjEncoding::kRaw;
     }
     str_.append(tail);
@@ -64,6 +67,13 @@ void Object::string_set_ll(long long v) {
 
 std::size_t Object::memory_bytes() const { return sizeof(Object) + str_.capacity(); }
 
-bool Object::equals(const Object& o) const { return string_value() == o.string_value(); }
+bool Object::equals(const Object& o) const {
+    if (encoding_ != o.encoding_) {
+        char a[kLongStrSize];
+        char b[kLongStrSize];
+        return value_view(a) == o.value_view(b);
+    }
+    return encoding_ == ObjEncoding::kInt ? ival_ == o.ival_ : str_ == o.str_;
+}
 
 } // namespace skv::kv

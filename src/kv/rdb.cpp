@@ -138,7 +138,7 @@ std::string save(const Database& db) {
     std::sort(keys.begin(), keys.end(),
               [](const Sds* a, const Sds* b) { return a->compare(*b) < 0; });
     for (const Sds* k : keys) {
-        const ObjectPtr* o = db.keys().find(*k);
+        const ObjectPtr* o = db.keys().find(k->view());
         SKV_DCHECK(o != nullptr);
         const auto expire = db.expire_at(k->view());
         if (expire.has_value()) {
@@ -147,7 +147,8 @@ std::string save(const Database& db) {
         }
         out.push_back(static_cast<char>(kOpString));
         put_string(out, k->view());
-        put_string(out, (*o)->string_value());
+        char buf[kLongStrSize];
+        put_string(out, (*o)->value_view(buf));
     }
     out.push_back(static_cast<char>(kOpEof));
     const std::uint64_t crc = crc64(0, out);

@@ -33,12 +33,27 @@ std::string integer(long long v) {
     return out;
 }
 
-std::string bulk(std::string_view s) {
-    std::string out = "$";
-    out += ll2string(static_cast<long long>(s.size()));
+void append_bulk(std::string& out, std::string_view s) {
+    char len[kLongStrSize];
+    const std::string_view digits = ll2str(static_cast<long long>(s.size()), len);
+    out.reserve(out.size() + 1 + digits.size() + 2 + s.size() + 2);
+    out += '$';
+    out += digits;
     out += kCrlf;
     out += s;
     out += kCrlf;
+}
+
+void append_array_header(std::string& out, std::size_t n) {
+    char len[kLongStrSize];
+    out += '*';
+    out += ll2str(static_cast<long long>(n), len);
+    out += kCrlf;
+}
+
+std::string bulk(std::string_view s) {
+    std::string out;
+    append_bulk(out, s);
     return out;
 }
 
@@ -46,15 +61,20 @@ std::string null_bulk() { return "$-1\r\n"; }
 std::string null_array() { return "*-1\r\n"; }
 
 std::string array_header(std::size_t n) {
-    std::string out = "*";
-    out += ll2string(static_cast<long long>(n));
-    out += kCrlf;
+    std::string out;
+    append_array_header(out, n);
     return out;
 }
 
 std::string command(const std::vector<std::string>& argv) {
-    std::string out = array_header(argv.size());
-    for (const auto& a : argv) out += bulk(a);
+    // One allocation: the header's framing takes at most kLongStrSize + 3
+    // bytes, each element's at most kLongStrSize + 5.
+    std::size_t size = kLongStrSize + 3;
+    for (const auto& a : argv) size += a.size() + kLongStrSize + 5;
+    std::string out;
+    out.reserve(size);
+    append_array_header(out, argv.size());
+    for (const auto& a : argv) append_bulk(out, a);
     return out;
 }
 
@@ -105,16 +125,23 @@ void RequestParser::reset() {
 }
 
 Status RequestParser::next(std::vector<std::string>* argv, std::string* errmsg) {
-    // Skip blank lines between commands (Redis tolerates them inline).
-    while (pos_ + 1 < buf_.size() && buf_[pos_] == '\r' && buf_[pos_ + 1] == '\n') {
-        pos_ += 2;
+    Status st = Status::kNeedMore;
+    // An empty command ("*0", "*-1" or a whitespace-only line) parses as kOk
+    // with an empty argv: skip it and go on, in a loop, so no run of them
+    // can exhaust the stack.
+    for (;;) {
+        // Skip blank lines between commands (Redis tolerates them inline).
+        while (pos_ + 1 < buf_.size() && buf_[pos_] == '\r' && buf_[pos_ + 1] == '\n') {
+            pos_ += 2;
+        }
+        if (pos_ >= buf_.size()) {
+            st = Status::kNeedMore;
+            break;
+        }
+        st = buf_[pos_] == '*' ? parse_multibulk(argv, errmsg)
+                               : parse_inline(argv, errmsg);
+        if (st != Status::kOk || !argv->empty()) break;
     }
-    if (pos_ >= buf_.size()) {
-        compact();
-        return Status::kNeedMore;
-    }
-    const Status st = buf_[pos_] == '*' ? parse_multibulk(argv, errmsg)
-                                        : parse_inline(argv, errmsg);
     compact();
     return st;
 }
@@ -130,8 +157,7 @@ Status RequestParser::parse_inline(std::vector<std::string>* argv,
         if (errmsg) *errmsg = "Protocol error: unbalanced quotes in request";
         return Status::kError;
     }
-    if (split->empty()) return next(argv, errmsg); // empty line: keep going
-    argv->clear();
+    argv->clear(); // stays empty for a blank line, which next() skips
     argv->reserve(split->size());
     for (auto& s : *split) argv->push_back(s.str());
     return Status::kOk;
@@ -149,9 +175,10 @@ Status RequestParser::parse_multibulk(std::vector<std::string>* argv,
         return Status::kError;
     }
     p = after;
-    if (*count <= 0) { // "*0\r\n" or "*-1\r\n": no command
+    if (*count <= 0) { // "*0\r\n" or "*-1\r\n": no command, next() skips it
         pos_ = p;
-        return next(argv, errmsg);
+        argv->clear();
+        return Status::kOk;
     }
     std::vector<std::string> out;
     out.reserve(static_cast<std::size_t>(*count));
@@ -260,7 +287,7 @@ Status ReplyParser::parse_value(std::size_t* p, Value* out, std::string* errmsg,
         }
         case '$': {
             const auto len = string2ll(body);
-            if (!len.has_value() || *len < -1) {
+            if (!len.has_value() || *len < -1 || *len > RequestParser::kMaxBulk) {
                 if (errmsg) *errmsg = "Protocol error: bad bulk length";
                 return Status::kError;
             }
@@ -272,14 +299,19 @@ Status ReplyParser::parse_value(std::size_t* p, Value* out, std::string* errmsg,
             if (buf_.size() - after < static_cast<std::size_t>(*len) + 2) {
                 return Status::kNeedMore;
             }
+            const std::size_t end = after + static_cast<std::size_t>(*len);
+            if (buf_[end] != '\r' || buf_[end + 1] != '\n') {
+                if (errmsg) *errmsg = "Protocol error: bulk not CRLF-terminated";
+                return Status::kError;
+            }
             out->kind = Value::Kind::kBulk;
             out->str.assign(buf_, after, static_cast<std::size_t>(*len));
-            *p = after + static_cast<std::size_t>(*len) + 2;
+            *p = end + 2;
             return Status::kOk;
         }
         case '*': {
             const auto n = string2ll(body);
-            if (!n.has_value() || *n < -1) {
+            if (!n.has_value() || *n < -1 || *n > RequestParser::kMaxMultiBulk) {
                 if (errmsg) *errmsg = "Protocol error: bad array length";
                 return Status::kError;
             }

@@ -18,6 +18,12 @@ std::string null_bulk();                 // $-1\r\n
 std::string null_array();                // *-1\r\n
 std::string array_header(std::size_t n); // *n\r\n
 
+/// Append-in-place forms of bulk() and array_header(): they write into the
+/// caller's buffer, so a reply costs no temporaries. append_bulk reserves
+/// room for the whole element before writing it.
+void append_bulk(std::string& out, std::string_view s);
+void append_array_header(std::string& out, std::size_t n);
+
 /// Encode a command as an array of bulk strings (what clients send).
 std::string command(const std::vector<std::string>& argv);
 

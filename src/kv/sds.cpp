@@ -6,59 +6,49 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 namespace skv::kv {
 
 void Sds::make_room(std::size_t n) {
-    const std::size_t needed = len_ + n;
-    if (buf_.size() >= needed) return;
+    const std::size_t needed = buf_.size() + n;
+    if (buf_.capacity() >= needed) return;
     std::size_t newcap = needed;
     if (newcap < kMaxPrealloc) {
         newcap *= 2;
     } else {
         newcap += kMaxPrealloc;
     }
-    buf_.resize(newcap);
-}
-
-void Sds::append(std::string_view s) {
-    if (s.empty()) return; // memcpy from a null view is UB even for size 0
-    make_room(s.size());
-    std::memcpy(buf_.data() + len_, s.data(), s.size());
-    len_ += s.size();
+    // std::string::reserve may round a request up to twice the current
+    // capacity; a fresh string reserves exactly newcap (at least twice its
+    // inline capacity, since growth starts past it), so this policy alone
+    // sets the size.
+    std::string grown;
+    grown.reserve(newcap);
+    grown.append(buf_);
+    buf_.swap(grown);
 }
 
 void Sds::range(std::ptrdiff_t start, std::ptrdiff_t end) {
-    const auto len = static_cast<std::ptrdiff_t>(len_);
+    const auto len = static_cast<std::ptrdiff_t>(buf_.size());
     if (len == 0) return;
     if (start < 0) start = std::max<std::ptrdiff_t>(len + start, 0);
     if (end < 0) end = len + end;
     if (end >= len) end = len - 1;
     if (start > end || start >= len) {
-        len_ = 0;
+        buf_.clear();
         return;
     }
-    const std::size_t newlen = static_cast<std::size_t>(end - start + 1);
-    if (start != 0) {
-        std::memmove(buf_.data(), buf_.data() + start, newlen);
-    }
-    len_ = newlen;
+    buf_.erase(static_cast<std::size_t>(end) + 1);
+    buf_.erase(0, static_cast<std::size_t>(start));
 }
 
-int Sds::compare(const Sds& o) const {
-    const std::size_t minlen = std::min(len_, o.len_);
-    const int c = minlen ? std::memcmp(buf_.data(), o.buf_.data(), minlen) : 0;
-    if (c != 0) return c;
-    if (len_ == o.len_) return 0;
-    return len_ < o.len_ ? -1 : 1;
-}
+int Sds::compare(const Sds& o) const { return view().compare(o.view()); }
 
-bool Sds::iequals(std::string_view s) const {
-    if (s.size() != len_) return false;
-    for (std::size_t i = 0; i < len_; ++i) {
-        if (std::tolower(static_cast<unsigned char>(buf_[i])) !=
-            std::tolower(static_cast<unsigned char>(s[i]))) {
+bool iequals(std::string_view a, std::string_view b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::tolower(static_cast<unsigned char>(a[i])) !=
+            std::tolower(static_cast<unsigned char>(b[i]))) {
             return false;
         }
     }
@@ -148,9 +138,8 @@ std::optional<std::vector<Sds>> Sds::split_args(std::string_view line) {
     }
 }
 
-std::string ll2string(long long v) {
-    char buf[24];
-    char* p = buf + sizeof(buf);
+std::string_view ll2str(long long v, char (&buf)[kLongStrSize]) {
+    char* p = buf + kLongStrSize;
     const bool neg = v < 0;
     unsigned long long u =
         neg ? 0ULL - static_cast<unsigned long long>(v) : static_cast<unsigned long long>(v);
@@ -159,7 +148,12 @@ std::string ll2string(long long v) {
         u /= 10;
     } while (u != 0);
     if (neg) *--p = '-';
-    return std::string(p, buf + sizeof(buf));
+    return {p, static_cast<std::size_t>(buf + kLongStrSize - p)};
+}
+
+std::string ll2string(long long v) {
+    char buf[kLongStrSize];
+    return std::string(ll2str(v, buf));
 }
 
 std::optional<long long> string2ll(std::string_view s) {

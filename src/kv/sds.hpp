@@ -9,40 +9,46 @@
 
 namespace skv::kv {
 
-/// Simple Dynamic String, after Redis's sds: a length-prefixed,
-/// binary-safe byte string with amortized O(1) append via capacity
-/// preallocation (double up to 1 MB, then +1 MB per growth), plus the
-/// small algorithmic helpers Redis layers on top (range, integer
-/// conversion, argument splitting).
+/// Simple Dynamic String, after Redis's sds: a binary-safe byte string.
+/// Constructing one from bytes leaves no slack, as sdsnewlen does: short
+/// strings (up to 15 bytes with libstdc++) live inside the Sds itself, so a
+/// typical key costs no allocation and no pointer chase; longer strings get
+/// exactly their length plus a terminator. Appends get amortized O(1) growth via capacity preallocation
+/// (double up to 1 MB, then +1 MB per growth). Redis's small algorithmic
+/// helpers ride along (range, integer conversion, argument splitting).
 ///
-/// std::string would be functionally equivalent; Sds exists because the
-/// paper inherits "the implementation of data structures such as dynamic
-/// strings" from Redis, and because the explicit growth policy is what the
-/// engine's memory accounting measures.
+/// The bytes are held in a std::string; Sds exists because the paper
+/// inherits "the implementation of data structures such as dynamic strings"
+/// from Redis, and because the explicit append growth policy (not
+/// std::string's) is what the engine's memory accounting measures for
+/// strings grown in place.
 class Sds {
 public:
     static constexpr std::size_t kMaxPrealloc = 1024 * 1024;
 
     Sds() = default;
-    explicit Sds(std::string_view s) { append(s); }
-    Sds(const char* s, std::size_t n) { append(std::string_view(s, n)); }
+    explicit Sds(std::string_view s) : buf_(s) {}
+    Sds(const char* s, std::size_t n) : buf_(s, n) {}
 
-    [[nodiscard]] std::size_t size() const { return len_; }
-    [[nodiscard]] bool empty() const { return len_ == 0; }
-    [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
-    [[nodiscard]] std::size_t avail() const { return buf_.size() - len_; }
+    [[nodiscard]] std::size_t size() const { return buf_.size(); }
+    [[nodiscard]] bool empty() const { return buf_.empty(); }
+    [[nodiscard]] std::size_t capacity() const { return buf_.capacity(); }
+    [[nodiscard]] std::size_t avail() const { return buf_.capacity() - buf_.size(); }
 
     [[nodiscard]] const char* data() const { return buf_.data(); }
-    [[nodiscard]] std::string_view view() const { return {buf_.data(), len_}; }
-    [[nodiscard]] std::string str() const { return std::string(view()); }
+    [[nodiscard]] std::string_view view() const { return buf_; }
+    [[nodiscard]] std::string str() const { return buf_; }
 
     char operator[](std::size_t i) const { return buf_[i]; }
     char& operator[](std::size_t i) { return buf_[i]; }
 
-    void append(std::string_view s);
+    void append(std::string_view s) {
+        make_room(s.size());
+        buf_.append(s);
+    }
     void append(char c) { append(std::string_view(&c, 1)); }
     void assign(std::string_view s) { clear(); append(s); }
-    void clear() { len_ = 0; }
+    void clear() { buf_.clear(); }
 
     /// Grow to at least `n` usable bytes beyond the current length.
     void make_room(std::size_t n);
@@ -56,20 +62,25 @@ public:
     bool operator==(std::string_view s) const { return view() == s; }
     auto operator<=>(const Sds& o) const { return view() <=> o.view(); }
 
-    /// Case-insensitive equality against an ASCII literal (command lookup).
-    [[nodiscard]] bool iequals(std::string_view s) const;
-
     /// Split a whitespace-separated line honouring "double" and 'single'
     /// quotes, as Redis's sdssplitargs does for inline commands and config
     /// lines. Returns std::nullopt on unbalanced quotes.
     static std::optional<std::vector<Sds>> split_args(std::string_view line);
 
 private:
-    std::vector<char> buf_;
-    std::size_t len_ = 0;
+    std::string buf_;
 };
 
-/// Fast signed-integer formatting (Redis's ll2string).
+/// ASCII case-insensitive equality (command and option names), on the
+/// caller's bytes.
+bool iequals(std::string_view a, std::string_view b);
+
+/// Room for any long long in decimal: 19 digits and a sign.
+inline constexpr std::size_t kLongStrSize = 20;
+
+/// Fast signed-integer formatting (Redis's ll2string) into `buf`, without
+/// allocating. Returns the digits, which live in `buf`.
+std::string_view ll2str(long long v, char (&buf)[kLongStrSize]);
 std::string ll2string(long long v);
 
 /// Strict string -> long long conversion (Redis's string2ll): rejects

@@ -276,19 +276,17 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
     // INFO / SLOWLOG / LATENCY are served by the server, not the engine:
     // they report replication, latency and server state the command table
     // cannot see.
-    const kv::Sds cmd0(argv[0]);
-    if (cmd0.iequals("INFO") || cmd0.iequals("SLOWLOG") ||
-        cmd0.iequals("LATENCY")) {
+    if (kv::iequals(argv[0], "INFO") || kv::iequals(argv[0], "SLOWLOG") ||
+        kv::iequals(argv[0], "LATENCY")) {
         self_.core->submit(
             costs_.jittered(rng_, command_cost(argv, nullptr)),
             [this, conn, argv = std::move(argv), t0, traced]() {
                 ++commands_;
                 c_reads_.incr();
                 std::string reply;
-                const kv::Sds c0(argv[0]);
-                if (c0.iequals("INFO")) {
+                if (kv::iequals(argv[0], "INFO")) {
                     reply = kv::resp::bulk(info_sections());
-                } else if (c0.iequals("SLOWLOG")) {
+                } else if (kv::iequals(argv[0], "SLOWLOG")) {
                     reply = slowlog_reply(argv);
                 } else {
                     reply = latency_reply(argv);
@@ -568,15 +566,15 @@ std::string KvServer::slowlog_reply(const std::vector<std::string>& argv) {
     const std::string_view usage =
         "ERR wrong number of arguments for 'slowlog' command";
     if (argv.size() < 2) return kv::resp::error(usage);
-    const kv::Sds sub(argv[1]);
-    if (sub.iequals("RESET")) {
+    const std::string& sub = argv[1];
+    if (kv::iequals(sub, "RESET")) {
         slowlog_.clear();
         return kv::resp::simple("OK");
     }
-    if (sub.iequals("LEN")) {
+    if (kv::iequals(sub, "LEN")) {
         return kv::resp::integer(static_cast<long long>(slowlog_.size()));
     }
-    if (sub.iequals("GET")) {
+    if (kv::iequals(sub, "GET")) {
         long long want = 10;
         if (argv.size() >= 3) {
             const auto n = kv::string2ll(argv[2]);
@@ -605,7 +603,7 @@ std::string KvServer::slowlog_reply(const std::vector<std::string>& argv) {
 }
 
 std::string KvServer::latency_reply(const std::vector<std::string>& argv) {
-    if (argv.size() < 2 || kv::Sds(argv[1]).iequals("LATEST")) {
+    if (argv.size() < 2 || kv::iequals(argv[1], "LATEST")) {
         // Array of [event, sim-time (s), last duration (us), max duration
         // (us)] — Redis reports milliseconds; this simulation's interesting
         // tail lives in microseconds.
@@ -619,13 +617,13 @@ std::string KvServer::latency_reply(const std::vector<std::string>& argv) {
         }
         return out;
     }
-    const kv::Sds sub(argv[1]);
-    if (sub.iequals("RESET")) {
+    const std::string& sub = argv[1];
+    if (kv::iequals(sub, "RESET")) {
         const auto n = static_cast<long long>(latency_events_.size());
         latency_events_.clear();
         return kv::resp::integer(n);
     }
-    if (sub.iequals("HISTORY")) {
+    if (kv::iequals(sub, "HISTORY")) {
         if (argv.size() < 3) return kv::resp::array_header(0);
         const auto it = latency_events_.find(argv[2]);
         if (it == latency_events_.end()) return kv::resp::array_header(0);

@@ -184,6 +184,61 @@ TEST(Database, EqualsComparesExpires) {
     EXPECT_TRUE(a.equals(b));
 }
 
+TEST(Database, EqualsSameEncodingValues) {
+    Clock clk;
+    Database a(clk.fn());
+    Database b(clk.fn());
+    a.set("i", Object::make_string("123"));
+    b.set("i", Object::make_string_ll(123));
+    a.set("r", Object::make_string("abc"));
+    auto grown = Object::make_string("ab");
+    grown->string_append("c");
+    b.set("r", grown);
+    EXPECT_TRUE(a.equals(b));
+    EXPECT_TRUE(b.equals(a));
+    b.set("i", Object::make_string_ll(124)); // int vs int, differs
+    EXPECT_FALSE(a.equals(b));
+    b.set("i", Object::make_string_ll(123));
+    b.set("r", Object::make_string("abd")); // raw vs raw, same length
+    EXPECT_FALSE(a.equals(b));
+    EXPECT_FALSE(b.equals(a));
+}
+
+TEST(Database, EqualsIntVsRawBuiltByAppend) {
+    Clock clk;
+    Database a(clk.fn());
+    Database b(clk.fn());
+    a.set("k", Object::make_string("123"));
+    auto raw = Object::make_string("12");
+    raw->string_append("3");
+    b.set("k", raw);
+    EXPECT_TRUE(a.equals(b));
+    EXPECT_TRUE(b.equals(a));
+    raw->string_append("4");
+    EXPECT_FALSE(a.equals(b));
+    EXPECT_FALSE(b.equals(a));
+}
+
+TEST(Database, EqualsComparesExpiryValuesAndKeys) {
+    Clock clk;
+    Database a(clk.fn());
+    Database b(clk.fn());
+    for (Database* db : {&a, &b}) {
+        db->set("x", Object::make_string("1"));
+        db->set("y", Object::make_string("2"));
+    }
+    a.set_expire("x", 100);
+    b.set_expire("x", 200); // same key, different deadline
+    EXPECT_FALSE(a.equals(b));
+    EXPECT_FALSE(b.equals(a));
+    b.set_expire("x", 100);
+    EXPECT_TRUE(a.equals(b));
+    b.persist("x");
+    b.set_expire("y", 100); // same count of expiries, on different keys
+    EXPECT_FALSE(a.equals(b));
+    EXPECT_FALSE(b.equals(a));
+}
+
 TEST(Database, DirtyCounterAdvances) {
     Clock clk;
     Database db(clk.fn());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "kv/object.hpp"
 
 namespace skv::kv {
@@ -52,6 +54,58 @@ TEST(ObjectEquals, IntVsRawSameValue) {
     auto raw = Object::make_string("4");
     raw->string_append("2");
     EXPECT_TRUE(Object::make_string("42")->equals(*raw));
+}
+
+TEST(ObjectEquals, SameEncodingComparesDirectly) {
+    // int vs int: compared as integers, never rendered.
+    EXPECT_TRUE(Object::make_string_ll(-7)->equals(*Object::make_string("-7")));
+    EXPECT_FALSE(Object::make_string_ll(7)->equals(*Object::make_string_ll(8)));
+    EXPECT_TRUE(Object::make_string_ll(LLONG_MIN)
+                    ->equals(*Object::make_string("-9223372036854775808")));
+    // raw vs raw: byte comparison, whatever each payload's capacity.
+    auto grown = Object::make_string("ab");
+    grown->string_append("c"); // int-less raw grown by append: spare capacity
+    EXPECT_TRUE(Object::make_string("abc")->equals(*grown));
+    EXPECT_TRUE(grown->equals(*Object::make_string("abc")));
+    EXPECT_FALSE(Object::make_string("abc")->equals(*Object::make_string("abd")));
+    EXPECT_FALSE(Object::make_string("abc")->equals(*Object::make_string("abcd")));
+    EXPECT_FALSE(Object::make_string(std::string("a\0b", 3))
+                     ->equals(*Object::make_string(std::string("a\0c", 3))));
+}
+
+TEST(ObjectEquals, IntVsRawBuiltByAppend) {
+    auto raw = Object::make_string("12");
+    raw->string_append("3");
+    ASSERT_EQ(raw->encoding(), ObjEncoding::kRaw);
+    auto num = Object::make_string("123");
+    ASSERT_EQ(num->encoding(), ObjEncoding::kInt);
+    EXPECT_TRUE(num->equals(*raw));
+    EXPECT_TRUE(raw->equals(*num));
+    auto other = Object::make_string("12");
+    other->string_append("4");
+    EXPECT_FALSE(num->equals(*other));
+    EXPECT_FALSE(other->equals(*num));
+    auto padded = Object::make_string("0");
+    padded->string_append("123"); // "0123" is not the integer's rendering
+    EXPECT_FALSE(num->equals(*padded));
+}
+
+TEST(ObjectString, ValueViewRendersIntoCallerBuffer) {
+    char buf[kLongStrSize];
+    auto num = Object::make_string_ll(LLONG_MIN);
+    const std::string_view v = num->value_view(buf);
+    EXPECT_EQ(v, "-9223372036854775808");
+    EXPECT_GE(v.data(), buf); // the digits live in the caller's buffer
+    auto raw = Object::make_string("hello");
+    EXPECT_EQ(raw->value_view(buf), "hello");
+    EXPECT_EQ(raw->string_len(), 5u);
+    EXPECT_EQ(num->string_len(), 20u);
+}
+
+TEST(ObjectMemory, RawPayloadIsExactFit) {
+    // Made from bytes: no slack (sdsnewlen), so a record costs its size.
+    const auto v = Object::make_string(std::string(128, 'v'));
+    EXPECT_EQ(v->memory_bytes(), sizeof(Object) + 128);
 }
 
 TEST(ObjectMemory, GrowsWithContent) {

@@ -24,7 +24,7 @@ void fill(Database& db) {
 }
 
 const Object& peek(const Database& db, std::string_view key) {
-    const ObjectPtr* o = db.keys().find(Sds(key));
+    const ObjectPtr* o = db.keys().find(key);
     EXPECT_NE(o, nullptr) << key;
     return **o;
 }

@@ -21,6 +21,19 @@ TEST(RespEncode, Command) {
     EXPECT_EQ(command({"GET", "k"}), "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n");
 }
 
+TEST(RespEncode, AppendInPlace) {
+    std::string out = "+OK\r\n";
+    append_array_header(out, 2);
+    append_bulk(out, std::string(300, 'v'));
+    append_bulk(out, "");
+    EXPECT_EQ(out, "+OK\r\n*2\r\n$300\r\n" + std::string(300, 'v') + "\r\n$0\r\n\r\n");
+    EXPECT_EQ(bulk("x"), "$1\r\nx\r\n");
+    const std::vector<std::string> argv{"SET", "k", std::string(1000, 'z'), ""};
+    std::string expected = array_header(argv.size());
+    for (const auto& a : argv) expected += bulk(a);
+    EXPECT_EQ(command(argv), expected);
+}
+
 TEST(RequestParser, SingleMultibulk) {
     RequestParser p;
     p.feed("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n");
@@ -127,6 +140,32 @@ TEST(RequestParser, EmptyArrayIsSkipped) {
     EXPECT_EQ(argv[0], "PING");
 }
 
+TEST(RequestParser, MillionEmptyCommandsThenPing) {
+    // Empty commands are skipped in a loop: a long run of them used to
+    // recurse once each and overflow the stack.
+    const std::string_view empties[] = {"*0\r\n", "*-1\r\n", " \t \r\n"};
+    std::string wire;
+    for (int i = 0; i < 1'000'000; ++i) wire += empties[i % 3];
+    wire += command({"PING"});
+    RequestParser p;
+    p.feed(wire);
+    std::vector<std::string> argv;
+    ASSERT_EQ(p.next(&argv), Status::kOk);
+    EXPECT_EQ(argv, std::vector<std::string>{"PING"});
+    EXPECT_EQ(p.next(&argv), Status::kNeedMore);
+    EXPECT_EQ(p.buffered(), 0u);
+}
+
+TEST(RequestParser, EmptyCommandsThenPartialCommandNeedsMore) {
+    RequestParser p;
+    p.feed("*0\r\n  \r\n*1\r\n$4\r\nPI");
+    std::vector<std::string> argv;
+    EXPECT_EQ(p.next(&argv), Status::kNeedMore);
+    p.feed("NG\r\n");
+    ASSERT_EQ(p.next(&argv), Status::kOk);
+    EXPECT_EQ(argv, std::vector<std::string>{"PING"});
+}
+
 TEST(ReplyParser, SimpleKinds) {
     ReplyParser p;
     p.feed("+OK\r\n-ERR x\r\n:7\r\n$3\r\nabc\r\n$-1\r\n");
@@ -182,6 +221,44 @@ TEST(ReplyParser, DepthLimit) {
     p.feed(wire);
     Value v;
     EXPECT_EQ(p.next(&v), Status::kError);
+}
+
+TEST(ReplyParser, BulkWithoutCrlfIsError) {
+    // The body's CRLF is checked: "abc" then "+OK" is not a valid reading.
+    ReplyParser p;
+    p.feed("$3\r\nabcXY+OK\r\n");
+    Value v;
+    std::string err;
+    EXPECT_EQ(p.next(&v, &err), Status::kError);
+    EXPECT_NE(err.find("CRLF"), std::string::npos);
+}
+
+TEST(ReplyParser, OversizedArrayIsError) {
+    ReplyParser p;
+    p.feed("*100000000000\r\n");
+    Value v;
+    EXPECT_EQ(p.next(&v), Status::kError); // not std::bad_alloc from reserve
+}
+
+TEST(ReplyParser, OversizedBulkIsError) {
+    ReplyParser p;
+    p.feed("$9223372036854775807\r\n");
+    Value v;
+    EXPECT_EQ(p.next(&v), Status::kError); // not kNeedMore forever
+}
+
+TEST(ReplyParser, LimitsMatchRequestParser) {
+    ReplyParser p;
+    p.feed("$" + std::to_string(RequestParser::kMaxBulk + 1) + "\r\n");
+    Value v;
+    EXPECT_EQ(p.next(&v), Status::kError);
+    ReplyParser q;
+    q.feed("*" + std::to_string(RequestParser::kMaxMultiBulk + 1) + "\r\n");
+    EXPECT_EQ(q.next(&v), Status::kError);
+    // At the limit, a bulk header alone is a valid prefix.
+    ReplyParser r;
+    r.feed("$" + std::to_string(RequestParser::kMaxBulk) + "\r\n");
+    EXPECT_EQ(r.next(&v), Status::kNeedMore);
 }
 
 TEST(ReplyParser, UnknownTagError) {

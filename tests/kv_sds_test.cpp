@@ -30,6 +30,31 @@ TEST(Sds, BinarySafe) {
     EXPECT_EQ(s[1], '\0');
 }
 
+TEST(Sds, ConstructionIsExactFit) {
+    // Short strings live inside the Sds: no bigger than an empty one.
+    EXPECT_EQ(Sds("hello").capacity(), Sds().capacity());
+    EXPECT_EQ(Sds("abcdef", 3).view(), "abc");
+    // Longer ones get exactly their length.
+    EXPECT_EQ(Sds(std::string(100, 'x')).capacity(), 100u);
+    EXPECT_EQ(Sds(std::string(1000, 'x')).capacity(), 1000u);
+    // The append policy still applies once the string grows.
+    Sds s(std::string(100, 'x'));
+    s.append("!");
+    EXPECT_EQ(s.size(), 101u);
+    EXPECT_EQ(s.capacity(), 202u);
+}
+
+TEST(Sds, GrowsFromInlineByThePolicy) {
+    Sds s("0123456789");
+    const std::string tail(30, 't');
+    s.append(tail);
+    EXPECT_EQ(s.view(), "0123456789" + tail);
+    EXPECT_EQ(s.capacity(), 80u); // 2 x 40, not std::string's own rule
+    s.clear();
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.capacity(), 80u); // clearing keeps the buffer, as sdsclear
+}
+
 TEST(Sds, GrowthPolicyDoublesSmall) {
     Sds s;
     s.append("x");
@@ -80,10 +105,11 @@ TEST(Sds, CompareLexicographic) {
 }
 
 TEST(Sds, IEquals) {
-    EXPECT_TRUE(Sds("GET").iequals("get"));
-    EXPECT_TRUE(Sds("SeT").iequals("SET"));
-    EXPECT_FALSE(Sds("GET").iequals("GETS"));
-    EXPECT_FALSE(Sds("GET").iequals("PUT"));
+    EXPECT_TRUE(iequals("GET", "get"));
+    EXPECT_TRUE(iequals("SeT", "SET"));
+    EXPECT_FALSE(iequals("GET", "GETS"));
+    EXPECT_FALSE(iequals("GET", "PUT"));
+    EXPECT_TRUE(iequals("", ""));
 }
 
 TEST(SdsSplitArgs, SimpleWords) {
