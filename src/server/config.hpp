@@ -14,15 +14,9 @@ enum class Transport : std::uint8_t { kTcp, kRdma };
 /// Replication role of a Host-KV instance.
 enum class Role : std::uint8_t { kStandalone, kMaster, kSlave };
 
-/// Which replication protocol the cluster runs (DESIGN.md §13, ROADMAP
-/// item 4). kFanout is the paper's asynchronous master→Nic-KV→slaves
-/// fan-out (plus PR 6's commit gating). kChain is chain replication:
-/// writes flow NIC→head→…→tail along NIC-maintained successor tables, a
-/// commit requires every valid chain member's ack (tail semantics in an
-/// in-order chain), and the tail may serve reads under a probe lease.
-/// kQuorum is ABD-flavored majority replication: the NIC aggregates slave
-/// acks and releases the commit watermark at a replica majority, with a
-/// read-phase write-back for parked linearizable reads.
+/// Which replication protocol the cluster runs (DESIGN.md §13): the
+/// paper's fan-out, chain replication or majority quorum. Cluster turns it
+/// into each side's protocol half (skv/fanout.hpp, chain.hpp, quorum.hpp).
 enum class ReplicationMode : std::uint8_t { kFanout, kChain, kQuorum };
 
 const char* to_string(Transport t);
@@ -33,10 +27,6 @@ struct ServerConfig {
     std::string name = "kv";
     Transport transport = Transport::kRdma;
     std::uint16_t port = 6379;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
-
-    /// SKV mode: the master posts one replication request to Nic-KV per
-    /// write instead of fanning out to every slave itself.
-    bool offload_replication = false;
 
     /// Replication backlog ring capacity.
     std::size_t backlog_bytes = 1 << 20;
@@ -104,8 +94,8 @@ struct ServerConfig {
     bool serve_stale_reads = true;
 
     /// --- replication protocol menu ----------------------------------------
-    /// Which protocol Nic-KV executes for this cluster. Chain and quorum
-    /// modes require the SKV offload topology (Cluster enforces this).
+    /// Read by Cluster alone, which builds the protocol's halves from it.
+    /// Chain and quorum require the SKV offload topology.
     ReplicationMode replication_mode = ReplicationMode::kFanout;
     /// Chain mode: the tail serves reads only while it has heard a NIC
     /// probe within this window (and has applied up to its assignment-time

@@ -9,6 +9,34 @@
 
 namespace skv::server {
 
+/// Baseline host fan-out (RDMA-Redis and TCP Redis, paper Fig. 7), the
+/// replication half of a server built without another: the master feeds
+/// every valid slave's buffer and posts one work request per slave per
+/// write, and counts its available replicas itself.
+class KvServer::HostFanout final : public HostReplication {
+public:
+    void propagate(std::int64_t start, const std::string& bytes) override {
+        // One slave at a time, before the client reply goes out.
+        bool sent_any = false;
+        for (auto& s : server().slaves_) {
+            if (!s.valid || !s.channel || !s.channel->open()) continue;
+            sim::Duration feed = costs().jittered(rng(), costs().repl_feed_slave) +
+                                 costs().copy_cost(bytes.size());
+            if (rng().next_bool(costs().repl_feed_stall_prob)) {
+                feed += costs().repl_feed_stall;
+            }
+            consume(feed);
+            s.channel->send(NodeMsg{NodeMsg::Type::kReplData, start, bytes}.encode());
+            server().c_repl_sends_.incr();
+            sent_any = true;
+        }
+        if (sent_any) trace_propagate(start, bytes.size());
+    }
+
+    // No failure detector reports to a baseline master.
+    void on_slaves_changed() override { server().available_slaves_ = valid_slaves(); }
+};
+
 const char* to_string(Transport t) {
     switch (t) {
         case Transport::kTcp: return "tcp";
@@ -36,9 +64,11 @@ const char* to_string(ReplicationMode m) {
 }
 
 KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
-                   Transports nets, net::NodeRef self, ServerConfig cfg)
+                   Transports nets, net::NodeRef self, ServerConfig cfg,
+                   std::unique_ptr<HostReplication> repl)
     : sim_(sim), costs_(costs), nets_(nets), self_(self), cfg_(std::move(cfg)),
       rng_(sim.fork_rng()),
+      repl_(repl ? std::move(repl) : std::make_unique<HostFanout>()),
       db_([&sim]() { return sim.now().ns() / 1'000'000; }),
       backlog_(cfg_.backlog_bytes),
       commands_table_(kv::CommandTable::instance()), stats_(cfg_.name),
@@ -52,6 +82,7 @@ KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
       t_cmd_read_(stats_.timer_handle("cmd.service.read")) {
     SKV_CHECK(self_.valid());
     SKV_CHECK(nets_.fabric != nullptr);
+    repl_->s_ = this;
     SKV_DCHECK(cfg_.transport == Transport::kTcp ? nets_.tcp != nullptr
                                                  : nets_.cm != nullptr);
 }
@@ -104,7 +135,11 @@ void KvServer::on_client_accept(net::ChannelPtr ch) {
     });
 }
 
-void KvServer::install_node_handler(const ClientPtr& conn) {
+void KvServer::adopt_node_link(net::ChannelPtr ch) {
+    auto conn = std::make_shared<ClientConn>();
+    conn->channel = std::move(ch);
+    conn->node_link = true;
+    clients_.push_back(conn);
     std::weak_ptr<ClientConn> wconn = conn;
     conn->channel->set_on_message([this, wconn](std::string payload) {
         auto conn = wconn.lock();
@@ -150,57 +185,40 @@ void KvServer::on_node_link_broken(const net::Channel* raw) {
             ++it;
         }
     }
-    if (removed_slave && !cfg_.offload_replication) {
-        available_slaves_ = 0;
-        for (const auto& t : slaves_) {
-            if (t.valid) ++available_slaves_;
-        }
+    if (removed_slave) {
+        repl_->on_slaves_changed();
+        flush_parked();
     }
-    if (removed_slave) flush_parked();
-    if (master_link_ && master_link_.get() == raw) {
-        master_link_->close();
-        master_link_.reset();
-    }
+    if (master_link_.get() == raw) drop_link(master_link_);
     // SKV links to the local Nic-KV: dial again (the attempt counter makes
     // a superseded reconnect harmless).
-    if (nic_link_ && nic_link_.get() == raw) {
-        nic_link_->close();
-        nic_link_.reset();
-        nic_attached_ = false;
-        release_conn(raw);
-        if (cfg_.offload_replication && skv_nic_ep_ != net::kInvalidEndpoint) {
-            attach_nic(skv_nic_ep_, skv_nic_port_);
-        }
+    if (nic_link_.get() == raw) {
+        drop_link(nic_link_);
+        attach_nic(skv_nic_ep_, skv_nic_port_);
         return;
     }
-    if (nic_registration_ && nic_registration_.get() == raw) {
-        nic_registration_->close();
-        nic_registration_.reset();
-        release_conn(raw);
+    if (nic_registration_.get() == raw) {
+        drop_link(nic_registration_);
         if (role_ == Role::kSlave && skv_nic_ep_ != net::kInvalidEndpoint) {
             slaveof_skv(skv_nic_ep_, skv_nic_port_);
         }
         return;
     }
-    if (chain_succ_link_ && chain_succ_link_.get() == raw) {
-        chain_succ_link_->close();
-        chain_succ_link_.reset();
-        release_conn(raw);
-        // No redial on our own: the NIC's failure detector re-splices the
-        // chain and sends a fresh assignment (possibly naming someone else).
-        stats_.incr("chain_links_broken");
-        return;
-    }
+    if (repl_->on_link_broken(raw)) return;
     release_conn(raw);
 }
 
+void KvServer::drop_link(net::ChannelPtr& link) {
+    if (!link) return;
+    const net::Channel* old = link.get();
+    link->close();
+    link.reset();
+    release_conn(old);
+}
+
 void KvServer::on_node_accept(net::ChannelPtr ch) {
-    auto conn = std::make_shared<ClientConn>();
-    conn->channel = wrap_node_link(std::move(ch));
-    conn->node_link = true;
-    clients_.push_back(conn);
+    adopt_node_link(wrap_node_link(std::move(ch)));
     stats_.incr("node_links_accepted");
-    install_node_handler(conn);
 }
 
 // --- client command path ----------------------------------------------------
@@ -292,8 +310,7 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
                     reply = latency_reply(argv);
                 }
                 record_command_latency(argv, /*is_write=*/false, t0);
-                if (traced) tracer_->flow_server_done(conn->channel->flow_id());
-                conn->channel->send(std::move(reply));
+                reply_to(*conn, traced, std::move(reply));
             });
         return;
     }
@@ -323,8 +340,7 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
                 stats_.incr("dup_suppressed");
                 record_command_latency(argv, /*is_write=*/true, t0);
                 if (it->second.ready) {
-                    if (traced) tracer_->flow_server_done(conn->channel->flow_id());
-                    conn->channel->send(std::string(it->second.reply));
+                    reply_to(*conn, traced, it->second.reply);
                 } else {
                     attach_dup_waiter(tag, conn, traced);
                 }
@@ -332,28 +348,18 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
             }
             if (it != dup_table_.end() && it->second.seq > tag.seq) {
                 stats_.incr("dup_stale_seq");
-                if (traced) tracer_->flow_server_done(conn->channel->flow_id());
-                conn->channel->send(
-                    kv::resp::error("DUPSEQ write sequence already superseded"));
+                reply_to(*conn, traced,
+                         kv::resp::error("DUPSEQ write sequence already superseded"));
                 return;
             }
         }
         if (spec != nullptr && !spec->is_write() && role_ == Role::kSlave &&
-            !cfg_.serve_stale_reads) {
-            // Chain mode: the tail's copy is the chain's committed prefix
-            // (every acked write passed through it), so the tail may answer
-            // reads while its probe lease is fresh and it has caught up to
-            // its assignment-time floor. Everyone else refuses.
-            if (chain_read_ok()) {
-                stats_.incr("chain_tail_reads");
-            } else {
-                stats_.incr("reads_rejected_stale");
-                record_command_latency(argv, /*is_write=*/false, t0);
-                if (traced) tracer_->flow_server_done(conn->channel->flow_id());
-                conn->channel->send(kv::resp::error(
-                    "READONLY Reads from replicas are disabled."));
-                return;
-            }
+            !cfg_.serve_stale_reads && !repl_->serve_replica_read()) {
+            stats_.incr("reads_rejected_stale");
+            record_command_latency(argv, /*is_write=*/false, t0);
+            reply_to(*conn, traced,
+                     kv::resp::error("READONLY Reads from replicas are disabled."));
+            return;
         }
         if (spec != nullptr && spec->is_write()) {
             std::string err;
@@ -362,8 +368,7 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
                 stats_.incr("writes_rejected");
                 stats_.incr(reason);
                 record_command_latency(argv, /*is_write=*/true, t0);
-                if (traced) tracer_->flow_server_done(conn->channel->flow_id());
-                conn->channel->send(kv::resp::error(err));
+                reply_to(*conn, traced, kv::resp::error(err));
                 return;
             }
         }
@@ -387,48 +392,16 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
     });
 }
 
+void KvServer::reply_to(const ClientConn& conn, bool traced, std::string reply) {
+    if (traced && tracer_ != nullptr) tracer_->flow_server_done(conn.channel->flow_id());
+    conn.channel->send(std::move(reply));
+}
+
 // --- commit gating / duplicate suppression -----------------------------------
 
-int KvServer::commit_need() const {
-    if (cfg_.wait_for_slaves <= 0 || role_ != Role::kMaster) return 0;
-    int valid = 0;
-    for (const auto& s : slaves_) {
-        if (s.valid) ++valid;
-    }
-    if (cfg_.replication_mode == ReplicationMode::kChain) {
-        // Chain commit = the tail applied it, which in an in-order chain
-        // means every live member did: require all valid links, so a tail
-        // read can never miss an acked write. The detector's member count
-        // is a floor on the requirement: a healed member the NIC already
-        // splices back in (it may become the leased tail) can be missing
-        // from slaves_ until it re-registers, and committing without its
-        // ack in that window would let the new tail serve stale reads.
-        if (cfg_.offload_replication) return std::max(valid, available_slaves_);
-        return valid;
-    }
-    return std::min(cfg_.wait_for_slaves, valid);
-}
-
-int KvServer::acked_replicas(std::int64_t offset) const {
-    int n = 0;
-    for (const auto& s : slaves_) {
-        if (s.valid && s.ack_offset >= offset) ++n;
-    }
-    return n;
-}
-
 bool KvServer::commit_satisfied(std::int64_t offset) const {
-    if (cfg_.replication_mode == ReplicationMode::kQuorum &&
-        role_ == Role::kMaster && cfg_.wait_for_slaves > 0) {
-        // Quorum commits are released by the NIC's ack aggregation, not by
-        // per-slave ack counting. A master with no registered replicas
-        // (bootstrap, or a promoted stand-in serving solo) is its own
-        // majority-of-one, matching fan-out's need==0 behavior.
-        if (slaves_.empty() && available_slaves_ <= 0) return true;
-        return quorum_commit_offset_ >= offset;
-    }
-    const int need = commit_need();
-    return need == 0 || acked_replicas(offset) >= need;
+    if (cfg_.wait_for_slaves <= 0 || role_ != Role::kMaster) return true;
+    return repl_->committed(offset);
 }
 
 void KvServer::dup_record(const WriteTag& tag, std::string reply, bool ready,
@@ -462,10 +435,7 @@ void KvServer::deliver_or_park(const ClientPtr& conn, std::string reply,
                                WriteTag tag, bool traced) {
     if (commit_satisfied(offset)) {
         if (tagged) dup_record(tag, reply, /*ready=*/true, offset);
-        if (traced && tracer_ != nullptr) {
-            tracer_->flow_server_done(conn->channel->flow_id());
-        }
-        conn->channel->send(std::move(reply));
+        reply_to(*conn, traced, std::move(reply));
         return;
     }
     if (tagged) dup_record(tag, reply, /*ready=*/false, offset);
@@ -474,9 +444,7 @@ void KvServer::deliver_or_park(const ClientPtr& conn, std::string reply,
                                tag, traced});
     stats_.incr(is_write ? "writes_parked" : "reads_parked");
     sim_.after(cfg_.wait_timeout, [this, id]() { on_wait_timeout(id); });
-    if (!is_write && cfg_.replication_mode == ReplicationMode::kQuorum) {
-        maybe_read_repair(offset);
-    }
+    if (!is_write) repl_->on_read_parked(offset);
 }
 
 void KvServer::flush_parked() {
@@ -489,10 +457,7 @@ void KvServer::flush_parked() {
         }
         if (p.tagged) dup_record(p.tag, p.reply, /*ready=*/true, p.offset);
         if (const auto conn = p.conn.lock(); conn && conn->channel) {
-            if (p.traced && tracer_ != nullptr) {
-                tracer_->flow_server_done(conn->channel->flow_id());
-            }
-            conn->channel->send(std::move(p.reply));
+            reply_to(*conn, p.traced, std::move(p.reply));
         }
         it = parked_.erase(it);
     }
@@ -509,11 +474,8 @@ void KvServer::on_wait_timeout(std::uint64_t id) {
     // unknown. The client must treat this as maybe-applied and retry with
     // the same token (the dup entry stays, still not ready).
     if (const auto conn = p.conn.lock(); conn && conn->channel) {
-        if (p.traced && tracer_ != nullptr) {
-            tracer_->flow_server_done(conn->channel->flow_id());
-        }
-        conn->channel->send(kv::resp::error(
-            "WAITTIMEOUT write not acknowledged by enough replicas"));
+        reply_to(*conn, p.traced,
+                 kv::resp::error("WAITTIMEOUT write not acknowledged by enough replicas"));
     }
 }
 
@@ -644,42 +606,7 @@ void KvServer::propagate(const std::vector<std::string>& repl_argv) {
     const std::string bytes = kv::resp::command(repl_argv);
     const std::int64_t start = backlog_.master_offset();
     backlog_.append(bytes);
-
-    const bool traced = tracer_ != nullptr && tracer_->enabled();
-    if (cfg_.offload_replication) {
-        if (!nic_attached_ || !nic_link_ || !nic_link_->open()) return;
-        // SKV: one replication request to the SmartNIC, regardless of the
-        // number of slaves — the per-write saving the paper measures.
-        self_.core->consume(costs_.jittered(rng_, costs_.offload_request_build));
-        nic_link_->send(NodeMsg{NodeMsg::Type::kReplData, start, bytes}.encode());
-        c_repl_offload_.incr();
-        if (traced) {
-            tracer_->repl_propagate(start,
-                                    start + static_cast<std::int64_t>(bytes.size()),
-                                    obs_track_);
-        }
-        return;
-    }
-    // Baseline: feed every slave's buffer and post one WR each, one by one,
-    // before the client reply goes out.
-    bool sent_any = false;
-    for (auto& s : slaves_) {
-        if (!s.valid || !s.channel || !s.channel->open()) continue;
-        sim::Duration feed = costs_.jittered(rng_, costs_.repl_feed_slave) +
-                             costs_.copy_cost(bytes.size());
-        if (rng_.next_bool(costs_.repl_feed_stall_prob)) {
-            feed += costs_.repl_feed_stall;
-        }
-        self_.core->consume(feed);
-        s.channel->send(NodeMsg{NodeMsg::Type::kReplData, start, bytes}.encode());
-        c_repl_sends_.incr();
-        sent_any = true;
-    }
-    if (traced && sent_any) {
-        tracer_->repl_propagate(start,
-                                start + static_cast<std::int64_t>(bytes.size()),
-                                obs_track_);
-    }
+    repl_->propagate(start, bytes);
 }
 
 void KvServer::serve_initial_sync(const std::string& slave_name,
@@ -704,9 +631,7 @@ void KvServer::serve_initial_sync(const std::string& slave_name,
         it->ack_offset = slave_offset;
         it->valid = true;
     }
-    if (!cfg_.offload_replication) {
-        available_slaves_ = static_cast<int>(slaves_.size());
-    }
+    repl_->on_slaves_changed();
     role_ = Role::kMaster;
 
     // Decide between a partial resync from the backlog and a full snapshot.
@@ -718,11 +643,14 @@ void KvServer::serve_initial_sync(const std::string& slave_name,
         stats_.incr("sync_noop");
         return;
     }
-    if (backlog_.can_serve(slave_offset)) {
-        const std::string range = backlog_.read_from(slave_offset);
+    send_catch_up(direct, slave_offset);
+}
+
+void KvServer::send_catch_up(const net::ChannelPtr& ch, std::int64_t from) {
+    if (backlog_.can_serve(from)) {
+        const std::string range = backlog_.read_from(from);
         self_.core->consume(costs_.copy_cost(range.size()));
-        direct->send(
-            NodeMsg{NodeMsg::Type::kBacklog, slave_offset, range}.encode());
+        ch->send(NodeMsg{NodeMsg::Type::kBacklog, from, range}.encode());
         stats_.incr("sync_partial");
         return;
     }
@@ -730,40 +658,24 @@ void KvServer::serve_initial_sync(const std::string& slave_name,
     const std::string rdb = kv::rdb::save(db_);
     // Snapshot cost: copy-on-write fork plus serialization.
     self_.core->consume(sim::microseconds(400) + costs_.copy_cost(2 * rdb.size()));
-    direct->send(
-        NodeMsg{NodeMsg::Type::kFullSync, backlog_.master_offset(), rdb}.encode());
+    ch->send(NodeMsg{NodeMsg::Type::kFullSync, backlog_.master_offset(), rdb}.encode());
     stats_.incr("sync_full");
 }
 
 void KvServer::connect_and_sync_slave(const std::string& slave_name,
                                       std::int64_t offset) {
-    // SKV master, paper Fig. 8 step 3: establish a direct RDMA connection
-    // to the slave and serve the initial synchronization over it. No retry
-    // timer here: a lost handshake leaves the slave unsynced, it re-registers
-    // after probe_silence_timeout and the NIC notifies us again.
-    auto connect_cb = [this, slave_name, offset](net::ChannelPtr ch) {
-        if (!ch || crashed_) return;
-        ch = wrap_node_link(std::move(ch));
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        serve_initial_sync(slave_name, offset, std::move(ch));
-    };
-    // Slave node ports follow the same convention: cfg_.port + 1. The
-    // slave's endpoint is carried in the notify body as "<name>@<ep>".
-    const auto at = slave_name.find('@');
-    SKV_CHECK(at != std::string::npos);
-    const auto ep = static_cast<net::EndpointId>(
-        std::stoul(slave_name.substr(at + 1)));
-    if (cfg_.transport == Transport::kTcp) {
-        nets_.tcp->connect(self_, ep, static_cast<std::uint16_t>(cfg_.port + 1),
-                           connect_cb);
-    } else {
-        nets_.cm->connect(self_, ep, static_cast<std::uint16_t>(cfg_.port + 1),
-                          connect_cb);
+    // SKV master, paper Fig. 8 step 3: dial the slave ("<name>@<ep>", node
+    // port cfg_.port + 1) and serve the initial sync over that link. No
+    // retry: an unsynced slave re-registers after probe_silence_timeout.
+    const auto ep = parse_peer_endpoint(slave_name);
+    if (!ep.has_value() || *ep == net::kInvalidEndpoint) {
+        stats_.incr("node_msgs_malformed");
+        return;
     }
+    dial_node(*ep, static_cast<std::uint16_t>(cfg_.port + 1), nullptr,
+              [this, slave_name, offset](const net::ChannelPtr& ch) {
+                  serve_initial_sync(slave_name, offset, ch);
+              });
 }
 
 void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
@@ -785,25 +697,10 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
         case NodeMsg::Type::kResyncRequest: {
             // SKV: a recovered slave is behind; serve it the backlog range
             // over the existing direct channel.
-            auto it = std::find_if(
+            const auto it = std::find_if(
                 slaves_.begin(), slaves_.end(),
                 [&](const SlaveLink& s) { return s.name == msg.body; });
-            if (it == slaves_.end()) break;
-            if (backlog_.can_serve(msg.field)) {
-                const std::string range = backlog_.read_from(msg.field);
-                self_.core->consume(costs_.copy_cost(range.size()));
-                it->channel->send(
-                    NodeMsg{NodeMsg::Type::kBacklog, msg.field, range}.encode());
-                stats_.incr("sync_partial");
-            } else {
-                const std::string rdb = kv::rdb::save(db_);
-                self_.core->consume(sim::microseconds(400) +
-                                    costs_.copy_cost(2 * rdb.size()));
-                it->channel->send(NodeMsg{NodeMsg::Type::kFullSync,
-                                          backlog_.master_offset(), rdb}
-                                      .encode());
-                stats_.incr("sync_full");
-            }
+            if (it != slaves_.end()) send_catch_up(it->channel, msg.field);
             break;
         }
         case NodeMsg::Type::kAck: {
@@ -832,47 +729,19 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
             flush_parked();
             break;
         }
-        case NodeMsg::Type::kReplData: {
-            // Slave: a chunk of the replication stream.
-            if (tracer_ != nullptr && tracer_->enabled()) {
-                tracer_->repl_slave_apply(msg.field, obs_track_);
-            }
-            apply_repl_stream(msg.field, msg.body);
+        case NodeMsg::Type::kReplData:
+            apply_frame(msg); // slave: a chunk of the replication stream
             break;
-        }
-        case NodeMsg::Type::kChainSet: {
-            handle_chain_set(msg);
+        // Protocol frames belong to the replication half.
+        case NodeMsg::Type::kChainSet:
+            repl_->on_chain_set(msg);
             break;
-        }
-        case NodeMsg::Type::kChainData: {
-            // Chain member: relay downstream first (so the hop overlaps our
-            // own apply), then apply locally.
-            if (role_ == Role::kSlave &&
-                cfg_.replication_mode == ReplicationMode::kChain) {
-                stats_.incr("chain_frames");
-                chain_forward_frame(msg.field, msg.body);
-                if (tracer_ != nullptr && tracer_->enabled()) {
-                    tracer_->repl_slave_apply(msg.field, obs_track_);
-                }
-                apply_repl_stream(msg.field, msg.body);
-            } else {
-                stats_.incr("node_msgs_unexpected");
-            }
+        case NodeMsg::Type::kChainData:
+            repl_->on_chain_data(msg);
             break;
-        }
-        case NodeMsg::Type::kQuorumCommit: {
-            // Quorum master: the NIC released a new majority watermark.
-            if (role_ != Role::kSlave &&
-                cfg_.replication_mode == ReplicationMode::kQuorum) {
-                quorum_commit_offset_ =
-                    std::max(quorum_commit_offset_, msg.field);
-                stats_.incr("quorum_commit_updates");
-                flush_parked();
-            } else {
-                stats_.incr("node_msgs_unexpected");
-            }
+        case NodeMsg::Type::kQuorumCommit:
+            repl_->on_quorum_commit(msg);
             break;
-        }
         case NodeMsg::Type::kBacklog: {
             // The sender of sync data is our master: progress reports go
             // back on this channel (baseline: the SYNC channel; SKV: the
@@ -902,10 +771,7 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
             if (role_ == Role::kSlave) {
                 role_ = Role::kMaster;
                 stats_.incr("promotions");
-                // A stand-in master is no chain member: it must neither
-                // relay frames nor serve leased tail reads while it serves
-                // writes solo.
-                reset_chain_state();
+                repl_->on_role_change();
             }
             break;
         }
@@ -926,9 +792,7 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
                 }
                 slaves_.clear();
                 available_slaves_ = 0;
-                // Back to slave duty with stale chain knowledge: wait for a
-                // fresh successor assignment before rejoining the chain.
-                reset_chain_state();
+                repl_->on_role_change();
             }
             break;
         }
@@ -965,10 +829,14 @@ void KvServer::apply_repl_stream(std::int64_t start_offset,
     drain_pending_stream();
     // Low-latency progress report so a commit-gating master can release
     // parked replies after one round trip instead of one ack_interval.
-    if (cfg_.ack_on_apply && role_ == Role::kSlave) {
-        send_ack();
-        send_quorum_ack();
+    if (cfg_.ack_on_apply && role_ == Role::kSlave) report_progress();
+}
+
+void KvServer::apply_frame(const NodeMsg& msg) {
+    if (tracer_ != nullptr && tracer_->enabled()) {
+        tracer_->repl_slave_apply(msg.field, obs_track_);
     }
+    apply_repl_stream(msg.field, msg.body);
 }
 
 void KvServer::drain_pending_stream() {
@@ -1055,301 +923,121 @@ void KvServer::load_snapshot(std::int64_t offset, const std::string& rdb_bytes) 
     repl_parser_.reset();
     stats_.incr("rdb_loaded");
     drain_pending_stream();
-    if (cfg_.ack_on_apply && role_ == Role::kSlave) {
-        send_ack();
-        send_quorum_ack();
-    }
+    if (cfg_.ack_on_apply && role_ == Role::kSlave) report_progress();
 }
 
-void KvServer::send_ack() {
-    if (role_ != Role::kSlave || !master_link_ || !master_link_->open()) return;
-    self_.core->consume(costs_.event_dispatch);
-    master_link_->send(
-        NodeMsg{NodeMsg::Type::kAck, applied_offset_, cfg_.name}.encode());
-}
-
-// --- chain replication (slave side) -------------------------------------------
-
-void KvServer::reset_chain_state() {
-    chain_member_ = false;
-    chain_is_tail_ = false;
-    chain_succ_.clear();
-    ++chain_dial_epoch_; // orphan any in-flight successor dial
-    if (chain_succ_link_) {
-        const net::Channel* old = chain_succ_link_.get();
-        chain_succ_link_->close();
-        chain_succ_link_.reset();
-        release_conn(old);
+void KvServer::report_progress() {
+    if (role_ == Role::kSlave && master_link_ && master_link_->open()) {
+        self_.core->consume(costs_.event_dispatch);
+        master_link_->send(
+            NodeMsg{NodeMsg::Type::kAck, applied_offset_, cfg_.name}.encode());
     }
-    chain_fwd_pending_.clear();
-    chain_fwd_pending_bytes_ = 0;
-}
-
-void KvServer::handle_chain_set(const NodeMsg& msg) {
-    if (role_ != Role::kSlave ||
-        cfg_.replication_mode != ReplicationMode::kChain) {
-        return;
-    }
-    stats_.incr("chain_sets");
-    if (msg.body == "-") {
-        // The master died: the chain carries no commits until it returns,
-        // so leave it (and stop serving leased tail reads immediately).
-        reset_chain_state();
-        return;
-    }
-    chain_member_ = true;
-    // The NIC's fan-out cursor at assignment time: data this member may
-    // still be missing from before the splice. Reads stay refused until
-    // the local apply cursor passes it.
-    chain_read_floor_ = msg.field;
-    chain_is_tail_ = msg.body.empty();
-    if (msg.body == chain_succ_ &&
-        (chain_is_tail_ || (chain_succ_link_ && chain_succ_link_->open()))) {
-        return; // no successor change and the link is healthy
-    }
-    // Successor changed (or its link died): drop the old link and any
-    // frames buffered for it — the NIC resyncs the new successor's gap.
-    if (chain_succ_link_) {
-        const net::Channel* old = chain_succ_link_.get();
-        chain_succ_link_->close();
-        chain_succ_link_.reset();
-        release_conn(old);
-    }
-    chain_fwd_pending_.clear();
-    chain_fwd_pending_bytes_ = 0;
-    chain_succ_ = msg.body;
-    if (!chain_is_tail_) dial_chain_successor();
-}
-
-void KvServer::dial_chain_successor() {
-    const auto at = chain_succ_.find('@');
-    if (at == std::string::npos) return;
-    const auto ep =
-        static_cast<net::EndpointId>(std::stoul(chain_succ_.substr(at + 1)));
-    const std::uint64_t epoch = ++chain_dial_epoch_;
-    auto cb = [this, epoch](net::ChannelPtr ch) {
-        if (!ch) return;
-        if (crashed_ || epoch != chain_dial_epoch_ || role_ != Role::kSlave) {
-            ch->close();
-            return;
-        }
-        ch = wrap_node_link(std::move(ch));
-        chain_succ_link_ = ch;
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        stats_.incr("chain_links_dialed");
-        // Relay frames that arrived while the dial was in flight.
-        while (!chain_fwd_pending_.empty()) {
-            auto [off, data] = std::move(chain_fwd_pending_.front());
-            chain_fwd_pending_.pop_front();
-            chain_fwd_pending_bytes_ -= data.size();
-            chain_succ_link_->send(
-                NodeMsg{NodeMsg::Type::kChainData, off, data}.encode());
-        }
-    };
-    SKV_CHECK(cfg_.transport == Transport::kRdma,
-              "chain replication requires the RDMA transport");
-    nets_.cm->connect(self_, ep, static_cast<std::uint16_t>(cfg_.port + 1), cb);
-    sim_.after(cfg_.connect_retry, [this, epoch]() {
-        if (crashed_ || epoch != chain_dial_epoch_ || chain_is_tail_ ||
-            !chain_member_) {
-            return;
-        }
-        if (chain_succ_link_ && chain_succ_link_->open()) return;
-        stats_.incr("connect_retries");
-        dial_chain_successor();
-    });
-}
-
-void KvServer::chain_forward_frame(std::int64_t offset,
-                                   const std::string& bytes) {
-    if (chain_is_tail_ || chain_succ_.empty()) return;
-    if (chain_succ_link_ && chain_succ_link_->open()) {
-        self_.core->consume(costs_.jittered(rng_, costs_.repl_feed_slave) +
-                            costs_.copy_cost(bytes.size()));
-        chain_succ_link_->send(
-            NodeMsg{NodeMsg::Type::kChainData, offset, bytes}.encode());
-        stats_.incr("chain_forwards");
-        return;
-    }
-    // Successor link still dialing: hold the frame (bounded). Overflow is
-    // dropped — the NIC's stall resync serves the successor from the
-    // master's backlog instead.
-    if (chain_fwd_pending_bytes_ + bytes.size() <= kChainFwdPendingCap) {
-        chain_fwd_pending_bytes_ += bytes.size();
-        chain_fwd_pending_.emplace_back(offset, bytes);
-    } else {
-        stats_.incr("chain_fwd_dropped");
-    }
-}
-
-// simlint:observe-only
-bool KvServer::chain_read_ok() const {
-    if (cfg_.replication_mode != ReplicationMode::kChain) return false;
-    if (role_ != Role::kSlave || !chain_member_ || !chain_is_tail_) return false;
-    if (applied_offset_ < chain_read_floor_) return false; // still catching up
-    // Probe lease: a tail the NIC can no longer reach must stop answering
-    // before the detector excludes it from the commit set, or a partitioned
-    // stale tail would serve reads that miss newer acked writes.
-    return sim_.now().ns() - last_probe_ns_ <= cfg_.chain_read_lease.ns();
-}
-
-// --- quorum replication -------------------------------------------------------
-
-void KvServer::send_quorum_ack() {
-    if (cfg_.replication_mode != ReplicationMode::kQuorum) return;
-    if (role_ != Role::kSlave || !nic_registration_ ||
-        !nic_registration_->open()) {
-        return;
-    }
-    self_.core->consume(costs_.event_dispatch);
-    nic_registration_->send(
-        NodeMsg{NodeMsg::Type::kQuorumAck, applied_offset_, cfg_.name}.encode());
-}
-
-void KvServer::maybe_read_repair(std::int64_t offset) {
-    // ABD read phase 2: this read observed state at `offset`, which is not
-    // yet majority-acknowledged. Push the missing backlog suffix back
-    // through the NIC so it reaches a majority before the parked reply
-    // releases. High-water deduped: concurrent parked reads share one
-    // write-back.
-    if (!nic_attached_ || !nic_link_ || !nic_link_->open()) return;
-    if (offset <= read_repair_sent_ || offset <= quorum_commit_offset_) return;
-    const std::int64_t from = std::max<std::int64_t>(quorum_commit_offset_, 0);
-    if (!backlog_.can_serve(from)) return; // resync machinery covers laggards
-    const std::string range = backlog_.read_from(from);
-    if (range.empty()) return;
-    self_.core->consume(costs_.jittered(rng_, costs_.offload_request_build) +
-                        costs_.copy_cost(range.size()));
-    nic_link_->send(NodeMsg{NodeMsg::Type::kReadRepair, from, range}.encode());
-    read_repair_sent_ = backlog_.master_offset();
-    stats_.incr("read_repairs_sent");
+    repl_->report_progress();
 }
 
 // --- role wiring -------------------------------------------------------------------
+
+void KvServer::dial_node(net::EndpointId ep, std::uint16_t port,
+                         std::function<bool()> wanted,
+                         std::function<void(const net::ChannelPtr&)> up, bool close_unwanted,
+                         std::function<bool()> settled, std::function<void()> again) {
+    auto cb = [this, wanted = std::move(wanted), up = std::move(up),
+               close_unwanted](net::ChannelPtr ch) {
+        if (!ch) return;
+        if (crashed_ || (wanted && !wanted())) {
+            if (close_unwanted) ch->close();
+            return;
+        }
+        ch = wrap_node_link(std::move(ch));
+        adopt_node_link(ch);
+        up(ch);
+    };
+    if (cfg_.transport == Transport::kTcp) {
+        nets_.tcp->connect(self_, ep, port, std::move(cb));
+    } else {
+        nets_.cm->connect(self_, ep, port, std::move(cb));
+    }
+    if (!settled) return;
+    sim_.after(cfg_.connect_retry, [this, settled = std::move(settled),
+                                    again = std::move(again)]() {
+        if (crashed_ || settled()) return;
+        stats_.incr("connect_retries");
+        again();
+    });
+}
+
+void KvServer::redial(net::ChannelPtr& link, std::uint64_t& attempts,
+                      net::EndpointId ep, std::uint16_t port,
+                      std::function<void(const net::ChannelPtr&)> greet,
+                      std::function<void()> again) {
+    const std::uint64_t attempt = ++attempts;
+    if (link) {
+        // The old channel and its connection record are dead weight now.
+        const net::Channel* old = link.get();
+        link.reset();
+        release_conn(old);
+    }
+    auto current = [&attempts, attempt] { return attempt == attempts; };
+    dial_node(
+        ep, port, current,
+        [&link, greet = std::move(greet)](const net::ChannelPtr& ch) {
+            link = ch;
+            greet(ch);
+        },
+        /*close_unwanted=*/false,
+        [current, &link] { return !current() || (link && link->open()); }, std::move(again));
+}
 
 void KvServer::slaveof_baseline(net::EndpointId master_ep,
                                 std::uint16_t node_port) {
     role_ = Role::kSlave;
     baseline_master_ep_ = master_ep;
     baseline_master_port_ = node_port;
-    const std::uint64_t attempt = ++baseline_connect_attempt_;
-    if (master_link_) {
-        // Re-pointing at a (new) master: the old link and its retained
-        // connection object are dead weight from here on. Release them.
-        const net::Channel* old = master_link_.get();
-        master_link_.reset();
-        release_conn(old);
-    }
-    auto cb = [this, attempt](net::ChannelPtr ch) {
-        if (!ch || crashed_ || attempt != baseline_connect_attempt_) return;
-        ch = wrap_node_link(std::move(ch));
-        master_link_ = ch;
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        ch->send(NodeMsg{NodeMsg::Type::kSync, applied_offset_, cfg_.name}.encode());
-    };
-    if (cfg_.transport == Transport::kTcp) {
-        nets_.tcp->connect(self_, master_ep, node_port, cb);
-    } else {
-        nets_.cm->connect(self_, master_ep, node_port, cb);
-    }
-    // The connection handshake itself rides unprotected fabric messages:
-    // if it falls into a loss hole, dial again.
-    sim_.after(cfg_.connect_retry, [this, attempt]() {
-        if (crashed_ || attempt != baseline_connect_attempt_) return;
-        if (master_link_ && master_link_->open()) return;
-        stats_.incr("connect_retries");
-        slaveof_baseline(baseline_master_ep_, baseline_master_port_);
-    });
+    redial(
+        master_link_, baseline_connect_attempt_, master_ep, node_port,
+        [this](const net::ChannelPtr& ch) {
+            ch->send(NodeMsg{NodeMsg::Type::kSync, applied_offset_, cfg_.name}.encode());
+        },
+        [this] { slaveof_baseline(baseline_master_ep_, baseline_master_port_); });
 }
 
 void KvServer::slaveof_skv(net::EndpointId nic_ep, std::uint16_t nic_port) {
+    SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
     role_ = Role::kSlave;
     skv_nic_ep_ = nic_ep;
     skv_nic_port_ = nic_port;
-    const std::uint64_t attempt = ++skv_connect_attempt_;
-    // A crashed-and-recovered node may still hold an open-looking channel
-    // whose peer has moved on; registration always starts fresh and the
-    // superseded link is released.
-    if (nic_registration_) {
-        const net::Channel* old = nic_registration_.get();
-        nic_registration_.reset();
-        release_conn(old);
-    }
     last_reregister_ns_ = sim_.now().ns();
-    // Paper Fig. 8 step 1: the request carries the slave's replication ID,
-    // offset, and identity. The "<name>@<endpoint>" body lets the master
-    // dial back for step 3.
-    auto cb = [this, attempt](net::ChannelPtr ch) {
-        if (!ch || crashed_ || attempt != skv_connect_attempt_) return;
-        ch = wrap_node_link(std::move(ch));
-        nic_registration_ = ch;
-        last_probe_ns_ = sim_.now().ns();
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        const std::string ident = cfg_.name + "@" + std::to_string(self_.ep);
-        ch->send(NodeMsg{NodeMsg::Type::kInitSync, applied_offset_, ident}.encode());
-    };
-    SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
-    nets_.cm->connect(self_, nic_ep, nic_port, cb);
-    sim_.after(cfg_.connect_retry, [this, attempt]() {
-        if (crashed_ || attempt != skv_connect_attempt_) return;
-        if (nic_registration_ && nic_registration_->open()) return;
-        stats_.incr("connect_retries");
-        slaveof_skv(skv_nic_ep_, skv_nic_port_);
-    });
+    // Registration always starts fresh: a recovered node's old channel may
+    // look open while its peer moved on. Paper Fig. 8 step 1 carries the
+    // offset and a "<name>@<endpoint>" identity the master dials back.
+    redial(
+        nic_registration_, skv_connect_attempt_, nic_ep, nic_port,
+        [this](const net::ChannelPtr& ch) {
+            last_probe_ns_ = sim_.now().ns();
+            const std::string ident = cfg_.name + "@" + std::to_string(self_.ep);
+            ch->send(NodeMsg{NodeMsg::Type::kInitSync, applied_offset_, ident}.encode());
+        },
+        [this] { slaveof_skv(skv_nic_ep_, skv_nic_port_); });
 }
 
 void KvServer::attach_nic(net::EndpointId nic_ep, std::uint16_t nic_port) {
+    SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
     role_ = Role::kMaster;
+    attached_as_master_ = true;
     skv_nic_ep_ = nic_ep;
     skv_nic_port_ = nic_port;
-    SKV_CHECK(cfg_.offload_replication);
-    const std::uint64_t attempt = ++skv_connect_attempt_;
-    if (nic_link_) {
-        const net::Channel* old = nic_link_.get();
-        nic_link_.reset();
-        release_conn(old);
-    }
-    nic_attached_ = false;
-    auto cb = [this, attempt](net::ChannelPtr ch) {
-        if (!ch || crashed_ || attempt != skv_connect_attempt_) return;
-        ch = wrap_node_link(std::move(ch));
-        nic_link_ = ch;
-        nic_attached_ = true;
-        last_probe_ns_ = sim_.now().ns();
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        // Identify ourselves to the NIC as the master.
-        const std::string ident = cfg_.name + "@" + std::to_string(self_.ep);
-        ch->send(NodeMsg{NodeMsg::Type::kSync, backlog_.master_offset(),
-                         "master:" + ident}
-                     .encode());
-    };
-    SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
-    nets_.cm->connect(self_, nic_ep, nic_port, cb);
-    sim_.after(cfg_.connect_retry, [this, attempt]() {
-        if (crashed_ || attempt != skv_connect_attempt_) return;
-        if (nic_link_ && nic_link_->open()) return;
-        stats_.incr("connect_retries");
-        attach_nic(skv_nic_ep_, skv_nic_port_);
-    });
+    redial(
+        nic_link_, skv_connect_attempt_, nic_ep, nic_port,
+        [this](const net::ChannelPtr& ch) {
+            last_probe_ns_ = sim_.now().ns();
+            // Identify ourselves to the NIC as the master.
+            const std::string ident = cfg_.name + "@" + std::to_string(self_.ep);
+            ch->send(NodeMsg{NodeMsg::Type::kSync, backlog_.master_offset(),
+                             "master:" + ident}
+                         .encode());
+        },
+        [this] { attach_nic(skv_nic_ep_, skv_nic_port_); });
 }
-
-// --- slave link for acks (SKV slaves ack over the master's direct channel) -----
 
 void KvServer::cron() {
     sim::NodeScope owner(self_.ep);
@@ -1374,10 +1062,7 @@ void KvServer::cron() {
         ++cron_ticks_;
         const std::int64_t acks_every =
             std::max<std::int64_t>(1, cfg_.ack_interval.ns() / cfg_.cron_interval.ns());
-        if (cron_ticks_ % acks_every == 0) {
-            send_ack();
-            send_quorum_ack();
-        }
+        if (cron_ticks_ % acks_every == 0) report_progress();
 
         // Periodic RDB persistence: the snapshot + offset pair is the only
         // state a cold restart recovers from.
@@ -1404,8 +1089,7 @@ void KvServer::cron() {
                         stats_.incr("reregistrations");
                         slaveof_skv(skv_nic_ep_, skv_nic_port_);
                     }
-                } else if (cfg_.offload_replication && nic_attached_ &&
-                           now - last_probe_ns_ > silence) {
+                } else if (nic_link_ && now - last_probe_ns_ > silence) {
                     stats_.incr("reregistrations");
                     last_reregister_ns_ = now;
                     attach_nic(skv_nic_ep_, skv_nic_port_);
@@ -1434,20 +1118,10 @@ void KvServer::crash() {
     master_link_.reset();
     nic_link_.reset();
     nic_registration_.reset();
-    nic_attached_ = false;
     pending_stream_.clear();
     pending_stream_bytes_ = 0;
-    // Chain/quorum volatile state dies with the process too. No close() on
-    // the successor link either — same reasoning as above.
-    chain_member_ = false;
-    chain_is_tail_ = false;
-    chain_succ_.clear();
-    chain_succ_link_.reset();
-    ++chain_dial_epoch_;
-    chain_fwd_pending_.clear();
-    chain_fwd_pending_bytes_ = 0;
-    quorum_commit_offset_ = 0;
-    read_repair_sent_ = 0;
+    // The replication half's volatile state dies with the process too.
+    repl_->on_crash();
     // Parked replies die with their connections; their wait-timeout events
     // find nothing and no-op. The dup table survives for a *warm* restart
     // (same process memory); a cold recover() wipes it.
@@ -1489,7 +1163,7 @@ void KvServer::recover(RecoveryMode mode) {
     if (skv_nic_ep_ != net::kInvalidEndpoint) {
         if (role_ == Role::kSlave) {
             slaveof_skv(skv_nic_ep_, skv_nic_port_);
-        } else if (cfg_.offload_replication) {
+        } else if (attached_as_master_) {
             attach_nic(skv_nic_ep_, skv_nic_port_);
         }
         return;
@@ -1523,7 +1197,7 @@ std::string KvServer::info_sections() const {
     out += "# Replication\r\n";
     out += "role:" + std::string(to_string(role_)) + "\r\n";
     out += "offload_replication:" +
-           std::string(cfg_.offload_replication ? "yes" : "no") + "\r\n";
+           std::string(attached_as_master_ ? "yes" : "no") + "\r\n";
     out += "replication_mode:" +
            std::string(to_string(cfg_.replication_mode)) + "\r\n";
     out += "connected_slaves:" + kv::ll2string(static_cast<long long>(slaves_.size())) + "\r\n";
@@ -1560,5 +1234,25 @@ std::string KvServer::info() const {
                   static_cast<unsigned long long>(commands_));
     return buf;
 }
+
+// --- replication half: the fan-out defaults and its window into the server ---
+
+bool HostReplication::committed(std::int64_t offset) const {
+    const int need = std::min(config().wait_for_slaves, valid_slaves());
+    return need == 0 || acked_slaves(offset) >= need;
+}
+
+int HostReplication::acked_slaves(std::int64_t offset) const {
+    return static_cast<int>(std::count_if(
+        s_->slaves_.begin(), s_->slaves_.end(),
+        [offset](const SlaveLink& l) { return l.valid && l.ack_offset >= offset; }));
+}
+
+void HostReplication::trace_propagate(std::int64_t start, std::size_t bytes) const {
+    if (s_->tracer_ == nullptr || !s_->tracer_->enabled()) return;
+    s_->tracer_->repl_propagate(start, start + static_cast<std::int64_t>(bytes),
+                                s_->obs_track_);
+}
+
 
 } // namespace skv::server

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,14 +24,25 @@
 
 namespace skv::server {
 
+class HostReplication;
+
+/// A master's link to one replica: the channel its sync and acks ride, the
+/// offset it last acknowledged, and whether the failure detector counts it.
+struct SlaveLink {
+    std::string name;
+    net::ChannelPtr channel;
+    std::int64_t ack_offset = 0;
+    bool valid = true;
+};
+
 /// A Host-KV instance: the single-threaded, event-driven Redis-style
 /// server. One per simulated host. Depending on configuration it acts as:
 ///
 ///  * a standalone server (Fig. 10 experiments),
-///  * a baseline master that replicates to each slave itself — one buffer
-///    feed and one work request per slave per write (RDMA-Redis / Fig. 7),
-///  * an SKV master that posts a single replication request to Nic-KV per
-///    write (Fig. 11/12/14),
+///  * a master, which hands each write to its replication half
+///    (HostReplication): the baseline feeds every slave itself
+///    (RDMA-Redis / Fig. 7), an SKV half posts one request to Nic-KV
+///    (Fig. 11/12/14),
 ///  * a slave applying the replication stream and reporting progress.
 ///
 /// Two listening ports: `cfg.port` speaks RESP to clients; `cfg.port + 1`
@@ -43,8 +55,11 @@ public:
         rdma::ConnectionManager* cm = nullptr;
     };
 
+    /// `repl` is the replication protocol's host half; null gives the
+    /// baseline host fan-out (RDMA-Redis / TCP Redis).
     KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
-             Transports nets, net::NodeRef self, ServerConfig cfg);
+             Transports nets, net::NodeRef self, ServerConfig cfg,
+             std::unique_ptr<HostReplication> repl = nullptr);
 
     /// Begin listening on the client and node ports and start serverCron.
     void start();
@@ -83,14 +98,11 @@ public:
     [[nodiscard]] bool dup_has(std::uint64_t client) const {
         return dup_table_.find(client) != dup_table_.end();
     }
-    /// Chain mode: whether this node currently believes it is the tail.
-    [[nodiscard]] bool chain_is_tail() const {
-        return chain_member_ && chain_is_tail_;
-    }
-    /// Quorum mode: the majority watermark last released by the NIC.
-    [[nodiscard]] std::int64_t quorum_commit_offset() const {
-        return quorum_commit_offset_;
-    }
+    /// Chain replication: whether this node currently believes it is the
+    /// tail.
+    [[nodiscard]] bool chain_is_tail() const;
+    /// Quorum replication: the majority watermark last released by the NIC.
+    [[nodiscard]] std::int64_t quorum_commit_offset() const;
 
     // --- introspection -----------------------------------------------------------
     [[nodiscard]] kv::Database& db() { return db_; }
@@ -134,19 +146,15 @@ public:
     void set_tracer(obs::Tracer* tracer, const std::string& track_name);
 
 private:
+    friend class HostReplication;
+    class HostFanout; // the baseline's replication half, a server's default
+
     struct ClientConn {
         net::ChannelPtr channel;
         kv::resp::RequestParser parser;
         bool node_link = false;
     };
     using ClientPtr = std::shared_ptr<ClientConn>;
-
-    struct SlaveLink {
-        std::string name;
-        net::ChannelPtr channel;
-        std::int64_t ack_offset = 0;
-        bool valid = true;
-    };
 
     // -- listening / connections
     void listen_all();
@@ -156,18 +164,39 @@ private:
     /// install the broken-link reaction.
     net::ChannelPtr wrap_node_link(net::ChannelPtr ch);
     void on_node_link_broken(const net::Channel* raw);
-    /// Install the NodeMsg receive handler on `conn`'s channel. The handler
-    /// captures the connection weakly: it is stored inside the channel,
-    /// which the connection owns, so an owning capture would be a
+    /// Retain `ch` as a node connection and install its NodeMsg handler.
+    /// The handler captures the connection weakly: it is stored inside the
+    /// channel, which the connection owns, so an owning capture would be a
     /// reference cycle and the link would never be reclaimed (see
     /// DESIGN.md "Ownership model").
-    void install_node_handler(const ClientPtr& conn);
+    void adopt_node_link(net::ChannelPtr ch);
     /// Close and drop the retained ClientConn owning `raw` (if any).
     void release_conn(const net::Channel* raw);
+    /// Close `link`, drop it and the connection record that retains it.
+    void drop_link(net::ChannelPtr& link);
+    /// The one node-link dial, for every link a server opens. When the
+    /// handshake to `ep:port` completes while the server is up and
+    /// `wanted()` (if given) holds, the channel is wrapped in the
+    /// retransmitting layer, retained as a node connection and handed to
+    /// `up`; otherwise it is dropped (closed with `close_unwanted`). The
+    /// handshake rides unprotected fabric messages: given `settled`, call
+    /// `again` after connect_retry unless crashed or settled() by then.
+    void dial_node(net::EndpointId ep, std::uint16_t port, std::function<bool()> wanted,
+                   std::function<void(const net::ChannelPtr&)> up, bool close_unwanted = false,
+                   std::function<bool()> settled = nullptr,
+                   std::function<void()> again = nullptr);
+    /// (Re)dial a persistent link (baseline master, Nic-KV as master or
+    /// slave) under a fresh attempt number, release the old channel, store
+    /// the new one in `link` and `greet` the peer; `again` until it is up.
+    void redial(net::ChannelPtr& link, std::uint64_t& attempts, net::EndpointId ep,
+                std::uint16_t port, std::function<void(const net::ChannelPtr&)> greet,
+                std::function<void()> again);
 
     // -- client command path
     void on_client_data(const ClientPtr& conn, std::string payload);
     void run_command(const ClientPtr& conn, std::vector<std::string> argv);
+    /// Send a reply, closing the request's trace flow first.
+    void reply_to(const ClientConn& conn, bool traced, std::string reply);
     [[nodiscard]] sim::Duration command_cost(
         const std::vector<std::string>& argv, const kv::CommandSpec* spec) const;
     /// `reason` receives a stats-counter key naming why the write was gated.
@@ -180,12 +209,7 @@ private:
     void deliver_or_park(const ClientPtr& conn, std::string reply,
                          std::int64_t offset, bool is_write, bool tagged,
                          WriteTag tag, bool traced);
-    /// Replicas needed to consider `offset` committed right now.
-    [[nodiscard]] int commit_need() const;
-    [[nodiscard]] int acked_replicas(std::int64_t offset) const;
-    /// Protocol-aware commit predicate: fan-out/chain count slave acks
-    /// (chain needs every valid member — tail semantics); quorum gates on
-    /// the NIC-released majority watermark.
+    /// Commit gating: a master with wait_for_slaves set asks its half.
     [[nodiscard]] bool commit_satisfied(std::int64_t offset) const;
     /// Re-deliver every parked reply whose offset became acknowledged
     /// (called whenever ack progress or the slave set changes).
@@ -206,36 +230,22 @@ private:
     void handle_node_msg(const ClientPtr& conn, const NodeMsg& msg);
     void serve_initial_sync(const std::string& slave_name,
                             std::int64_t slave_offset, net::ChannelPtr direct);
+    /// Catch a replica at `from` up over `ch`: the backlog range while the
+    /// ring still holds it, else a full snapshot.
+    void send_catch_up(const net::ChannelPtr& ch, std::int64_t from);
     void connect_and_sync_slave(const std::string& slave_name,
                                 std::int64_t offset);
 
     // -- replication (slave side)
     void apply_repl_stream(std::int64_t start_offset, const std::string& bytes);
+    /// Trace and apply a replication frame that reached this slave.
+    void apply_frame(const NodeMsg& msg);
     void apply_contiguous(std::int64_t start_offset, std::string_view bytes);
     void drain_pending_stream();
     void apply_one(std::vector<std::string> argv);
     void load_snapshot(std::int64_t offset, const std::string& rdb_bytes);
-    void send_ack();
-
-    // -- chain replication (slave side, DESIGN.md §13)
-    void handle_chain_set(const NodeMsg& msg);
-    /// Relay a chain frame to the successor (or buffer it while the
-    /// successor link is still dialing), then apply it locally.
-    void chain_forward_frame(std::int64_t offset, const std::string& bytes);
-    void dial_chain_successor();
-    void reset_chain_state();
-    /// Whether this node may answer a read right now as the chain tail:
-    /// requires tail role, catch-up past the assignment-time read floor,
-    /// and a fresh probe lease (see ServerConfig::chain_read_lease).
-    [[nodiscard]] bool chain_read_ok() const;
-
-    // -- quorum replication (DESIGN.md §13)
-    /// Slave: report applied progress to the NIC's ack aggregation.
-    void send_quorum_ack();
-    /// Master: ABD read-phase write-back — push the not-yet-majority
-    /// backlog suffix through the NIC so the state a parked read observed
-    /// reaches a majority before the reply releases.
-    void maybe_read_repair(std::int64_t offset);
+    /// Slave: ack applied progress to the master (and through the half).
+    void report_progress();
 
     // -- introspection commands / latency accounting
     void record_command_latency(const std::vector<std::string>& argv,
@@ -252,6 +262,7 @@ private:
     net::NodeRef self_;
     ServerConfig cfg_;
     sim::Rng rng_;
+    std::unique_ptr<HostReplication> repl_;
 
     kv::Database db_;
     kv::ReplBacklog backlog_;
@@ -264,10 +275,10 @@ private:
     std::vector<ClientPtr> clients_;
 
     // master state
-    std::vector<SlaveLink> slaves_;      // baseline fan-out targets
+    std::vector<SlaveLink> slaves_;      // direct links: sync, acks, fan-out
     net::ChannelPtr nic_link_;           // SKV: replication requests to Nic-KV
     int available_slaves_ = 0;           // as reported by the failure detector
-    bool nic_attached_ = false;
+    bool attached_as_master_ = false;    // SKV: registered with Nic-KV as master
 
     // slave state
     net::ChannelPtr master_link_;        // baseline: channel to master;
@@ -291,23 +302,6 @@ private:
     std::deque<std::pair<std::int64_t, std::string>> pending_stream_;
     std::size_t pending_stream_bytes_ = 0;
     static constexpr std::size_t kPendingStreamCap = 64 * 1024 * 1024;
-
-    // chain state (slave side): successor assignment from the NIC.
-    bool chain_member_ = false;    // holds a live kChainSet assignment
-    bool chain_is_tail_ = false;
-    std::string chain_succ_;       // successor "<name>@<ep>", "" = tail
-    net::ChannelPtr chain_succ_link_;
-    std::uint64_t chain_dial_epoch_ = 0;
-    std::int64_t chain_read_floor_ = 0;
-    /// Frames to relay that arrived while the successor link was dialing.
-    /// Bounded; overflow drops (the NIC's stall resync heals the gap).
-    std::deque<std::pair<std::int64_t, std::string>> chain_fwd_pending_;
-    std::size_t chain_fwd_pending_bytes_ = 0;
-    static constexpr std::size_t kChainFwdPendingCap = 8 * 1024 * 1024;
-
-    // quorum state (master side).
-    std::int64_t quorum_commit_offset_ = 0; // NIC-released majority watermark
-    std::int64_t read_repair_sent_ = 0;     // high-water dedup for write-backs
 
     // Duplicate suppression: last write sequence executed per client, with
     // the cached reply. `ready` flips once the reply was actually released
@@ -370,5 +364,82 @@ private:
     };
     std::map<std::string, LatencyEvent> latency_events_;
 };
+
+/// The host half of a replication protocol (DESIGN.md §13): what a server
+/// sends per write, when a write commits, and the protocol's own frames,
+/// relay and read rules. KvServer calls only this interface; Cluster picks
+/// the half. The defaults are the fan-out rules. The baseline's host
+/// fan-out is a server's default; the SKV halves live in src/skv.
+class HostReplication {
+public:
+    HostReplication() = default;
+    HostReplication(const HostReplication&) = delete;
+    HostReplication& operator=(const HostReplication&) = delete;
+    virtual ~HostReplication() = default;
+
+    /// Master: ship the write at [start, start + bytes.size()) of the stream.
+    virtual void propagate(std::int64_t start, const std::string& bytes) = 0;
+    /// Master with commit gating: may a reply at `offset` be released?
+    /// Default: min(wait_for_slaves, valid slaves) acks, Redis WAIT's rule.
+    [[nodiscard]] virtual bool committed(std::int64_t offset) const;
+    /// Master: a slave link was added, refreshed or dropped.
+    virtual void on_slaves_changed() {}
+    /// Master: a read parked until `offset` commits.
+    virtual void on_read_parked(std::int64_t /*offset*/) {}
+    /// Slave: report applied progress (after applying, and every ack tick).
+    virtual void report_progress() {}
+    /// Slave with stale reads off: may this read be served here anyway?
+    virtual bool serve_replica_read() { return false; }
+    /// The server was promoted to stand-in master, or demoted.
+    virtual void on_role_change() {}
+    /// A node link broke; true when it was this half's own.
+    virtual bool on_link_broken(const net::Channel* /*raw*/) { return false; }
+    /// The process crashed: the half's volatile state is gone.
+    virtual void on_crash() {}
+    /// Protocol frames; a protocol that does not speak one counts it.
+    virtual void on_chain_set(const NodeMsg&) { stats().incr("node_msgs_unexpected"); }
+    virtual void on_chain_data(const NodeMsg&) { stats().incr("node_msgs_unexpected"); }
+    virtual void on_quorum_commit(const NodeMsg&) { stats().incr("node_msgs_unexpected"); }
+    [[nodiscard]] virtual bool chain_is_tail() const { return false; }
+    [[nodiscard]] virtual std::int64_t quorum_commit_offset() const { return 0; }
+
+protected:
+    // The half's window into its server.
+    [[nodiscard]] KvServer& server() const { return *s_; }
+    [[nodiscard]] sim::Simulation& sim() const { return s_->sim_; }
+    [[nodiscard]] const cpu::CostModel& costs() const { return s_->costs_; }
+    [[nodiscard]] sim::Rng& rng() const { return s_->rng_; }
+    void consume(sim::Duration d) const { s_->self_.core->consume(d); }
+    [[nodiscard]] obs::Registry& stats() const { return s_->stats_; }
+    [[nodiscard]] const ServerConfig& config() const { return s_->cfg_; }
+    [[nodiscard]] Role role() const { return s_->role_; }
+    /// Valid slave links, and those that acked `offset`.
+    [[nodiscard]] int valid_slaves() const { return acked_slaves(INT64_MIN); }
+    [[nodiscard]] int acked_slaves(std::int64_t offset) const;
+    [[nodiscard]] const kv::ReplBacklog& backlog() const { return s_->backlog_; }
+    [[nodiscard]] const net::ChannelPtr& nic_reg() const { return s_->nic_registration_; }
+    [[nodiscard]] std::int64_t last_probe_ns() const { return s_->last_probe_ns_; }
+    [[nodiscard]] const obs::Counter& offload_counter() const { return s_->c_repl_offload_; }
+    /// Tracer span: a write left the master.
+    void trace_propagate(std::int64_t start, std::size_t bytes) const;
+    void apply_frame(const NodeMsg& msg) const { s_->apply_frame(msg); }
+    void flush_parked() const { s_->flush_parked(); }
+    void drop_link(net::ChannelPtr& link) const { s_->drop_link(link); }
+    void dial_node(net::EndpointId ep, std::uint16_t port, std::function<bool()> wanted,
+                   std::function<void(const net::ChannelPtr&)> up, bool close_unwanted,
+                   std::function<bool()> settled, std::function<void()> again) const {
+        s_->dial_node(ep, port, std::move(wanted), std::move(up), close_unwanted,
+                      std::move(settled), std::move(again));
+    }
+
+private:
+    friend class KvServer;
+    KvServer* s_ = nullptr;
+};
+
+inline bool KvServer::chain_is_tail() const { return repl_->chain_is_tail(); }
+inline std::int64_t KvServer::quorum_commit_offset() const {
+    return repl_->quorum_commit_offset();
+}
 
 } // namespace skv::server

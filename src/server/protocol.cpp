@@ -1,5 +1,8 @@
 #include "server/protocol.hpp"
 
+#include <cerrno>
+#include <cstdlib>
+
 namespace skv::server {
 
 std::string NodeMsg::encode() const {
@@ -34,6 +37,17 @@ std::optional<NodeMsg> NodeMsg::decode(std::string_view wire) {
     m.field = static_cast<std::int64_t>(f);
     m.body = std::string(wire.substr(9));
     return m;
+}
+
+std::optional<net::EndpointId> parse_peer_endpoint(std::string_view ident) {
+    const auto at = ident.find('@');
+    if (at == std::string_view::npos) return net::kInvalidEndpoint;
+    const std::string digits(ident.substr(at + 1));
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long ep = std::strtoul(digits.c_str(), &end, 10);
+    if (end == digits.c_str() || errno == ERANGE) return std::nullopt;
+    return static_cast<net::EndpointId>(ep);
 }
 
 namespace {

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "net/fabric.hpp"
+
 namespace skv::server {
 
 /// Framing for server-to-server and server-to-NIC messages (replication,
@@ -103,6 +105,12 @@ inline constexpr NodeMsg::Type kNodeMsgTypes[] = {
     NodeMsg::Type::kChainData,  NodeMsg::Type::kQuorumAck,
     NodeMsg::Type::kQuorumCommit, NodeMsg::Type::kReadRepair,
 };
+
+/// The endpoint of a peer identity "<name>@<endpoint>" (registration,
+/// sync-notify and chain-successor bodies): net::kInvalidEndpoint without
+/// '@', nullopt when the text after it is no endpoint number (malformed).
+/// strtoul's grammar, so bodies std::stoul accepted parse as before.
+std::optional<net::EndpointId> parse_peer_endpoint(std::string_view ident);
 
 /// Duplicate-suppression token for client write retries. A retrying client
 /// prefixes each write with `WSEQ <client> <seq>`; a server that already

@@ -1,8 +1,37 @@
 #include "skv/cluster.hpp"
-#include "sim/check.hpp"
 
+#include "sim/check.hpp"
+#include "skv/chain.hpp"
+#include "skv/fanout.hpp"
+#include "skv/quorum.hpp"
 
 namespace skv::offload {
+
+namespace {
+
+/// The one place that decides which replication protocol runs (DESIGN.md
+/// §13): each server gets the protocol's host half, Nic-KV its own half.
+/// Chain successor tables and quorum ack aggregation live on Nic-KV, so
+/// neither protocol exists in the baseline topology.
+ReplicationProtocol choose_protocol(const ClusterConfig& cfg) {
+    constexpr const char* kNeedsNic =
+        "chain/quorum replication requires the SKV offload topology";
+    switch (cfg.server_tmpl.replication_mode) {
+        case server::ReplicationMode::kFanout:
+            break;
+        case server::ReplicationMode::kChain:
+            SKV_CHECK(cfg.offload, kNeedsNic);
+            return chain_protocol();
+        case server::ReplicationMode::kQuorum:
+            SKV_CHECK(cfg.offload, kNeedsNic);
+            return quorum_protocol();
+    }
+    if (cfg.offload) return fanout_protocol();
+    // The baseline: every server's default host fan-out, and no Nic-KV.
+    return {[] { return std::unique_ptr<server::HostReplication>(); }, nullptr};
+}
+
+} // namespace
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(std::move(cfg)), sim_(cfg_.seed), tracer_(sim_), fabric_(sim_),
@@ -17,13 +46,7 @@ Cluster::Cluster(ClusterConfig cfg)
 void Cluster::start() {
     SKV_CHECK(!started_);
     started_ = true;
-    // Chain and quorum replication are executed by Nic-KV: the chain is
-    // spliced from the failure detector's view and quorum acks aggregate on
-    // the NIC. Neither exists in the baseline topology.
-    SKV_CHECK(cfg_.server_tmpl.replication_mode ==
-                      server::ReplicationMode::kFanout ||
-                  cfg_.offload,
-              "chain/quorum replication requires the SKV offload topology");
+    ReplicationProtocol protocol = choose_protocol(cfg_);
 
     server::KvServer::Transports nets{&fabric_, &tcp_, &cm_};
 
@@ -34,9 +57,8 @@ void Cluster::start() {
     server::ServerConfig mcfg = cfg_.server_tmpl;
     mcfg.name = "master";
     mcfg.transport = cfg_.transport;
-    mcfg.offload_replication = cfg_.offload;
     master_ = std::make_unique<server::KvServer>(sim_, cfg_.costs, nets,
-                                                 master_node, mcfg);
+                                                 master_node, mcfg, protocol.make_host());
     master_->set_tracer(&tracer_, "server/master");
 
     // SmartNIC + Nic-KV on the master (SKV mode only; the baseline's NIC
@@ -50,10 +72,8 @@ void Cluster::start() {
         // Both ends of a node link speak the same reliable envelope.
         NicKvConfig ncfg = cfg_.nic_cfg;
         ncfg.reliable = cfg_.server_tmpl.reliable;
-        // The NIC executes the same protocol the servers were configured
-        // for (chain successor tables / quorum ack aggregation).
-        ncfg.replication_mode = cfg_.server_tmpl.replication_mode;
-        nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_, ncfg);
+        nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_, ncfg,
+                                         std::move(protocol.nic));
         nickv_->set_tracer(&tracer_, "nic/" + ncfg.name);
     }
 
@@ -66,9 +86,8 @@ void Cluster::start() {
         server::ServerConfig scfg = cfg_.server_tmpl;
         scfg.name = name;
         scfg.transport = cfg_.transport;
-        scfg.offload_replication = false;
         slaves_.push_back(std::make_unique<server::KvServer>(
-            sim_, cfg_.costs, nets, node, scfg));
+            sim_, cfg_.costs, nets, node, scfg, protocol.make_host()));
         slaves_.back()->set_tracer(&tracer_, "server/" + name);
     }
 

@@ -25,6 +25,7 @@ namespace {
 using chaos::CrashClusterOpts;
 using chaos::Fleet;
 using chaos::RawConn;
+using chaos::fnv1a;
 using chaos::gate_linearizable;
 using chaos::make_crash_cluster;
 using server::ReplicationMode;
@@ -285,10 +286,10 @@ TEST(ChaosReplFanout, RestartStormLinearizable) {
     }
 }
 TEST(ChaosReplFanout, DeterministicDoubleRun) {
-    EXPECT_EQ(determinism_fingerprint(ReplicationMode::kFanout, 71),
-              determinism_fingerprint(ReplicationMode::kFanout, 71));
-    EXPECT_NE(determinism_fingerprint(ReplicationMode::kFanout, 71),
-              determinism_fingerprint(ReplicationMode::kFanout, 72));
+    const std::string fp = determinism_fingerprint(ReplicationMode::kFanout, 71);
+    EXPECT_EQ(fp, determinism_fingerprint(ReplicationMode::kFanout, 71));
+    EXPECT_NE(fp, determinism_fingerprint(ReplicationMode::kFanout, 72));
+    EXPECT_EQ(fnv1a(fp), 0x17421e381017ffc8u) << std::hex << fnv1a(fp);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,10 +326,10 @@ TEST(ChaosReplChain, RestartStormLinearizable) {
     }
 }
 TEST(ChaosReplChain, DeterministicDoubleRun) {
-    EXPECT_EQ(determinism_fingerprint(ReplicationMode::kChain, 81),
-              determinism_fingerprint(ReplicationMode::kChain, 81));
-    EXPECT_NE(determinism_fingerprint(ReplicationMode::kChain, 81),
-              determinism_fingerprint(ReplicationMode::kChain, 82));
+    const std::string fp = determinism_fingerprint(ReplicationMode::kChain, 81);
+    EXPECT_EQ(fp, determinism_fingerprint(ReplicationMode::kChain, 81));
+    EXPECT_NE(fp, determinism_fingerprint(ReplicationMode::kChain, 82));
+    EXPECT_EQ(fnv1a(fp), 0xeac09e12a351d63fu) << std::hex << fnv1a(fp);
 }
 
 // Steady state: the NIC pays one send per write regardless of chain
@@ -498,10 +499,10 @@ TEST(ChaosReplQuorum, RestartStormLinearizable) {
     }
 }
 TEST(ChaosReplQuorum, DeterministicDoubleRun) {
-    EXPECT_EQ(determinism_fingerprint(ReplicationMode::kQuorum, 91),
-              determinism_fingerprint(ReplicationMode::kQuorum, 91));
-    EXPECT_NE(determinism_fingerprint(ReplicationMode::kQuorum, 91),
-              determinism_fingerprint(ReplicationMode::kQuorum, 92));
+    const std::string fp = determinism_fingerprint(ReplicationMode::kQuorum, 91);
+    EXPECT_EQ(fp, determinism_fingerprint(ReplicationMode::kQuorum, 91));
+    EXPECT_NE(fp, determinism_fingerprint(ReplicationMode::kQuorum, 92));
+    EXPECT_EQ(fnv1a(fp), 0x3df2b1b8d076741bu) << std::hex << fnv1a(fp);
 }
 
 // Steady state: commits are released by the NIC's watermark, not by the

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/history.hpp"
@@ -21,6 +22,17 @@
 #include "workload/retry_client.hpp"
 
 namespace skv::offload::chaos {
+
+/// 64-bit FNV-1a: pins a run's fingerprint to a constant recorded from an
+/// earlier commit.
+inline std::uint64_t fnv1a(std::string_view s) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : s) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
 
 /// Crash-chaos cluster: SKV topology with a fast failure detector (so
 /// failover completes well inside client op deadlines), immediate apply

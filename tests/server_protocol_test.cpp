@@ -82,5 +82,25 @@ TEST(NodeMsg, UnknownTagRejected) {
     EXPECT_FALSE(NodeMsg::decode(wire).has_value());
 }
 
+TEST(PeerEndpoint, ParsesWellFormedIdentities) {
+    EXPECT_EQ(parse_peer_endpoint("slave0@12"), 12u);
+    EXPECT_EQ(parse_peer_endpoint("master@0"), 0u);
+    // A name without '@' carries no endpoint; Nic-KV accepts such bodies.
+    EXPECT_EQ(parse_peer_endpoint("slave9"), net::kInvalidEndpoint);
+}
+
+TEST(PeerEndpoint, KeepsStoulGrammarForAcceptedBodies) {
+    // Whatever std::stoul accepted before parses to the same endpoint.
+    EXPECT_EQ(parse_peer_endpoint("s@ 7"), 7u);
+    EXPECT_EQ(parse_peer_endpoint("s@+7"), 7u);
+    EXPECT_EQ(parse_peer_endpoint("s@7x"), 7u);
+}
+
+TEST(PeerEndpoint, RejectsMalformedEndpoints) {
+    EXPECT_FALSE(parse_peer_endpoint("slave9@x").has_value());
+    EXPECT_FALSE(parse_peer_endpoint("slave9@").has_value());
+    EXPECT_FALSE(parse_peer_endpoint("evil@99999999999999999999999").has_value());
+}
+
 } // namespace
 } // namespace skv::server

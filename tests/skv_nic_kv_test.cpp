@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "kv/resp.hpp"
+#include "server/reliable.hpp"
 #include "skv/cluster.hpp"
 
 namespace skv::offload {
@@ -205,6 +206,68 @@ TEST(NicKv, RecoveredSlaveGetsResyncedThroughNic) {
     EXPECT_EQ(c->slave(0).slave_applied_offset(), c->master().master_offset());
     EXPECT_TRUE(c->master().db().equals(c->slave(0).db()));
     EXPECT_GE(c->nic_kv()->stats().counter("slave_reregistered"), 1u);
+}
+
+// --- malformed peer identities -------------------------------------------
+// Registration and sync-notify bodies carry "<name>@<endpoint>". A peer
+// that sends a body whose endpoint does not parse must be counted and
+// ignored; it must never abort the simulation or throw out of run_until.
+
+/// Send one NodeMsg from a fresh host over a raw reliable node link to
+/// `ep:port`, and run the cluster on for 50 ms.
+void send_as_peer(Cluster& c, net::EndpointId ep, std::uint16_t port,
+                  const server::NodeMsg& msg) {
+    auto node = c.add_client_host("peer");
+    net::ChannelPtr raw;
+    c.cm().connect(node, ep, port, [&raw](net::ChannelPtr ch) {
+        raw = std::move(ch);
+    });
+    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
+    ASSERT_TRUE(raw);
+    auto link = server::ReliableChannel::wrap(c.sim(), raw);
+    link->send(msg.encode());
+    c.sim().run_until(c.sim().now() + sim::milliseconds(50));
+}
+
+void expect_master_rejects(const std::string& body) {
+    auto c = make_skv(1);
+    auto& m = c->master();
+    const std::uint64_t before = m.stats().counter("node_msgs_malformed");
+    send_as_peer(*c, m.node().ep, static_cast<std::uint16_t>(m.config().port + 1),
+                 {server::NodeMsg::Type::kSyncNotify, 0, body});
+    EXPECT_EQ(m.stats().counter("node_msgs_malformed"), before + 1) << body;
+    EXPECT_EQ(m.slave_count(), 1u) << body;
+    // Replication carries on: a write still reaches the real slave.
+    drive_writes(*c, 5);
+    EXPECT_TRUE(c->converged()) << body;
+}
+
+void expect_nic_rejects(server::NodeMsg::Type type, const std::string& body) {
+    auto c = make_skv(1);
+    auto* nic = c->nic_kv();
+    send_as_peer(*c, nic->endpoint(), nic->config().port, {type, 0, body});
+    EXPECT_EQ(nic->stats().counter("malformed"), 1u) << body;
+    EXPECT_EQ(nic->nodes().size(), 2u) << body;
+    EXPECT_TRUE(nic->master_valid()) << body;
+    drive_writes(*c, 5);
+    EXPECT_TRUE(c->converged()) << body;
+}
+
+TEST(PeerIdentity, MasterIgnoresSyncNotifyWithoutEndpoint) {
+    expect_master_rejects("slave9");
+}
+
+TEST(PeerIdentity, MasterIgnoresSyncNotifyWithNonNumericEndpoint) {
+    expect_master_rejects("slave9@x");
+}
+
+TEST(PeerIdentity, NicIgnoresInitSyncWithNonNumericEndpoint) {
+    expect_nic_rejects(server::NodeMsg::Type::kInitSync, "evil@x");
+}
+
+TEST(PeerIdentity, NicIgnoresMasterSyncWithOutOfRangeEndpoint) {
+    expect_nic_rejects(server::NodeMsg::Type::kSync,
+                       "master:evil@99999999999999999999999");
 }
 
 } // namespace

@@ -1,10 +1,8 @@
 // Clean protocol: unique tags, exhaustive dispatch, every sent tag actively
-// handled, mode gates consistent, WSEQ commands with both sides, a pure
+// handled (also behind a condition), WSEQ commands with both sides, a pure
 // observe-only helper, and an exhaustive type table.
 #include <string>
 #include <vector>
-
-enum class ReplicationMode { kFanout, kChain };
 
 struct NodeMsg {
   enum class Type : char {
@@ -29,7 +27,7 @@ struct Chan { void send(const std::string&); };
 struct Node {
   Stats stats_;
   Chan ch_;
-  ReplicationMode replication_mode = ReplicationMode::kFanout;
+  bool chained = false;
 
   void apply(const NodeMsg& m);
 
@@ -39,7 +37,7 @@ struct Node {
         apply(m);
         break;
       case NodeMsg::Type::kPong:
-        if (replication_mode == ReplicationMode::kChain) {
+        if (chained) {
           apply(m);
         } else {
           stats_.incr("unexpected_msgs");
@@ -54,7 +52,7 @@ struct Node {
   void send_ping() { ch_.send(NodeMsg{NodeMsg::Type::kPing, 1}.encode()); }
 
   void send_pong() {
-    if (replication_mode != ReplicationMode::kChain) return;
+    if (!chained) return;
     ch_.send(NodeMsg{NodeMsg::Type::kPong, 2}.encode());
   }
 

@@ -3,35 +3,32 @@ and config-knob documentation. See DESIGN.md §14.
 
   duplicate-tag   two NodeMsg::Type enumerators share a wire tag char
   unhandled-tag   a dispatch switch or type table misses an enum value
-  dead-send       a tag is sent but never actively handled (or only handled
-                  in replication modes it is never sent in)
-  dead-handler    an active handler is unreachable from any send site
+  dead-send       a tag is sent but never actively handled
+  dead-handler    a tag is actively handled but never sent
   repl-command    a WSEQ* replication RESP command lacks a send or handle site
   observe-taint   src/obs/ code or a `// simlint:observe-only` function can
                   reach trace-digest notes, event scheduling, or KV mutation
   knob-drift      a field of one of KNOB_STRUCTS is not mentioned in the
                   knob documentation (--doc, EXPERIMENTS.md in the build)
 
-Reachability is computed per `replication_mode`: `if (... replication_mode ==
-ReplicationMode::kX ...)` gates around send sites and handler case bodies are
-interpreted, and entry modes propagate through a unique-name call graph by a
-least fixpoint. The analysis is conservative: unresolvable conditions or
-ambiguous call names widen to "all modes" rather than inventing findings.
+dead-send and dead-handler work per tag: replication protocols are types
+(DESIGN.md §13), not mode guards around sends and handlers.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
+from typing import NamedTuple
 
-from frontend import Finding, SourceFile, match_paren, split_top
+from frontend import Finding, SourceFile, match_paren
 
 RULES = {
     "duplicate-tag": "two NodeMsg::Type values share a wire tag char",
     "unhandled-tag": "dispatch switch/type table does not cover every "
                      "NodeMsg::Type",
     "dead-send": "message tag is sent but never actively handled",
-    "dead-handler": "handler is unreachable from any send site",
+    "dead-handler": "message tag is handled but never sent",
     "repl-command": "replication RESP command lacks a send or handle site",
     "observe-taint": "observe-only code reaches sim/KV-mutating operations",
     "knob-drift": "config knob is undocumented",
@@ -45,7 +42,7 @@ KNOB_STRUCTS = ("ServerConfig", "NicKvConfig", "RunOptions", "YcsbOptions",
 # ---------------------------------------------------------------------------
 # Function table: file-scope and single-level in-class definitions, found by
 # classifying every `{` from the text between it and the previous delimiter.
-# Bodies give us call sites, send sites, dispatch switches and mode regions.
+# Bodies give the call sites the observe-taint chase follows.
 
 NOT_A_FUNC = {
     "if", "for", "while", "switch", "return", "else", "do", "catch", "case",
@@ -83,19 +80,10 @@ class Func:
         self.sf = sf
         self.lo = lo      # offset of body '{'
         self.hi = hi      # offset one past body '}'
-        self.marks: list[frozenset] | None = None
         self.calls: list[tuple[str, int]] = []
         # `// simlint:observe-only` on the definition line or the line above
         line = sf.line_of(lo)
         self.annotated = not sf.observe_only.isdisjoint((line, line - 1))
-
-    def mark_at(self, off: int, all_modes: frozenset) -> frozenset:
-        if self.marks is None:
-            return all_modes
-        i = off - self.lo
-        if 0 <= i < len(self.marks) and self.marks[i] is not None:
-            return self.marks[i]
-        return all_modes
 
 
 CALL_RE = re.compile(r"(?<![\w:.])([A-Za-z_]\w*)\s*\(")
@@ -146,137 +134,17 @@ def parse_funcs(sf: SourceFile) -> list[Func]:
 
 
 # ---------------------------------------------------------------------------
-# Replication-mode regions. For every function body we compute, per character
-# offset, the set of modes under which that code can execute relative to the
-# function's entry (entry itself is resolved by the call-graph fixpoint).
-
-MODE_TERM_RE = re.compile(
-    r"[\w.\->]*replication_mode\s*([!=]=)\s*[\w:]*?ReplicationMode\s*::\s*(k\w+)"
-)
-IF_RE = re.compile(r"(?<![\w#])if\s*\(")
-
-
-class ModeLogic:
-    def __init__(self, modes: list[str]):
-        self.all = frozenset(modes)
-
-    def _term(self, term: str) -> tuple[frozenset | None, bool]:
-        """(mode set, is-pure-mode-term). Pure means the term is nothing but
-        the mode comparison, so its negation is also known."""
-        t = term.strip()
-        while t.startswith("(") and t.endswith(")") \
-                and match_paren(t, 0) == len(t) - 1:
-            t = t[1:-1].strip()
-        m = MODE_TERM_RE.search(t)
-        if not m:
-            return None, False
-        s = frozenset({m.group(2)}) if m.group(1) == "==" \
-            else self.all - {m.group(2)}
-        pure = MODE_TERM_RE.fullmatch(t) is not None
-        return s, pure
-
-    def branch_sets(self, cond: str) -> tuple[frozenset, frozenset]:
-        """(guaranteed-false set GF, guaranteed-true set GT) of modes.
-        then-branch modes = cur - GF; else-branch modes = cur - GT."""
-        if "?" in cond or re.search(r"!\s*\(", cond):
-            return frozenset(), frozenset()  # opaque — no narrowing
-        gf = set(self.all)
-        gt: set = set()
-        for disjunct in split_top(cond, "||", angles=False):
-            t = set(self.all)
-            fully_pure = True
-            saw_mode = False
-            for conj in split_top(disjunct, "&&", angles=False):
-                s, pure = self._term(conj)
-                if s is not None:
-                    t &= s
-                    saw_mode = True
-                if not pure:
-                    fully_pure = False
-            # If any mode conjunct exists, the disjunct is false outside t.
-            gf &= (set(self.all) - t) if saw_mode else set()
-            # Guaranteed true only when every conjunct is a pure mode term.
-            if fully_pure and saw_mode:
-                gt |= t
-        return frozenset(gf), frozenset(gt)
-
-
-RETURN_TAIL_RE = re.compile(r"\breturn\b[^;{}]*;\s*\}?\s*$")
-
-
-def compute_marks(f: Func, logic: ModeLogic) -> None:
-    text = f.sf.text
-    marks: list[frozenset | None] = [None] * (f.hi - f.lo)
-
-    def set_range(a: int, b: int, cur: frozenset) -> None:
-        for i in range(max(a, f.lo), min(b, f.hi)):
-            marks[i - f.lo] = cur
-
-    def skip_ws(i: int) -> int:
-        while i < f.hi and text[i].isspace():
-            i += 1
-        return i
-
-    def body_span(i: int) -> tuple[int, int]:
-        i = skip_ws(i)
-        if i < f.hi and text[i] == "{":
-            return i, match_paren(text, i) + 1
-        j = text.find(";", i, f.hi)
-        return i, (j + 1 if j >= 0 else f.hi)
-
-    def parse_if(p: int, cur: frozenset) -> tuple[int, frozenset]:
-        """Parse the if/else-if/else chain at p; fill bodies; return
-        (end offset, mode set after the statement)."""
-        op = text.find("(", p)
-        cp = match_paren(text, op)
-        gf, gt = logic.branch_sets(text[op + 1:cp])
-        then_set, else_set = cur - gf, cur - gt
-        blo, bhi = body_span(cp + 1)
-        fill_region(blo, bhi, then_set)
-        k = skip_ws(bhi)
-        if text.startswith("else", k) and not (
-                k + 4 < f.hi and (text[k + 4].isalnum() or text[k + 4] == "_")):
-            k2 = skip_ws(k + 4)
-            if IF_RE.match(text, k2):
-                end, _ = parse_if(k2, else_set)
-                return end, cur
-            elo, ehi = body_span(k2)
-            fill_region(elo, ehi, else_set)
-            return ehi, cur
-        # No else: an unconditional return in the then-branch narrows the
-        # fall-through to the else set.
-        if RETURN_TAIL_RE.search(text[blo:bhi].strip()):
-            return bhi, else_set
-        return bhi, cur
-
-    def fill_region(a: int, b: int, cur: frozenset) -> None:
-        set_range(a, b, cur)
-        i = a
-        while i < b:
-            m = IF_RE.search(text, i, b)
-            if not m:
-                return
-            end, cur2 = parse_if(m.start(), cur)
-            if cur2 != cur:
-                cur = cur2
-                set_range(end, b, cur)
-            i = max(end, m.start() + 2)
-
-    fill_region(f.lo, f.hi, logic.all)
-    f.marks = marks
-
-# ---------------------------------------------------------------------------
 # Protocol surface extraction.
 
 ENUM_TYPE_RE = re.compile(r"\benum\s+class\s+Type\s*:\s*char\s*\{")
 ENUM_ENTRY_RE = re.compile(r"\b(k\w+)\s*=\s*'(\\?[^'])'")
-MODE_ENUM_RE = re.compile(r"\benum\s+class\s+ReplicationMode\b[^{;]*\{")
 SEND_RE = re.compile(
     r"\bNodeMsg(?:\s+\w+)?\s*\{\s*(?:[\w:]+::)?\s*Type\s*::\s*(k\w+)")
 CASE_RE = re.compile(r"\bcase\s+(?:[\w:]+::)?\s*Type\s*::\s*(k\w+)\s*:")
 LABEL_RE = re.compile(
     r"\bcase\s+(?:[\w:]+::)?\s*Type\s*::\s*(k\w+)\s*:|\bdefault\s*:")
 SWITCH_RE = re.compile(r"\bswitch\s*\(")
+IF_RE = re.compile(r"(?<![\w#])if\s*\(")
 TYPE_TABLE_RE = re.compile(r"\bType\s+(k?\w+)\s*\[[^\]]*\]\s*=\s*\{")
 STATS_RE = re.compile(r"\bstats_?\s*\.\s*incr\s*\(")
 WSEQ_RE = re.compile(r'"(WSEQ[A-Z0-9]*)"')
@@ -285,12 +153,10 @@ WSEQ_SEND_RE = re.compile(
     r'(?:emplace_back|push_back)\s*\(\s*"(WSEQ[A-Z0-9]*)"|\{\s*"(WSEQ[A-Z0-9]*)"')
 
 
-class CaseGroup:
-    def __init__(self, tags, line, modes, ignore):
-        self.tags = tags        # list of kTag names (empty for default-only)
-        self.line = line
-        self.modes = modes      # frozenset of modes, meaningful when active
-        self.ignore = ignore
+class CaseGroup(NamedTuple):
+    tags: list      # kTag names (empty for default-only)
+    line: int
+    ignore: bool    # names tags without handling them
 
 
 class Dispatcher:
@@ -307,7 +173,7 @@ class Dispatcher:
 def _blank_nonactions(body: str) -> str:
     """Blank everything in a case-group body that is not real handling work:
     if-headers, braces, bare break/return, [[fallthrough]], stats counters.
-    Remaining non-space chars mark 'action' offsets."""
+    Whatever is left is handling work."""
     buf = list(body)
 
     def blank(a, b):
@@ -331,7 +197,7 @@ def _blank_nonactions(body: str) -> str:
     return out
 
 
-def parse_dispatchers(sf, funcs, entry, logic):
+def parse_dispatchers(sf):
     """All switches over NodeMsg::Type in this file."""
     text = sf.text
     out = []
@@ -360,12 +226,6 @@ def parse_dispatchers(sf, funcs, entry, logic):
                   for m in LABEL_RE.finditer(body) if depth[m.start()] == 1]
         if not labels:
             continue
-        host = None
-        for f in funcs:
-            if f.sf is sf and f.lo <= sm.start() < f.hi:
-                host = f
-                break
-        host_entry = entry.get(host, logic.all) if host else logic.all
         groups = []
         i = 0
         while i < len(labels):
@@ -383,20 +243,10 @@ def parse_dispatchers(sf, funcs, entry, logic):
                 break
             gb_lo = labels[j][1]
             gb_hi = labels[j + 1][0] if j + 1 < len(labels) else len(body) - 1
-            actions = _blank_nonactions(body[gb_lo:gb_hi])
-            act_offsets = [gb_lo + k for k, c in enumerate(actions)
-                           if not c.isspace()]
-            ignore = not act_offsets
-            modes = frozenset()
-            if host and not ignore:
-                for off in act_offsets:
-                    modes |= host.mark_at(bo + off, logic.all)
-                modes &= host_entry
-            elif not ignore:
-                modes = logic.all
+            ignore = _blank_nonactions(body[gb_lo:gb_hi]).strip() == ""
             if tags or not ignore:
                 groups.append(CaseGroup(
-                    tags, sf.line_of(bo + labels[i][0]), modes, ignore))
+                    tags, sf.line_of(bo + labels[i][0]), ignore))
             i = j + 1
         out.append(Dispatcher(sf, sf.line_of(sm.start()), groups))
     return out
@@ -554,54 +404,10 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
             by_char.setdefault(ch, (name, line))
     enum_set = set(enum_values)
 
-    # --- replication modes ------------------------------------------------
-    modes = []
-    for sf in files:
-        mm = MODE_ENUM_RE.search(sf.text)
-        if mm:
-            bo = sf.text.index("{", mm.start())
-            bc = match_paren(sf.text, bo)
-            modes = re.findall(r"\bk\w+", sf.text[bo:bc])
-            break
-    if not modes:
-        modes = ["kAnyMode"]
-    logic = ModeLogic(modes)
-
-    # --- function table + entry-mode fixpoint -----------------------------
-    funcs: list[Func] = []
-    for sf in files:
-        funcs.extend(parse_funcs(sf))
-    by_name = defaultdict(list)
-    for f in funcs:
-        by_name[f.name].append(f)
-    unique = {n: fs[0] for n, fs in by_name.items() if len(fs) == 1}
-    for f in funcs:
-        compute_marks(f, logic)
-    callsites = defaultdict(list)
-    for caller in funcs:
-        for name, off in caller.calls:
-            tgt = unique.get(name)
-            if tgt is not None and tgt is not caller:
-                callsites[tgt].append((caller, off))
-    entry = {f: (frozenset() if callsites[f] else logic.all) for f in funcs}
-    for _ in range(40):
-        changed = False
-        for f in funcs:
-            if not callsites[f]:
-                continue
-            s = frozenset()
-            for caller, off in callsites[f]:
-                s |= entry[caller] & caller.mark_at(off, logic.all)
-            if s != entry[f]:
-                entry[f] = s
-                changed = True
-        if not changed:
-            break
-
     # --- dispatchers, tables, sends ---------------------------------------
     dispatchers = []
     for sf in files:
-        dispatchers.extend(parse_dispatchers(sf, funcs, entry, logic))
+        dispatchers.extend(parse_dispatchers(sf))
     tables = []  # (sf, line, covered set)
     for sf in files:
         for tm in TYPE_TABLE_RE.finditer(sf.text):
@@ -611,19 +417,10 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
                                      sf.text[bo:bc]))
             if covered:
                 tables.append((sf, sf.line_of(tm.start()), covered))
-    sends = defaultdict(list)  # tag -> [(sf, line, modes)]
+    sends = defaultdict(list)  # tag -> [(sf, line)]
     for sf in files:
         for m in SEND_RE.finditer(sf.text):
-            host = None
-            for f in funcs:
-                if f.sf is sf and f.lo <= m.start() < f.hi:
-                    host = f
-                    break
-            if host:
-                mset = entry[host] & host.mark_at(m.start(), logic.all)
-            else:
-                mset = logic.all
-            sends[m.group(1)].append((sf, sf.line_of(m.start()), mset))
+            sends[m.group(1)].append((sf, sf.line_of(m.start())))
 
     # --- unhandled-tag ----------------------------------------------------
     if enum_set:
@@ -641,7 +438,7 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
                     "type table misses " + ", ".join(missing)))
 
     # --- dead-send / dead-handler ----------------------------------------
-    active = defaultdict(list)  # tag -> [(sf, line, modes)]
+    active = defaultdict(list)  # tag -> [(sf, line)]
     cased = set()
     for d in dispatchers:
         if d.is_table:
@@ -651,41 +448,20 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
             cased |= set(g.tags)
             if not g.ignore:
                 for t in g.tags:
-                    active[t].append((d.sf, g.line, g.modes))
+                    active[t].append((d.sf, g.line))
     for tag in sorted(enum_set | set(sends) | set(active)):
         ssites = sends.get(tag, [])
         handlers = active.get(tag, [])
         if ssites and not handlers:
-            sf, line, _ = ssites[0]
+            sf, line = ssites[0]
             if not sf.suppressed(line, "dead-send"):
                 detail = ("never named in any dispatch switch"
                           if tag not in cased else
                           "every dispatch switch explicitly ignores it")
                 findings.append(Finding(sf.path, line, "dead-send",
                                         f"{tag} is sent but {detail}"))
-            continue
-        if ssites and handlers:
-            s_total = frozenset().union(*[m for _, _, m in ssites])
-            h_total = frozenset().union(*[m for _, _, m in handlers])
-            uncovered = s_total - h_total
-            if s_total and uncovered:
-                for sf, line, m in ssites:
-                    if m & uncovered and not sf.suppressed(line, "dead-send"):
-                        findings.append(Finding(
-                            sf.path, line, "dead-send",
-                            f"{tag} sent in mode(s) "
-                            f"{', '.join(sorted(m & uncovered))} where no "
-                            f"active handler is reachable"))
-            for sf, line, h in handlers:
-                if h and s_total and not (h & s_total) \
-                        and not sf.suppressed(line, "dead-handler"):
-                    findings.append(Finding(
-                        sf.path, line, "dead-handler",
-                        f"{tag} handler only reachable in "
-                        f"{', '.join(sorted(h))} but the tag is sent only in "
-                        f"{', '.join(sorted(s_total))}"))
         if not ssites and handlers:
-            for sf, line, _ in handlers:
+            for sf, line in handlers:
                 if not sf.suppressed(line, "dead-handler"):
                     findings.append(Finding(
                         sf.path, line, "dead-handler",
@@ -716,6 +492,13 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
                         f"{other} site"))
 
     # --- observe-taint ----------------------------------------------------
+    funcs: list[Func] = []
+    for sf in files:
+        funcs.extend(parse_funcs(sf))
+    by_name = defaultdict(list)
+    for f in funcs:
+        by_name[f.name].append(f)
+    unique = {n: fs[0] for n, fs in by_name.items() if len(fs) == 1}
     taint_pass(funcs, unique, findings)
 
     # --- knob-drift -------------------------------------------------------

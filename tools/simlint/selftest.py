@@ -114,10 +114,6 @@ CASES = [
             has=("kDrop", "explicitly ignores"), lacks=("kKeep",)),
     fixture("protocol/bad_dead_handler.cpp", 1, {"dead-handler": 1},
             has=("kGhost", "no send site"), lacks=("kLive",)),
-    fixture("protocol/bad_mode_mismatch.cpp", 1,
-            {"dead-send": 1, "dead-handler": 1},
-            has=("kState sent in mode(s) kChain", "only reachable in kQuorum"),
-            lacks=("kData",)),
     fixture("protocol/bad_repl_command.cpp", 1, {"repl-command": 1},
             has=("WSEQX", "no handle site")),
     fixture("protocol/bad_observe_taint.cpp", 1, {"observe-taint": 1},
