@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "cpu/core.hpp"
 #include "net/fabric.hpp"
@@ -53,8 +54,10 @@ public:
     /// at process exit.
     [[nodiscard]] static long live_count() { return live_count_; }
 
-    /// Queue `payload` for transmission to the peer.
-    virtual void send(std::string payload) = 0;
+    /// Queue `payload` for transmission to the peer. The channel copies
+    /// what it keeps before returning, so `payload` need not outlive the
+    /// call.
+    virtual void send(std::string_view payload) = 0;
 
     /// Install the receive handler. Messages arriving before a handler is
     /// installed are buffered and delivered on installation.

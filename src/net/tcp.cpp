@@ -52,7 +52,7 @@ void TcpNetwork::connect(NodeRef from, EndpointId to, std::uint16_t port,
 TcpChannel::TcpChannel(TcpNetwork& net, NodeRef self, EndpointId peer)
     : net_(net), self_(self), peer_(peer), rng_(net.simulation().fork_rng()) {}
 
-void TcpChannel::send(std::string payload) {
+void TcpChannel::send(std::string_view payload) {
     if (!open_) return;
     const std::size_t bytes = payload.size();
     auto remote = remote_.lock();
@@ -62,7 +62,7 @@ void TcpChannel::send(std::string payload) {
     auto self = shared_from_this();
     self_.core->submit(
         net_.costs().jittered(rng_, net_.costs().tcp_side_cost(bytes)),
-        [self, remote, bytes, payload = std::move(payload)]() mutable {
+        [self, remote, bytes, payload = std::string(payload)]() mutable {
             self->net_.fabric().send(
                 self->self_.ep, self->peer_, bytes + 66 /* eth+ip+tcp hdrs */,
                 [remote, payload = std::move(payload)]() mutable {

@@ -67,7 +67,7 @@ class TcpChannel final : public Channel,
 public:
     TcpChannel(TcpNetwork& net, NodeRef self, EndpointId peer);
 
-    void send(std::string payload) override;
+    void send(std::string_view payload) override;
     void set_on_message(MessageHandler handler) override;
     void close() override;
     [[nodiscard]] bool open() const override { return open_; }

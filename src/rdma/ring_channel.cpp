@@ -69,7 +69,7 @@ std::uint64_t RingChannel::decode_credit(std::string_view payload) {
     return v;
 }
 
-void RingChannel::send(std::string payload) {
+void RingChannel::send(std::string_view payload) {
     if (!open_) return;
     // Fragment large messages so a frame always fits the ring with room
     // for flow control to make progress.
@@ -81,7 +81,7 @@ void RingChannel::send(std::string payload) {
         std::string frame;
         frame.reserve(n + 1);
         frame.push_back(final ? kFinal : kMore);
-        frame.append(payload, off, n);
+        frame.append(payload.substr(off, n));
         off += n;
         if (qp_ && backlog_.empty() && frame.size() <= free_space_) {
             transmit(std::move(frame));
@@ -158,7 +158,9 @@ void RingChannel::on_cq_event() {
             }
             if (!self->open_) return;
             self->batch_data_bytes_ = 0;
-            for (const auto& c : self->recv_cq_->poll()) self->handle_completion(c);
+            RingChannel* ring = self.get();
+            ring->recv_cq_->drain(
+                [ring](const Completion& c) { ring->handle_completion(c); });
             if (!self->open_) return; // handler closed us mid-batch
             // If one batch drained (almost) the sender's whole window, the
             // ring had filled: per the paper's protocol the receive MR is
@@ -172,7 +174,7 @@ void RingChannel::on_cq_event() {
             // Data frames are unsignaled (selective signaling), so the send
             // CQ only ever holds failed-post completions for credit SENDs;
             // the credit protocol already recovers those via the next credit.
-            self->send_cq_->poll(); // simlint:allow(unchecked-status) drained for bookkeeping only
+            self->send_cq_->clear();
             self->channel_->req_notify();
             self->replenish_recvs();
         });
@@ -228,15 +230,15 @@ void RingChannel::handle_data(const Completion& c) {
         reassembly_.clear();
         discard_until_final_ = true;
     }
-    std::string frame = recv_mr_->read_wrapped(read_cursor_, len);
+    const std::size_t at = read_cursor_;
     read_cursor_ = (read_cursor_ + len) % cap;
     total_consumed_ += len;
     consumed_since_credit_ += len;
     batch_data_bytes_ += len;
     ++frames_received_;
     maybe_return_credits();
-    if (frame.empty()) return;
-    const char flag = frame[0];
+    if (len == 0) return;
+    const char flag = recv_mr_->at_wrapped(at);
     if (discard_until_final_) {
         // This frame may be the tail of a message whose head fell into the
         // hole; drop up to and including the next boundary and let the
@@ -244,7 +246,7 @@ void RingChannel::handle_data(const Completion& c) {
         if (flag == kFinal) discard_until_final_ = false;
         return;
     }
-    reassembly_.append(frame, 1, frame.size() - 1);
+    recv_mr_->append_wrapped(at + 1, len - 1, reassembly_);
     if (flag != kFinal) return;
     std::string payload = std::move(reassembly_);
     reassembly_.clear();

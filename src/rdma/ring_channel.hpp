@@ -44,7 +44,7 @@ public:
                 std::size_t remote_capacity);
 
     // --- net::Channel ----------------------------------------------------
-    void send(std::string payload) override;
+    void send(std::string_view payload) override;
     void set_on_message(MessageHandler handler) override;
     void close() override;
     [[nodiscard]] bool open() const override { return open_; }

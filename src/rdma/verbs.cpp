@@ -1,6 +1,8 @@
 #include "rdma/verbs.hpp"
-#include "sim/check.hpp"
 
+#include <algorithm>
+
+#include "sim/check.hpp"
 
 namespace skv::rdma {
 
@@ -18,42 +20,81 @@ const char* to_string(Opcode op) {
 // --- MemoryRegion -----------------------------------------------------------
 
 MemoryRegion::MemoryRegion(std::uint32_t rkey, std::size_t size)
-    : rkey_(rkey), buf_(size, '\0') {
+    : rkey_(rkey), size_(size), pages_((size + kPageBytes - 1) / kPageBytes) {
     SKV_CHECK(size > 0);
     ++live_count_;
 }
 
-void MemoryRegion::write(std::size_t offset, std::string_view bytes) {
-    SKV_DCHECK(offset + bytes.size() <= buf_.size(), "MR write out of bounds");
-    std::copy(bytes.begin(), bytes.end(), buf_.begin() + static_cast<std::ptrdiff_t>(offset));
+MemoryRegion::~MemoryRegion() {
+    if (registry_ != nullptr) registry_->mrs_[rkey_ - 1] = nullptr;
+    --live_count_;
 }
 
-std::string MemoryRegion::read(std::size_t offset, std::size_t len) const {
-    SKV_DCHECK(offset + len <= buf_.size(), "MR read out of bounds");
-    return std::string(buf_.data() + offset, len);
-}
-
-void MemoryRegion::write_wrapped(std::size_t offset, std::string_view bytes) {
-    SKV_DCHECK(bytes.size() <= buf_.size());
-    offset %= buf_.size();
-    const std::size_t first = std::min(bytes.size(), buf_.size() - offset);
-    std::copy(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(first),
-              buf_.begin() + static_cast<std::ptrdiff_t>(offset));
-    if (first < bytes.size()) {
-        std::copy(bytes.begin() + static_cast<std::ptrdiff_t>(first), bytes.end(),
-                  buf_.begin());
+template <typename Fn>
+void MemoryRegion::for_each_run(std::size_t offset, std::size_t len, Fn&& fn) const {
+    while (len > 0) {
+        const std::size_t in_page = offset % kPageBytes;
+        const std::size_t n = std::min({len, kPageBytes - in_page, size_ - offset});
+        fn(offset / kPageBytes, in_page, n);
+        len -= n;
+        offset += n;
+        if (offset == size_) offset = 0;
     }
 }
 
+void MemoryRegion::store(std::size_t offset, std::string_view bytes) {
+    const char* src = bytes.data();
+    for_each_run(offset, bytes.size(), [&](std::size_t page, std::size_t at, std::size_t n) {
+        auto& p = pages_[page];
+        if (!p) p = std::make_unique<char[]>(std::min(kPageBytes, size_ - page * kPageBytes));
+        std::copy(src, src + n, p.get() + at);
+        src += n;
+    });
+}
+
+void MemoryRegion::write(std::size_t offset, std::string_view bytes) {
+    SKV_DCHECK(offset + bytes.size() <= size_, "MR write out of bounds");
+    store(offset, bytes);
+}
+
+std::string MemoryRegion::read(std::size_t offset, std::size_t len) const {
+    SKV_DCHECK(offset + len <= size_, "MR read out of bounds");
+    return read_wrapped(offset, len);
+}
+
+void MemoryRegion::write_wrapped(std::size_t offset, std::string_view bytes) {
+    SKV_DCHECK(bytes.size() <= size_);
+    store(offset % size_, bytes);
+}
+
 std::string MemoryRegion::read_wrapped(std::size_t offset, std::size_t len) const {
-    SKV_DCHECK(len <= buf_.size());
-    offset %= buf_.size();
     std::string out;
     out.reserve(len);
-    const std::size_t first = std::min(len, buf_.size() - offset);
-    out.append(buf_.data() + offset, first);
-    if (first < len) out.append(buf_.data(), len - first);
+    append_wrapped(offset, len, out);
     return out;
+}
+
+char MemoryRegion::at_wrapped(std::size_t offset) const {
+    offset %= size_;
+    const auto& p = pages_[offset / kPageBytes];
+    return p ? p[offset % kPageBytes] : '\0';
+}
+
+void MemoryRegion::append_wrapped(std::size_t offset, std::size_t len,
+                                  std::string& out) const {
+    SKV_DCHECK(len <= size_);
+    // One growth step for the whole span, as a single append would take,
+    // not one per page.
+    if (out.capacity() - out.size() < len) {
+        out.reserve(std::max(out.size() + len, 2 * out.capacity()));
+    }
+    for_each_run(offset % size_, len, [&](std::size_t page, std::size_t at, std::size_t n) {
+        if (const auto& p = pages_[page]) {
+            out.append(p.get() + at, n);
+        } else {
+            out.append(n, '\0');
+        }
+    });
 }
 
 // --- CompletionChannel / CompletionQueue ------------------------------------
@@ -74,12 +115,7 @@ void CompletionQueue::push(Completion c) {
 
 std::vector<Completion> CompletionQueue::poll(std::size_t max) {
     std::vector<Completion> out;
-    const std::size_t n = (max == 0) ? queue_.size() : std::min(max, queue_.size());
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        out.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-    }
+    drain([&out](const Completion& c) { out.push_back(c); }, max);
     return out;
 }
 
@@ -92,19 +128,32 @@ RdmaNetwork::RdmaNetwork(sim::Simulation& sim, net::Fabric& fabric,
       c_write_imm_(obs_.counter_handle("write_with_imm")),
       c_mr_regs_(obs_.counter_handle("mr_registrations")) {}
 
+RdmaNetwork::~RdmaNetwork() {
+    for (MemoryRegion* mr : mrs_) {
+        if (mr != nullptr) mr->registry_ = nullptr;
+    }
+}
+
 MemoryRegionPtr RdmaNetwork::register_mr(net::NodeRef node, std::size_t size) {
-    auto mr = std::make_shared<MemoryRegion>(next_rkey_++, size);
+    const auto rkey = static_cast<std::uint32_t>(mrs_.size() + 1);
+    auto mr = std::make_shared<MemoryRegion>(rkey, size);
     c_mr_regs_.incr();
-    mrs_[mr->rkey()] = mr;
+    mr->registry_ = this;
+    mrs_.push_back(mr.get());
     if (node.core) node.core->consume(costs_.mr_register);
     return mr;
 }
 
-void RdmaNetwork::deregister_mr(std::uint32_t rkey) { mrs_.erase(rkey); }
+void RdmaNetwork::deregister_mr(std::uint32_t rkey) {
+    if (MemoryRegion* mr = find_mr(rkey)) {
+        mr->registry_ = nullptr;
+        mrs_[rkey - 1] = nullptr;
+    }
+}
 
 MemoryRegionPtr RdmaNetwork::lookup_mr(std::uint32_t rkey) const {
-    auto it = mrs_.find(rkey);
-    return it == mrs_.end() ? nullptr : it->second.lock();
+    MemoryRegion* mr = find_mr(rkey);
+    return mr != nullptr ? mr->shared_from_this() : nullptr;
 }
 
 sim::Duration RdmaNetwork::wr_post_cost(net::EndpointId ep) {
@@ -158,8 +207,8 @@ void QueuePair::post_send(SendWr wr) {
     if (!peer) {
         self_.core->consume(net_.wr_post_cost(self_.ep));
         if (wr.signaled) {
-            send_cq_->push(Completion{wr.wr_id, wr.op, /*success=*/false,
-                                      false, 0, 0, {}});
+            send_cq_->push(Completion{.wr_id = wr.wr_id, .op = wr.op,
+                                      .success = false, .inline_payload = {}});
         }
         return;
     }
@@ -198,9 +247,11 @@ void QueuePair::launch(QueuePairPtr peer, Inbound in, std::size_t wire_bytes,
                        std::uint64_t wr_id, Opcode op, bool signaled,
                        std::size_t read_len) {
     auto self = shared_from_this();
+    const net::EndpointId to = peer->self_.ep;
     net_.fabric().send(
-        self_.ep, peer->self_.ep, wire_bytes,
-        [self, peer, in = std::move(in), wr_id, op, signaled, read_len]() mutable {
+        self_.ep, to, wire_bytes,
+        [self, peer = std::move(peer), in = std::move(in), wr_id, op, signaled,
+         read_len]() mutable {
             auto& net = self->net_;
             if (op == Opcode::kRead) {
                 // The remote NIC DMA-reads the MR and returns the data; the
@@ -243,9 +294,10 @@ void QueuePair::launch(QueuePairPtr peer, Inbound in, std::size_t wire_bytes,
 
 void QueuePair::arrive(Inbound in) {
     switch (in.op) {
-        case Opcode::kWrite: {
-            MemoryRegionPtr mr = net_.lookup_mr(in.rkey);
-            if (!mr) {
+        case Opcode::kWrite:
+        case Opcode::kWriteWithImm: {
+            MemoryRegion* mr = net_.find_mr(in.rkey);
+            if (mr == nullptr) {
                 // The target was deregistered while the WRITE was on the
                 // wire (channel closed mid-flight). Hardware would raise a
                 // remote-access error; the sim drops the op and counts it.
@@ -258,20 +310,7 @@ void QueuePair::arrive(Inbound in) {
                 mr->write(in.remote_offset, in.payload);
             }
             // Plain WRITE is invisible to the remote CPU: no completion.
-            break;
-        }
-        case Opcode::kWriteWithImm: {
-            MemoryRegionPtr mr = net_.lookup_mr(in.rkey);
-            if (!mr) {
-                net_.count_unknown_mr_write();
-                break;
-            }
-            if (in.wrapped) {
-                mr->write_wrapped(in.remote_offset, in.payload);
-            } else {
-                mr->write(in.remote_offset, in.payload);
-            }
-            consume_recv(std::move(in));
+            if (in.op == Opcode::kWriteWithImm) consume_recv(std::move(in));
             break;
         }
         case Opcode::kSend:

@@ -1,9 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -51,20 +51,29 @@ struct Completion {
     std::string inline_payload;
 };
 
-/// A registered memory region. Remote WRITEs land in `data()`; ring
-/// messengers use the *_wrapped accessors to treat it as a circular buffer.
-class MemoryRegion {
+class RdmaNetwork;
+
+/// A registered memory region. Remote WRITEs land in it; ring messengers
+/// use the *_wrapped accessors to treat it as a circular buffer.
+///
+/// The bytes are held in kPageBytes pages, each allocated (zeroed) on the
+/// first write that touches it. A page never written reads as zeros and
+/// costs nothing, so a ring that has carried a few small frames holds only
+/// the pages those frames touched instead of its whole capacity.
+class MemoryRegion : public std::enable_shared_from_this<MemoryRegion> {
 public:
+    static constexpr std::size_t kPageBytes = 4096;
+
     MemoryRegion(std::uint32_t rkey, std::size_t size);
     MemoryRegion(const MemoryRegion&) = delete;
     MemoryRegion& operator=(const MemoryRegion&) = delete;
-    ~MemoryRegion() { --live_count_; }
+    ~MemoryRegion();
 
     /// MR objects currently alive (lifetime regression accounting).
     [[nodiscard]] static long live_count() { return live_count_; }
 
     [[nodiscard]] std::uint32_t rkey() const { return rkey_; }
-    [[nodiscard]] std::size_t size() const { return buf_.size(); }
+    [[nodiscard]] std::size_t size() const { return size_; }
 
     void write(std::size_t offset, std::string_view bytes);
     [[nodiscard]] std::string read(std::size_t offset, std::size_t len) const;
@@ -72,6 +81,11 @@ public:
     /// Circular variants: offset is taken modulo size and the payload wraps.
     void write_wrapped(std::size_t offset, std::string_view bytes);
     [[nodiscard]] std::string read_wrapped(std::size_t offset, std::size_t len) const;
+    /// The byte at `offset` modulo size.
+    [[nodiscard]] char at_wrapped(std::size_t offset) const;
+    /// Append `len` bytes starting at `offset` (modulo size, wrapping) to
+    /// `out`: read_wrapped without the temporary.
+    void append_wrapped(std::size_t offset, std::size_t len, std::string& out) const;
 
     /// Number of times this MR has been (re-)registered; the ring messenger
     /// re-registers when the receive buffer drains after filling up, per the
@@ -80,10 +94,23 @@ public:
     void reregister() { ++generation_; }
 
 private:
+    friend class RdmaNetwork;
+
+    /// Call fn(page, offset_in_page, n) for each run of `len` bytes from
+    /// `offset` (< size) that stays within one page and before the end,
+    /// wrapping to offset 0 at the end.
+    template <typename Fn>
+    void for_each_run(std::size_t offset, std::size_t len, Fn&& fn) const;
+    void store(std::size_t offset, std::string_view bytes);
+
     inline static long live_count_ = 0;
     std::uint32_t rkey_;
     std::uint32_t generation_ = 1;
-    std::vector<char> buf_;
+    std::size_t size_;
+    std::vector<std::unique_ptr<char[]>> pages_; // null until first written
+    /// The network whose rkey table points at this MR; cleared when the
+    /// MR is deregistered or the network dies first.
+    RdmaNetwork* registry_ = nullptr;
 };
 
 using MemoryRegionPtr = std::shared_ptr<MemoryRegion>;
@@ -125,8 +152,27 @@ public:
 
     void push(Completion c);
 
-    /// Drain up to `max` completions (0 = all).
+    /// Hand each completion queued when the call starts, oldest first and
+    /// up to `max` (0 = all), to fn(const Completion&) in place, then
+    /// remove it. Completions pushed while fn runs wait for the next drain,
+    /// as a poll sees only what had landed. Returns how many were handed.
+    template <typename Fn>
+    std::size_t drain(Fn&& fn, std::size_t max = 0) {
+        const std::size_t n =
+            (max == 0) ? queue_.size() : std::min(max, queue_.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            const Completion& c = queue_.front();
+            fn(c);
+            queue_.pop_front();
+        }
+        return n;
+    }
+
+    /// Drain up to `max` completions (0 = all) into a vector.
     std::vector<Completion> poll(std::size_t max = 0);
+
+    /// Discard every queued completion.
+    void clear() { queue_.clear(); }
 
     [[nodiscard]] std::size_t depth() const { return queue_.size(); }
     [[nodiscard]] std::uint64_t total_pushed() const { return total_; }
@@ -152,8 +198,6 @@ struct SendWr {
     std::uint32_t imm = 0;
     bool signaled = true;           // generate a send completion
 };
-
-class RdmaNetwork;
 
 /// A reliable-connected queue pair. Two QPs are wired together by the
 /// connection manager; posting to one delivers to the other across the
@@ -238,12 +282,15 @@ class RdmaNetwork {
 public:
     RdmaNetwork(sim::Simulation& sim, net::Fabric& fabric,
                 const cpu::CostModel& costs);
+    RdmaNetwork(const RdmaNetwork&) = delete;
+    RdmaNetwork& operator=(const RdmaNetwork&) = delete;
+    ~RdmaNetwork();
 
     /// Register `size` bytes of memory; returns the MR (rkey assigned).
-    /// Charges the registration cost to `node`'s core. The registry holds
-    /// only a weak reference: an MR whose owner died (e.g. an abandoned
-    /// half-open handshake) is reclaimed with the owner instead of being
-    /// retained forever.
+    /// Charges the registration cost to `node`'s core. Registration does
+    /// not extend the MR's life: an MR whose owner died (e.g. an abandoned
+    /// half-open handshake) is reclaimed with the owner and its rkey then
+    /// resolves to nothing.
     MemoryRegionPtr register_mr(net::NodeRef node, std::size_t size);
 
     /// Drop the registry entry; remote WRITEs targeting the rkey are then
@@ -251,6 +298,8 @@ public:
     /// channel close() teardown.
     void deregister_mr(std::uint32_t rkey);
 
+    /// The live MR registered under `rkey`, or null if the rkey was never
+    /// issued, was deregistered, or its MR is gone.
     [[nodiscard]] MemoryRegionPtr lookup_mr(std::uint32_t rkey) const;
 
     /// Inbound WRITE/WRITE_WITH_IMM ops that targeted an unknown (e.g.
@@ -291,14 +340,26 @@ public:
 
 private:
     friend class QueuePair;
+    friend class MemoryRegion;
+
+    /// lookup_mr without the shared_ptr: the per-WRITE path.
+    [[nodiscard]] MemoryRegion* find_mr(std::uint32_t rkey) const {
+        const std::size_t i = static_cast<std::size_t>(rkey) - 1;
+        return i < mrs_.size() ? mrs_[i] : nullptr;
+    }
+
     sim::Simulation& sim_;
     net::Fabric& fabric_;
     const cpu::CostModel& costs_;
     sim::Rng rng_;
     sim::Duration ack_latency_{sim::nanoseconds(900)};
-    std::uint32_t next_rkey_ = 1;
     std::uint64_t writes_unknown_mr_ = 0;
-    std::map<std::uint32_t, std::weak_ptr<MemoryRegion>> mrs_;
+    /// The MR registered under rkey i + 1 (rkeys are issued sequentially
+    /// from 1 and never reused), or null once it was deregistered or
+    /// destroyed. A plain pointer that never dangles: a dying MR clears its
+    /// own slot, and this network detaches every MR it still points at when
+    /// it dies first. One slot per registration for the network's life.
+    std::vector<MemoryRegion*> mrs_;
     obs::Registry obs_{"rdma"};
     obs::Counter c_wr_posts_;
     obs::Counter c_write_imm_;

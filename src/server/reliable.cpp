@@ -1,6 +1,8 @@
 #include "server/reliable.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "sim/check.hpp"
 
@@ -36,6 +38,14 @@ std::uint32_t get_u32(std::string_view in, std::size_t at) {
     return v;
 }
 
+/// Up to 8 bytes as a little-endian integer, missing high bytes zero.
+std::uint64_t load_lane(const char* p, std::size_t n) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, p, n);
+    if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+    return v;
+}
+
 constexpr char kData = 'D';
 constexpr char kAck = 'A';
 constexpr std::size_t kDataHeader = 1 + 8 + 4;
@@ -43,17 +53,28 @@ constexpr std::size_t kAckFrame = 1 + 8;
 
 } // namespace
 
-std::uint32_t ReliableChannel::crc32(std::string_view bytes) {
-    // FNV-1a: not a real CRC but a deterministic, dependency-free integrity
-    // check good enough to reject ring frames whose head fell into a loss
-    // hole (the failure mode this guards against is truncation, not an
-    // adversary).
-    std::uint32_t h = 0x811c9dc5u;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x01000193u;
-    }
-    return h;
+std::uint32_t ReliableChannel::checksum(std::string_view bytes) {
+    // Not a CRC and not cryptographic: it rejects ring frames truncated or
+    // garbled by reassembly across a loss hole. Each 8-byte lane is folded
+    // in with an xor, an odd multiply and an xor-shift, all invertible, so
+    // equal-length inputs that differ in one lane always differ in the
+    // 64-bit state; the length seeds the state so a truncated frame does
+    // not match its zero-padded tail. A murmur3 finalizer cuts it to 32 bits.
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+    const auto fold = [](std::uint64_t h, std::uint64_t lane) {
+        h = (h ^ lane) * kMul;
+        return h ^ (h >> 32);
+    };
+    std::uint64_t h = bytes.size();
+    std::size_t i = 0;
+    for (; i + 8 <= bytes.size(); i += 8) h = fold(h, load_lane(bytes.data() + i, 8));
+    if (i < bytes.size()) h = fold(h, load_lane(bytes.data() + i, bytes.size() - i));
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return static_cast<std::uint32_t>(h);
 }
 
 std::shared_ptr<ReliableChannel> ReliableChannel::wrap(sim::Simulation& sim,
@@ -77,17 +98,16 @@ std::shared_ptr<ReliableChannel> ReliableChannel::wrap(sim::Simulation& sim,
     return ch;
 }
 
-void ReliableChannel::send(std::string payload) {
+void ReliableChannel::send(std::string_view payload) {
     if (closed_ || broken_) return;
-    std::string wire;
+    std::string& wire = unacked_.emplace_back(Unacked{next_seq_, {}, 0}).wire;
     wire.reserve(kDataHeader + payload.size());
     wire.push_back(kData);
     put_u64(wire, next_seq_);
-    put_u32(wire, crc32(payload));
+    put_u32(wire, checksum(payload));
     wire.append(payload);
-    unacked_.push_back(Unacked{next_seq_, wire, 0});
     ++next_seq_;
-    inner_->send(std::move(wire));
+    inner_->send(wire);
     arm_rto();
 }
 
@@ -148,9 +168,9 @@ void ReliableChannel::on_inner_message(std::string payload) {
     }
     if (payload.size() >= kDataHeader && payload[0] == kData) {
         const std::uint64_t seq = get_u64(payload, 1);
-        const std::uint32_t crc = get_u32(payload, 9);
-        std::string body = payload.substr(kDataHeader);
-        if (crc32(body) != crc) {
+        const std::uint32_t sum = get_u32(payload, 9);
+        payload.erase(0, kDataHeader);
+        if (checksum(payload) != sum) {
             // Truncated/garbled reassembly under injected loss: drop and let
             // the ack (not covering this seq) trigger a retransmission.
             ++crc_drops_;
@@ -158,7 +178,7 @@ void ReliableChannel::on_inner_message(std::string payload) {
             schedule_ack(/*immediate=*/true);
             return;
         }
-        handle_data(seq, std::move(body));
+        handle_data(seq, std::move(payload));
         return;
     }
     // Not a reliable frame at all — garbage from a loss hole.
@@ -215,7 +235,7 @@ void ReliableChannel::send_ack_now() {
     put_u64(wire, delivered_seq_);
     ++acks_sent_;
     c_acks_.incr();
-    inner_->send(std::move(wire));
+    inner_->send(wire);
 }
 
 void ReliableChannel::schedule_ack(bool immediate) {

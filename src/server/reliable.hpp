@@ -40,8 +40,9 @@ struct ReliableParams {
 /// retransmits; under fault injection we must do it ourselves).
 ///
 /// Wire format, all little-endian:
-///   'D' seq(8) crc32(4) payload   data, seq starts at 1
-///   'A' cum_ack(8)                cumulative: every seq <= cum_ack arrived
+///   'D' seq(8) checksum(4) payload   data, seq starts at 1
+///   'A' cum_ack(8)                   cumulative: every seq <= cum_ack arrived
+/// checksum() covers the payload only: a 32-bit hash over 8-byte lanes.
 ///
 /// The layer is deterministic: no RNG, all timing from ReliableParams.
 class ReliableChannel final
@@ -59,7 +60,7 @@ public:
                                                  obs::Registry* reg = nullptr);
 
     // --- net::Channel ----------------------------------------------------
-    void send(std::string payload) override;
+    void send(std::string_view payload) override;
     void set_on_message(MessageHandler handler) override;
     void close() override;
     [[nodiscard]] bool open() const override {
@@ -92,7 +93,7 @@ private:
                     ReliableParams params)
         : sim_(sim), inner_(std::move(inner)), params_(params) {}
 
-    static std::uint32_t crc32(std::string_view bytes);
+    static std::uint32_t checksum(std::string_view bytes);
 
     void on_inner_message(std::string payload);
     void handle_data(std::uint64_t seq, std::string payload);
@@ -109,7 +110,7 @@ private:
     // Sender side.
     struct Unacked {
         std::uint64_t seq;
-        std::string wire; // full encoded data frame, reusable verbatim
+        std::string wire; // the frame's only copy: sent and resent verbatim
         int retries = 0;
     };
     std::uint64_t next_seq_ = 1;

@@ -120,6 +120,29 @@ TEST_F(RingTest, LargeMessageFragmentsAndReassembles) {
     EXPECT_EQ(got, big); // reassembled exactly despite a 4KB ring
 }
 
+TEST_F(RingTest, MessageStraddlingTheWrapPointArrivesIntact) {
+    RingParams params;
+    // Not a whole number of MR pages; 901-byte frames (flag + 900) put the
+    // 14th frame across the ring's end, and later laps straddle elsewhere.
+    params.ring_bytes = 3 * MemoryRegion::kPageBytes + 100;
+    static_assert(13 * 901 < 3 * 4096 + 100 && 14 * 901 > 3 * 4096 + 100);
+    connect(params);
+    std::vector<std::string> got;
+    server->set_on_message([&](std::string m) { got.push_back(std::move(m)); });
+    sim::Rng rng(11);
+    std::vector<std::string> sent;
+    for (int i = 0; i < 40; ++i) {
+        std::string m(900, '\0');
+        for (auto& c : m) c = static_cast<char>(rng.next_u64());
+        sent.push_back(m);
+        client->send(m);
+    }
+    sim.run();
+    EXPECT_EQ(got, sent);
+    EXPECT_EQ(server->frames_received(), 40u);
+    EXPECT_EQ(server->lost_gap_bytes(), 0u);
+}
+
 TEST_F(RingTest, InterleavedLargeAndSmall) {
     connect();
     std::vector<std::size_t> sizes;

@@ -59,6 +59,83 @@ TEST_F(VerbsTest, MrRegistryLookup) {
     EXPECT_EQ(net.lookup_mr(9999), nullptr);
 }
 
+TEST_F(VerbsTest, UnwrittenBytesReadAsZero) {
+    const std::size_t size = 5 * MemoryRegion::kPageBytes;
+    auto mr = net.register_mr(node_b(), size);
+    EXPECT_EQ(mr->read(0, size), std::string(size, '\0'));
+    EXPECT_EQ(mr->at_wrapped(size + 3), '\0');
+    // A write fills only its own bytes; the rest of its page and every
+    // other page still read as zero.
+    mr->write(2 * MemoryRegion::kPageBytes + 10, "xy");
+    std::string expect(size, '\0');
+    expect.replace(2 * MemoryRegion::kPageBytes + 10, 2, "xy");
+    EXPECT_EQ(mr->read(0, size), expect);
+    EXPECT_EQ(mr->read_wrapped(size - 2, 4), std::string(4, '\0'));
+}
+
+TEST_F(VerbsTest, WritesAndWrappedReadsCrossPagesAndTheEnd) {
+    constexpr std::size_t kPage = MemoryRegion::kPageBytes;
+    // Not a whole number of pages, so the last page is short.
+    const std::size_t size = 3 * kPage + 100;
+    auto mr = net.register_mr(node_b(), size);
+    std::string across_page;
+    for (std::size_t i = 0; i < kPage + 40; ++i) {
+        across_page.push_back(static_cast<char>('a' + i % 26));
+    }
+    mr->write(kPage - 20, across_page); // spans pages 0, 1 and 2
+    EXPECT_EQ(mr->read(kPage - 20, across_page.size()), across_page);
+    EXPECT_EQ(mr->read_wrapped(kPage - 20 + size, across_page.size()), across_page);
+
+    const std::string across_end = "0123456789ABCDEFGHIJ";
+    mr->write_wrapped(size - 7, across_end); // 7 bytes at the end, 13 at 0
+    EXPECT_EQ(mr->read_wrapped(size - 7, across_end.size()), across_end);
+    EXPECT_EQ(mr->read(size - 7, 7), "0123456");
+    EXPECT_EQ(mr->read(0, 13), "789ABCDEFGHIJ");
+    EXPECT_EQ(mr->at_wrapped(size - 1), '6');
+    EXPECT_EQ(mr->at_wrapped(size), '7');
+    std::string out = "prefix:";
+    mr->append_wrapped(size - 3, 6, out);
+    EXPECT_EQ(out, "prefix:456789");
+}
+
+TEST_F(VerbsTest, LookupIsNullForDeregisteredDestroyedAndUnissuedRkeys) {
+    auto kept = net.register_mr(node_b(), 64);
+    auto dereg = net.register_mr(node_b(), 64);
+    auto dropped = net.register_mr(node_b(), 64);
+    const std::uint32_t dropped_rkey = dropped->rkey();
+    net.deregister_mr(dereg->rkey());
+    dropped.reset(); // registration does not keep an MR alive
+    EXPECT_EQ(net.lookup_mr(dereg->rkey()), nullptr);
+    EXPECT_EQ(net.lookup_mr(dropped_rkey), nullptr);
+    EXPECT_EQ(net.lookup_mr(0), nullptr);
+    EXPECT_EQ(net.lookup_mr(dropped_rkey + 1), nullptr); // not issued yet
+    EXPECT_EQ(net.lookup_mr(kept->rkey()), kept);
+    // rkeys are never reused.
+    auto next = net.register_mr(node_b(), 64);
+    EXPECT_GT(next->rkey(), dropped_rkey);
+    EXPECT_EQ(net.lookup_mr(dropped_rkey), nullptr);
+    EXPECT_EQ(net.lookup_mr(next->rkey()), next);
+}
+
+TEST_F(VerbsTest, WriteWithImmToDeregisteredMrIsDroppedAndCounted) {
+    auto mr = net.register_mr(node_b(), 256);
+    qp_b->post_recv(1, mr, 0, 0);
+    net.deregister_mr(mr->rkey());
+    SendWr wr;
+    wr.op = Opcode::kWriteWithImm;
+    wr.payload = "late";
+    wr.rkey = mr->rkey();
+    wr.has_imm = true;
+    wr.imm = 4;
+    wr.signaled = false;
+    qp_a->post_send(std::move(wr));
+    sim.run();
+    EXPECT_EQ(net.writes_unknown_mr(), 1u);
+    EXPECT_EQ(rq_b->depth(), 0u);   // no completion
+    EXPECT_EQ(qp_b->posted_recvs(), 1u); // the receive was not consumed
+    EXPECT_EQ(mr->read(0, 4), std::string(4, '\0'));
+}
+
 TEST_F(VerbsTest, WriteLandsInRemoteMemoryNoRemoteCompletion) {
     auto mr = net.register_mr(node_b(), 256);
     SendWr wr;
