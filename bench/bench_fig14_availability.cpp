@@ -30,8 +30,7 @@
 
 #include "bench_common.hpp"
 #include "check/history.hpp"
-#include "net/fault.hpp"
-#include "workload/retry_client.hpp"
+#include "workload/chaos.hpp"
 
 using namespace skv;
 using namespace skv::bench;
@@ -54,16 +53,7 @@ VariantResult run_variant(const std::string& name, double repl_drop_prob) {
     auto cluster = make_cluster(System::kSkv, 3);
 
     if (repl_drop_prob > 0) {
-        net::FaultSpec loss;
-        loss.drop_prob = repl_drop_prob;
-        auto& faults = cluster->fabric().faults();
-        const auto nic_ep = cluster->nic_kv()->endpoint();
-        const auto master_ep = cluster->master().node().ep;
-        for (int i = 0; i < cluster->slave_count(); ++i) {
-            const auto slave_ep = cluster->slave(i).node().ep;
-            faults.set_link(nic_ep, slave_ep, loss);
-            faults.set_link(master_ep, slave_ep, loss);
-        }
+        workload::fault_replication_links(*cluster, {.drop_prob = repl_drop_prob});
     }
 
     workload::RunOptions opts;
@@ -164,64 +154,32 @@ CrashVariantResult run_master_crash_variant(server::ReplicationMode mode) {
     cfg.server_tmpl.wait_timeout = sim::milliseconds(150);
     cfg.server_tmpl.serve_stale_reads = false;
     cfg.server_tmpl.replication_mode = mode;
-    offload::Cluster cluster(cfg);
-    cluster.start();
-    auto& s = cluster.sim();
+    workload::ChaosScenario scenario{.cluster = cfg};
+    // Eight SET-only clients (recovery == first accepted write), bounded by
+    // time: they stop when the schedule ends, at t=12s.
+    workload::ChaosFleet& fleet = scenario.fleet;
+    fleet.clients = 8;
+    fleet.ops_each = 0;
+    fleet.spec.set_ratio = 1.0;
+    fleet.spec.key_count = 64;
+    fleet.spec.value_bytes = 64;
+    fleet.spec.key_prefix = "av:";
+    fleet.policy.attempt_timeout = sim::milliseconds(100);
+    fleet.policy.op_deadline = sim::seconds(8);
+    fleet.policy.turnaround = sim::milliseconds(2);
+    // The master stays down: this measures failover, not reboot.
+    scenario.schedule = {{sim::seconds(3), workload::ChaosStep::Action::kCrash, -1},
+                         {sim::seconds(9)}};
+    scenario.drain_cap = sim::seconds(10);
+    const workload::ChaosRun run = scenario.run();
+    const check::History& hist = *run.history;
+    const sim::SimTime t0 = run.started;
+    const std::int64_t crash_ns = run.first_fault.ns();
 
-    std::vector<workload::RetryClient::Target> targets;
-    targets.push_back(
-        {cluster.master().node().ep, cluster.master().config().port});
-    for (int i = 0; i < cluster.slave_count(); ++i) {
-        targets.push_back(
-            {cluster.slave(i).node().ep, cluster.slave(i).config().port});
-    }
-    auto dial = [&cluster](net::NodeRef from, workload::RetryClient::Target t,
-                           std::function<void(net::ChannelPtr)> cb) {
-        cluster.cm().connect(from, t.ep, t.port, std::move(cb));
-    };
-    workload::RetryPolicy pol;
-    pol.attempt_timeout = sim::milliseconds(100);
-    pol.op_deadline = sim::seconds(8);
-    pol.turnaround = sim::milliseconds(2);
-
-    check::History hist;
-    std::vector<std::shared_ptr<workload::RetryClient>> clients;
-    constexpr int kClients = 8;
-    for (int i = 0; i < kClients; ++i) {
-        workload::WorkloadSpec spec;
-        spec.set_ratio = 1.0; // SET-only: recovery == first accepted write
-        spec.key_count = 64;
-        spec.value_bytes = 64;
-        spec.key_prefix = "av:";
-        workload::Generator gen(spec, s.fork_rng());
-        auto node = cluster.add_client_host("av" + std::to_string(i));
-        clients.push_back(std::make_shared<workload::RetryClient>(
-            s, cluster.costs(), node, 100 + static_cast<std::uint64_t>(i),
-            std::move(gen), pol, targets, dial, &hist));
-    }
-    // Time-bounded, not count-bounded: stop() below ends the run.
-    for (auto& cl : clients) cl->start(1'000'000);
-
-    const auto t0 = s.now();
-    s.run_until(t0 + sim::seconds(3));
     CrashVariantResult out;
     out.name = std::string("master crash failover (") + to_string(mode) + ")";
-    const std::int64_t crash_ns = s.now().ns();
     out.crash_t_s = static_cast<double>(crash_ns - t0.ns()) / 1e9;
-    cluster.crash_node(-1); // stays down: this measures failover, not reboot
-    s.run_until(t0 + sim::seconds(12));
-    for (auto& cl : clients) cl->stop();
-    const auto drain_stop = s.now() + sim::seconds(10);
-    auto all_idle = [&clients] {
-        for (const auto& cl : clients) {
-            if (!cl->idle()) return false;
-        }
-        return true;
-    };
-    while (s.now() < drain_stop && !all_idle()) {
-        s.run_until(s.now() + sim::milliseconds(20));
-    }
-    out.drained = all_idle();
+    out.drained = run.drained;
 
     // Recovery time and the availability timeline both come straight from
     // the recorded history: successful SET completions, bucketed at 500 ms.
@@ -244,12 +202,13 @@ CrashVariantResult run_master_crash_variant(server::ReplicationMode mode) {
     if (last_pre >= 0 && first_post >= 0) {
         out.recovery_ms = static_cast<double>(first_post - last_pre) / 1e6;
     }
-    for (const auto& cl : clients) {
+    for (const auto& cl : run.clients) {
         out.ops_ok += cl->ops_ok();
         out.ops_failed += cl->ops_failed();
         out.ops_timed_out += cl->ops_timed_out();
         out.retries += cl->retries();
     }
+    offload::Cluster& cluster = *run.cluster;
     auto& nic_stats = cluster.nic_kv()->stats();
     out.failures = nic_stats.counter("failures_detected");
     out.failovers = nic_stats.counter("failovers");

@@ -79,20 +79,23 @@ std::string command(const std::vector<std::string>& argv) {
 }
 
 std::string Value::to_debug_string() const {
+    // Appended into one string: operator+ on a literal and a temporary
+    // trips a GCC 12 -Wrestrict false positive at -O3.
+    std::string out;
     switch (kind) {
-        case Kind::kSimple: return "+" + str;
-        case Kind::kError: return "-" + str;
-        case Kind::kInteger: return ":" + ll2string(num);
-        case Kind::kBulk: return "\"" + str + "\"";
+        case Kind::kSimple: out.append("+").append(str); return out;
+        case Kind::kError: out.append("-").append(str); return out;
+        case Kind::kInteger: out.append(":").append(ll2string(num)); return out;
+        case Kind::kBulk: out.append("\"").append(str).append("\""); return out;
         case Kind::kNull: return "(nil)";
-        case Kind::kArray: {
-            std::string out = "[";
+        case Kind::kArray:
+            out.push_back('[');
             for (std::size_t i = 0; i < elems.size(); ++i) {
-                if (i) out += ", ";
-                out += elems[i].to_debug_string();
+                if (i) out.append(", ");
+                out.append(elems[i].to_debug_string());
             }
-            return out + "]";
-        }
+            out.push_back(']');
+            return out;
     }
     return "?";
 }

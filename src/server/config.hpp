@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 
-#include "server/reliable.hpp"
 #include "sim/time.hpp"
 
 namespace skv::server {
@@ -39,21 +38,6 @@ struct ServerConfig {
 
     /// Slave -> master progress report interval (paper Fig. 9 step 3).
     sim::Duration ack_interval{sim::milliseconds(100)};
-
-    /// serverCron cadence: active expiry, dict rehash steps, bookkeeping.
-    sim::Duration cron_interval{sim::milliseconds(100)};
-
-    /// Active-expire sample size per cron tick.
-    std::size_t expire_samples = 20;
-
-    /// Every node-to-node link (replication, probes, registration) rides
-    /// the sequence-numbered retransmitting layer so injected loss degrades
-    /// throughput instead of silently losing replicated writes.
-    ReliableParams reliable{};
-
-    /// Retry interval for node-link connection handshakes (the CM exchange
-    /// itself rides unprotected fabric messages and can be lost).
-    sim::Duration connect_retry{sim::milliseconds(500)};
 
     /// An SKV slave that has heard no probe from Nic-KV for this long
     /// re-registers: a one-directional NIC->slave partition would otherwise
@@ -110,10 +94,6 @@ struct ServerConfig {
     /// meets this threshold are recorded in the SLOWLOG ring (Redis default:
     /// 10ms). Zero records everything; negative disables recording.
     sim::Duration slowlog_threshold{sim::milliseconds(10)};
-    /// Maximum retained SLOWLOG entries (oldest evicted first).
-    std::size_t slowlog_max_len = 128;
-    /// LATENCY HISTORY ring depth per event class.
-    std::size_t latency_history_len = 16;
 };
 
 } // namespace skv::server

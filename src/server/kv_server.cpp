@@ -5,9 +5,24 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "server/reliable.hpp"
 #include "sim/check.hpp"
 
 namespace skv::server {
+
+namespace {
+/// serverCron cadence: active expiry, dict rehash steps, bookkeeping.
+constexpr sim::Duration kCronInterval = sim::milliseconds(100);
+/// Active-expire sample size per cron tick (Redis default).
+constexpr std::size_t kExpireSamples = 20;
+/// Retry interval for node-link connection handshakes (the CM exchange
+/// itself rides unprotected fabric messages and can be lost).
+constexpr sim::Duration kConnectRetry = sim::milliseconds(500);
+/// Retained SLOWLOG entries (oldest evicted first).
+constexpr std::size_t kSlowlogMaxLen = 128;
+/// LATENCY HISTORY ring depth per event class.
+constexpr std::size_t kLatencyHistoryLen = 16;
+} // namespace
 
 /// Baseline host fan-out (RDMA-Redis and TCP Redis, paper Fig. 7), the
 /// replication half of a server built without another: the master feeds
@@ -91,7 +106,7 @@ void KvServer::start() {
     SKV_CHECK(!started_);
     started_ = true;
     listen_all();
-    sim_.after(cfg_.cron_interval, [this]() { cron(); });
+    sim_.after(kCronInterval, [this]() { cron(); });
 }
 
 void KvServer::listen_all() {
@@ -163,7 +178,7 @@ void KvServer::release_conn(const net::Channel* raw) {
 
 net::ChannelPtr KvServer::wrap_node_link(net::ChannelPtr ch) {
     if (!ch) return ch;
-    auto rel = ReliableChannel::wrap(sim_, std::move(ch), cfg_.reliable, &stats_);
+    auto rel = ReliableChannel::wrap(sim_, std::move(ch), {}, &stats_);
     const net::Channel* raw = rel.get();
     rel->set_on_broken([this, raw]() { on_node_link_broken(raw); });
     return rel;
@@ -513,7 +528,7 @@ void KvServer::record_command_latency(const std::vector<std::string>& argv,
         e.argv.assign(argv.begin(),
                       argv.begin() + static_cast<std::ptrdiff_t>(keep));
         slowlog_.push_back(std::move(e));
-        while (slowlog_.size() > cfg_.slowlog_max_len) slowlog_.pop_front();
+        while (slowlog_.size() > kSlowlogMaxLen) slowlog_.pop_front();
     }
     LatencyEvent& ev =
         latency_events_[is_write ? "command-write" : "command-read"];
@@ -521,7 +536,7 @@ void KvServer::record_command_latency(const std::vector<std::string>& argv,
     ev.last_dur_ns = dur.ns();
     ev.max_dur_ns = std::max(ev.max_dur_ns, dur.ns());
     ev.history.emplace_back(sim_.now().ns(), dur.ns());
-    while (ev.history.size() > cfg_.latency_history_len) ev.history.pop_front();
+    while (ev.history.size() > kLatencyHistoryLen) ev.history.pop_front();
 }
 
 std::string KvServer::slowlog_reply(const std::vector<std::string>& argv) {
@@ -958,7 +973,7 @@ void KvServer::dial_node(net::EndpointId ep, std::uint16_t port,
         nets_.cm->connect(self_, ep, port, std::move(cb));
     }
     if (!settled) return;
-    sim_.after(cfg_.connect_retry, [this, settled = std::move(settled),
+    sim_.after(kConnectRetry, [this, settled = std::move(settled),
                                     again = std::move(again)]() {
         if (crashed_ || settled()) return;
         stats_.incr("connect_retries");
@@ -1044,7 +1059,7 @@ void KvServer::cron() {
     if (!crashed_) {
         // Active expiry + incremental rehash make progress even when idle.
         const std::size_t removed =
-            db_.active_expire_cycle(rng_, cfg_.expire_samples);
+            db_.active_expire_cycle(rng_, kExpireSamples);
         if (removed > 0) {
             self_.core->consume(costs_.cmd_exec_write * static_cast<std::int64_t>(removed));
             stats_.incr("expired_keys", removed);
@@ -1061,14 +1076,14 @@ void KvServer::cron() {
 
         ++cron_ticks_;
         const std::int64_t acks_every =
-            std::max<std::int64_t>(1, cfg_.ack_interval.ns() / cfg_.cron_interval.ns());
+            std::max<std::int64_t>(1, cfg_.ack_interval.ns() / kCronInterval.ns());
         if (cron_ticks_ % acks_every == 0) report_progress();
 
         // Periodic RDB persistence: the snapshot + offset pair is the only
         // state a cold restart recovers from.
         if (cfg_.persist_interval.ns() > 0) {
             const std::int64_t persists_every = std::max<std::int64_t>(
-                1, cfg_.persist_interval.ns() / cfg_.cron_interval.ns());
+                1, cfg_.persist_interval.ns() / kCronInterval.ns());
             if (cron_ticks_ % persists_every == 0) persist_snapshot();
         }
 
@@ -1097,7 +1112,7 @@ void KvServer::cron() {
             }
         }
     }
-    sim_.after(cfg_.cron_interval, [this]() { cron(); });
+    sim_.after(kCronInterval, [this]() { cron(); });
 }
 
 // --- fault injection ------------------------------------------------------------------

@@ -180,7 +180,7 @@ private:
     /// retransmitting layer, retained as a node connection and handed to
     /// `up`; otherwise it is dropped (closed with `close_unwanted`). The
     /// handshake rides unprotected fabric messages: given `settled`, call
-    /// `again` after connect_retry unless crashed or settled() by then.
+    /// `again` after kConnectRetry unless crashed or settled() by then.
     void dial_node(net::EndpointId ep, std::uint16_t port, std::function<bool()> wanted,
                    std::function<void(const net::ChannelPtr&)> up, bool close_unwanted = false,
                    std::function<bool()> settled = nullptr,

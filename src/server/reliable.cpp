@@ -90,6 +90,7 @@ std::shared_ptr<ReliableChannel> ReliableChannel::wrap(sim::Simulation& sim,
         ch->c_dups_ = reg->counter_handle("rel.dups_suppressed");
         ch->c_crc_drops_ = reg->counter_handle("rel.crc_drops");
         ch->c_acks_ = reg->counter_handle("rel.acks_sent");
+        ch->reg_ = reg;
     }
     std::weak_ptr<ReliableChannel> weak = ch;
     ch->inner_->set_on_message([weak](std::string payload) {
@@ -213,8 +214,9 @@ void ReliableChannel::handle_data(std::uint64_t seq, std::string payload) {
     if (reorder_.size() < params_.reorder_window) {
         reorder_.emplace(seq, std::move(payload));
     } else {
-        ++dups_suppressed_;
-        c_dups_.incr(); // dropped; retransmission will restore order
+        // Dropped; retransmission will restore order.
+        ++reorder_overflows_;
+        if (reg_ != nullptr) reg_->incr("rel.reorder_overflows");
     }
     schedule_ack(/*immediate=*/true);
 }

@@ -84,6 +84,8 @@ public:
     // --- introspection for tests and stats --------------------------------
     [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
     [[nodiscard]] std::uint64_t dups_suppressed() const { return dups_suppressed_; }
+    /// Out-of-order arrivals dropped because the reorder window was full.
+    [[nodiscard]] std::uint64_t reorder_overflows() const { return reorder_overflows_; }
     [[nodiscard]] std::uint64_t crc_drops() const { return crc_drops_; }
     [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
     [[nodiscard]] std::size_t unacked_count() const { return unacked_.size(); }
@@ -133,6 +135,7 @@ private:
 
     std::uint64_t retransmits_ = 0;
     std::uint64_t dups_suppressed_ = 0;
+    std::uint64_t reorder_overflows_ = 0;
     std::uint64_t crc_drops_ = 0;
     std::uint64_t acks_sent_ = 0;
 
@@ -142,6 +145,9 @@ private:
     obs::Counter c_dups_;
     obs::Counter c_crc_drops_;
     obs::Counter c_acks_;
+    // rel.reorder_overflows is created on its first incr(), never
+    // pre-resolved: an owner's format() lists it only once it fired.
+    obs::Registry* reg_ = nullptr;
 };
 
 using ReliableChannelPtr = std::shared_ptr<ReliableChannel>;

@@ -69,12 +69,9 @@ void Cluster::start() {
         np.arm_cores = cfg_.costs.nic_cores;
         nic_ = std::make_unique<nic::SmartNic>(sim_, fabric_, master_ep,
                                                "master/bf2", np);
-        // Both ends of a node link speak the same reliable envelope.
-        NicKvConfig ncfg = cfg_.nic_cfg;
-        ncfg.reliable = cfg_.server_tmpl.reliable;
-        nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_, ncfg,
+        nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_, cfg_.nic_cfg,
                                          std::move(protocol.nic));
-        nickv_->set_tracer(&tracer_, "nic/" + ncfg.name);
+        nickv_->set_tracer(&tracer_, "nic/" + cfg_.nic_cfg.name);
     }
 
     // Slave hosts.

@@ -10,6 +10,11 @@ namespace skv::offload {
 
 using server::NodeMsg;
 
+namespace {
+/// Node-list entry footprint charged against on-board DRAM.
+constexpr std::size_t kNodeEntryBytes = 512 * 1024;
+} // namespace
+
 NicKv::NicKv(sim::Simulation& sim, const cpu::CostModel& costs,
              rdma::ConnectionManager& cm, nic::SmartNic& nic, NicKvConfig cfg,
              std::unique_ptr<NicReplication> repl)
@@ -40,7 +45,7 @@ void NicKv::crash() {
     for (int i = 0; i < nic_.core_count(); ++i) nic_.core(i).halt();
     // The service's state lives entirely in on-board DRAM: node table,
     // fan-out cursor, pending registrations — all gone with the process.
-    nic_.release_memory(cfg_.node_entry_bytes * nodes_.size());
+    nic_.release_memory(kNodeEntryBytes * nodes_.size());
     nodes_.clear();
     pending_.clear();
     master_idx_ = -1;
@@ -63,8 +68,9 @@ void NicKv::recover() {
 }
 
 void NicKv::on_accept(net::ChannelPtr ch) {
-    auto rel = server::ReliableChannel::wrap(sim_, std::move(ch),
-                                             cfg_.reliable, &stats_);
+    // Default parameters, like the KvServer end: both ends of a node link
+    // speak the same envelope.
+    auto rel = server::ReliableChannel::wrap(sim_, std::move(ch), {}, &stats_);
     const net::Channel* rel_raw = rel.get();
     rel->set_on_broken([this, rel_raw]() { on_link_broken(rel_raw); });
     ch = rel;
@@ -131,7 +137,7 @@ NicKv::Joined NicKv::join(NodeEntry e) {
         *existing = std::move(e);
         return was_valid ? Joined::kRejoinedValid : Joined::kRejoinedInvalid;
     }
-    if (!nic_.reserve_memory(cfg_.node_entry_bytes)) {
+    if (!nic_.reserve_memory(kNodeEntryBytes)) {
         stats_.incr("oom_rejects");
         return Joined::kNoMemory;
     }

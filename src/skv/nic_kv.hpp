@@ -35,11 +35,6 @@ struct NicKvConfig {
     /// waiting-time: a node that has not answered a probe for this long is
     /// considered crashed.
     sim::Duration waiting_time{sim::milliseconds(1500)};
-    /// Node-list entry footprint charged against on-board DRAM.
-    std::size_t node_entry_bytes = 512 * 1024;
-    /// Retransmitting-layer parameters for accepted node links (must match
-    /// the KvServer side, both ends speak the same envelope).
-    server::ReliableParams reliable{};
     /// Test-only fault injection: when >= 0, quorum replication pretends
     /// this many slave acks constitute a majority (0 = split-brain: the
     /// watermark advances on the master's copy alone). -1 computes the real

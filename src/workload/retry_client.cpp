@@ -65,9 +65,12 @@ void RetryClient::next_op() {
     if (argv[0] == "SET") {
         op_type_ = check::OpType::kWrite;
         // Unique per-(client, op) value so the checker can attribute every
-        // observed read to exactly one write.
-        op_value_ = "c" + std::to_string(client_id_) + "#" +
-                    std::to_string(op_seq_);
+        // observed read to exactly one write. Appended in place: operator+
+        // on a literal and a temporary trips GCC 12's -Wrestrict at -O3.
+        op_value_.clear();
+        op_value_.push_back('c');
+        op_value_.append(std::to_string(client_id_)).append("#").append(
+            std::to_string(op_seq_));
     } else {
         op_type_ = check::OpType::kRead;
         op_value_.clear();

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/check.hpp"
+#include "workload/chaos.hpp"
 
 namespace skv::workload::ycsb {
 
@@ -209,17 +210,8 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
     auto driver = std::make_shared<Driver>(
         sim, opts, MixGenerator(opts.ycsb, sim.fork_rng(), frontier));
 
-    std::vector<RetryClient::Target> targets;
-    targets.push_back(
-        {cluster.master().node().ep, cluster.master().config().port});
-    for (int s = 0; s < cluster.slave_count(); ++s) {
-        targets.push_back(
-            {cluster.slave(s).node().ep, cluster.slave(s).config().port});
-    }
-    auto dial = [&cluster](net::NodeRef from, RetryClient::Target t,
-                           std::function<void(net::ChannelPtr)> cb) {
-        cluster.cm().connect(from, t.ep, t.port, std::move(cb));
-    };
+    const auto targets = retry_targets(cluster);
+    const auto dial = retry_dial(cluster);
 
     const int cph = opts.connections_per_host;
     std::vector<net::NodeRef> hosts;

@@ -4,9 +4,12 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "chaos_support.hpp"
 #include "skv/cluster.hpp"
+#include "workload/chaos.hpp"
 #include "workload/runner.hpp"
 
 // Behaviour pins: each scenario's event count, trace digest, client history
@@ -24,11 +27,10 @@
 namespace skv::offload {
 namespace {
 
-using chaos::CrashClusterOpts;
-using chaos::Fleet;
 using chaos::fnv1a;
-using chaos::make_crash_cluster;
 using server::ReplicationMode;
+using workload::ChaosStep;
+using enum workload::ChaosStep::Action;
 
 struct Pin {
     std::uint64_t events;
@@ -100,115 +102,90 @@ TEST(BehaviourPin, ClosedLoopSkv) {
 
 // --- commit-gated SKV runs under retrying clients ---------------------------
 
-/// Chain fleets read from the tail first, as in chaos_repl_test.cpp.
-void route_reads(Cluster& c, Fleet& fleet, ReplicationMode m) {
-    if (m != ReplicationMode::kChain) return;
-    const auto order = c.nic_kv()->chain_order();
-    if (order.empty()) return;
-    for (int i = 0; i < c.slave_count(); ++i) {
-        if (order.back().rfind("slave" + std::to_string(i) + "@", 0) == 0) {
-            fleet.read_first = static_cast<std::size_t>(1 + i);
-        }
-    }
+/// Three retrying clients × 60 ops through `storm`, then 6 s more. No
+/// drain: the pin records the state right then.
+void pin_gated(ReplicationMode m, std::vector<ChaosStep> storm,
+               std::uint64_t seed, const Pin& want,
+               sim::Duration persist_interval = {}) {
+    workload::ChaosScenario s{
+        .cluster = workload::crash_cluster_config(seed, m),
+        .fleet = {.ops_each = 60},
+        .schedule = std::move(storm),
+        .drain_cap = {}};
+    s.cluster.server_tmpl.persist_interval = persist_interval;
+    s.schedule.push_back({sim::seconds(6)});
+    const auto r = s.run();
+    expect_pin(*r.cluster, r.history->to_json(), want);
 }
 
-/// What a scenario does to the cluster 300 ms into the workload.
-enum class Storm : std::uint8_t {
-    kNone,
-    /// Master down 800 ms (failover happens), then a warm restart.
-    kMasterWarm,
-    /// Master down 300 ms (no failover), then a cold restart from the
-    /// snapshot persisted every 200 ms.
-    kMasterCold,
-    /// Nic-KV down 350 ms, then restarted empty.
-    kNic,
-};
-
-void pin_gated(ReplicationMode m, Storm storm, std::uint64_t seed,
-               const Pin& want) {
-    CrashClusterOpts o;
-    o.replication_mode = m;
-    if (storm == Storm::kMasterCold) o.persist_interval = sim::milliseconds(200);
-    auto c = make_crash_cluster(seed, o);
-    Fleet fleet;
-    route_reads(*c, fleet, m);
-    fleet.spawn(*c, 3, 60, 0.5);
-    auto run_for = [&c](sim::Duration d) {
-        c->sim().run_until(c->sim().now() + d);
-    };
-    run_for(sim::milliseconds(300));
-    switch (storm) {
-        case Storm::kNone:
-            break;
-        case Storm::kMasterWarm:
-            c->crash_node(-1);
-            run_for(sim::milliseconds(800));
-            c->restart_node(-1, server::KvServer::RecoveryMode::kWarm);
-            break;
-        case Storm::kMasterCold:
-            c->crash_node(-1);
-            run_for(sim::milliseconds(300));
-            c->restart_node(-1, server::KvServer::RecoveryMode::kCold);
-            break;
-        case Storm::kNic:
-            c->crash_nic();
-            run_for(sim::milliseconds(350));
-            c->restart_nic();
-            break;
-    }
-    run_for(sim::seconds(6));
-    expect_pin(*c, fleet.history.to_json(), want);
-}
+// What each storm does, starting 300 ms into the workload.
+constexpr sim::Duration kAt = sim::milliseconds(300);
+/// No fault.
+const std::vector<ChaosStep> kNone = {{kAt}};
+/// Master down 800 ms (failover happens), then a warm restart.
+const std::vector<ChaosStep> kMasterWarm = {
+    {kAt, kCrash, -1}, {sim::milliseconds(800), kWarmRestart, -1}};
+/// Master down 300 ms (no failover), then a cold restart from the snapshot
+/// persisted every 200 ms.
+const std::vector<ChaosStep> kMasterCold = {
+    {kAt, kCrash, -1}, {sim::milliseconds(300), kColdRestart, -1}};
+constexpr sim::Duration kPersist = sim::milliseconds(200);
+/// Nic-KV down 350 ms, then restarted empty.
+const std::vector<ChaosStep> kNic = {
+    {kAt, kCrashNic}, {sim::milliseconds(350), kRestartNic}};
 
 TEST(BehaviourPin, GatedFanout) {
-    pin_gated(ReplicationMode::kFanout, Storm::kNone, 70101,
+    pin_gated(ReplicationMode::kFanout, kNone, 70101,
               {10234u, 0x945a54408a98a249u, 0x60143294abe4aa52u, 0xc98de867f004c331u});
 }
 TEST(BehaviourPin, GatedChain) {
-    pin_gated(ReplicationMode::kChain, Storm::kNone, 70102,
+    pin_gated(ReplicationMode::kChain, kNone, 70102,
               {10625u, 0xdf8f287b253bd671u, 0xc264a45823fc6c6bu, 0x774d4edef4fdfce0u});
 }
 TEST(BehaviourPin, GatedQuorum) {
-    pin_gated(ReplicationMode::kQuorum, Storm::kNone, 70103,
+    pin_gated(ReplicationMode::kQuorum, kNone, 70103,
               {13835u, 0x493fe892ef1b936cu, 0x01562e20ce4b279bu, 0xc180a1135dd6cb2eu});
 }
 
 TEST(BehaviourPin, MasterWarmRestartFanout) {
-    pin_gated(ReplicationMode::kFanout, Storm::kMasterWarm, 70201,
+    pin_gated(ReplicationMode::kFanout, kMasterWarm, 70201,
               {10375u, 0x843a5f33f3ef4a4eu, 0x24db309e8878afe3u, 0x3bcd4a3e76fd32b1u});
 }
 TEST(BehaviourPin, MasterWarmRestartChain) {
-    pin_gated(ReplicationMode::kChain, Storm::kMasterWarm, 70202,
+    pin_gated(ReplicationMode::kChain, kMasterWarm, 70202,
               {11786u, 0xca94727fcc500fb6u, 0x9d45c6d57aa5eff8u, 0x49ded00825dd9440u});
 }
 TEST(BehaviourPin, MasterWarmRestartQuorum) {
-    pin_gated(ReplicationMode::kQuorum, Storm::kMasterWarm, 70203,
+    pin_gated(ReplicationMode::kQuorum, kMasterWarm, 70203,
               {13869u, 0xd46e470de96601e7u, 0x7c0b7ebf9d237fc7u, 0x3add42cf5e1dce95u});
 }
 
 TEST(BehaviourPin, MasterColdRestartFanout) {
-    pin_gated(ReplicationMode::kFanout, Storm::kMasterCold, 70301,
-              {11049u, 0x63755bb0d7be1a4bu, 0x4a8267d6e8a78d8cu, 0x2d51ec525027d8f5u});
+    pin_gated(ReplicationMode::kFanout, kMasterCold, 70301,
+              {11049u, 0x63755bb0d7be1a4bu, 0x4a8267d6e8a78d8cu, 0x2d51ec525027d8f5u},
+              kPersist);
 }
 TEST(BehaviourPin, MasterColdRestartChain) {
-    pin_gated(ReplicationMode::kChain, Storm::kMasterCold, 70302,
-              {11441u, 0x9c5242d12c1433eeu, 0x3e00b06877bd3bcau, 0xbc2096932a3c60f8u});
+    pin_gated(ReplicationMode::kChain, kMasterCold, 70302,
+              {11441u, 0x9c5242d12c1433eeu, 0x3e00b06877bd3bcau, 0xbc2096932a3c60f8u},
+              kPersist);
 }
 TEST(BehaviourPin, MasterColdRestartQuorum) {
-    pin_gated(ReplicationMode::kQuorum, Storm::kMasterCold, 70303,
-              {14548u, 0xf0cb2cd27b236e36u, 0x1dfd4fcf4dc38e55u, 0x7d41ea223e4bd098u});
+    pin_gated(ReplicationMode::kQuorum, kMasterCold, 70303,
+              {14548u, 0xf0cb2cd27b236e36u, 0x1dfd4fcf4dc38e55u, 0x7d41ea223e4bd098u},
+              kPersist);
 }
 
 TEST(BehaviourPin, NicRestartFanout) {
-    pin_gated(ReplicationMode::kFanout, Storm::kNic, 70401,
+    pin_gated(ReplicationMode::kFanout, kNic, 70401,
               {10678u, 0xd56dfc6e4a7b687cu, 0xb7a489deb20f93abu, 0x137916bd5afe8bdeu});
 }
 TEST(BehaviourPin, NicRestartChain) {
-    pin_gated(ReplicationMode::kChain, Storm::kNic, 70402,
+    pin_gated(ReplicationMode::kChain, kNic, 70402,
               {10955u, 0xb6341f055d9c4ce3u, 0x0e0a749a31651f15u, 0x86af771fa5d02d70u});
 }
 TEST(BehaviourPin, NicRestartQuorum) {
-    pin_gated(ReplicationMode::kQuorum, Storm::kNic, 70403,
+    pin_gated(ReplicationMode::kQuorum, kNic, 70403,
               {14917u, 0xcf6682a37f0c8a84u, 0x4af748752eedbebau, 0xf8c855eb0b9e34bau});
 }
 

@@ -10,80 +10,40 @@
 #include "kv/resp.hpp"
 #include "net/fault.hpp"
 #include "skv/cluster.hpp"
-#include "workload/retry_client.hpp"
+#include "workload/chaos.hpp"
 
 namespace skv::offload {
 namespace {
 
-// The cluster factory, client fleet, linearizability gate, and raw shell
-// live in chaos_support.hpp, shared with the protocol-matrix suite.
-using chaos::CrashClusterOpts;
-using chaos::Fleet;
+// The scenario runner lives in workload/chaos.hpp; the linearizability
+// gate and the raw shell in chaos_support.hpp, shared with the
+// protocol-matrix suite.
 using chaos::RawConn;
 using chaos::gate_linearizable;
-using chaos::make_crash_cluster;
+using chaos::record;
+using workload::ChaosScenario;
+using workload::crash_cluster_config;
+using enum workload::ChaosStep::Action;
+
+ChaosScenario fanout(std::uint64_t seed, int n_slaves = 2) {
+    return {.cluster = crash_cluster_config(seed, server::ReplicationMode::kFanout,
+                                            n_slaves)};
+}
 
 // ---------------------------------------------------------------------------
 // Scenario 1: master crash + failover. The master dies mid-workload and
-// stays dead; clients must ride over to the promoted stand-in and every
-// op must complete (successfully or with an explicit failure) inside its
-// deadline. The recorded history must be linearizable.
+// stays dead; the recorded history must be linearizable.
 TEST(ChaosCrash, MasterCrashFailoverLinearizable) {
     for (const std::uint64_t seed : {9101ull, 9202ull, 9303ull}) {
-        auto c = make_crash_cluster(seed);
-        Fleet fleet;
-        fleet.spawn(*c, 3, 40, 0.5);
-        c->sim().run_until(c->sim().now() + sim::milliseconds(400));
-        ASSERT_FALSE(fleet.all_idle()) << "workload finished pre-crash";
-        const auto crash_at = c->sim().now();
-        c->crash_node(-1);
-
-        ASSERT_TRUE(fleet.drain(*c, sim::seconds(60))) << "seed " << seed;
-        EXPECT_EQ(fleet.history.size(), fleet.ops_issued) << "seed " << seed;
-        EXPECT_GT(fleet.total_retries(), 0u) << "seed " << seed;
-        EXPECT_EQ(c->nic_kv()->stats().counter("failovers"), 1u)
-            << "seed " << seed;
-        int promoted = 0;
-        for (int i = 0; i < c->slave_count(); ++i) {
-            if (c->slave(i).role() == server::Role::kMaster) ++promoted;
-        }
-        EXPECT_EQ(promoted, 1) << "seed " << seed;
-        // Progress resumed after the crash, not just before it.
-        bool ok_after_crash = false;
-        for (const auto& cl : fleet.clients) {
-            if (cl->last_ok_at() > crash_at) ok_after_crash = true;
-        }
-        EXPECT_TRUE(ok_after_crash) << "seed " << seed;
-        gate_linearizable(*c, fleet.history, "master-crash");
+        chaos::master_crash(fanout(seed), "master-crash");
     }
 }
 
-// Scenario 2: slave crash during replication fan-out under commit gating.
-// Writes park on replica acks; the crash must unblock them via the
-// detector (flush or -WAITTIMEOUT + retry), and the warm restart must
-// partially resync without corrupting the history.
+// Scenario 2: slave crash during replication fan-out under commit gating,
+// then a warm restart that must partially resync.
 TEST(ChaosCrash, SlaveCrashDuringFanoutLinearizable) {
     for (const std::uint64_t seed : {9404ull, 9505ull, 9606ull}) {
-        auto c = make_crash_cluster(seed);
-        Fleet fleet;
-        fleet.spawn(*c, 3, 40, 0.7);
-        c->sim().run_until(c->sim().now() + sim::milliseconds(300));
-        ASSERT_FALSE(fleet.all_idle()) << "workload finished pre-crash";
-        c->crash_node(0);
-        c->sim().run_until(c->sim().now() + sim::milliseconds(800));
-        c->restart_node(0, server::KvServer::RecoveryMode::kWarm);
-
-        ASSERT_TRUE(fleet.drain(*c, sim::seconds(60))) << "seed " << seed;
-        EXPECT_EQ(fleet.history.size(), fleet.ops_issued) << "seed " << seed;
-        // Gating was actually exercised.
-        EXPECT_GT(c->master().stats().counter("writes_parked"), 0u)
-            << "seed " << seed;
-        gate_linearizable(*c, fleet.history, "slave-crash");
-        // The restarted slave rejoins and converges.
-        c->sim().run_until(c->sim().now() + sim::seconds(8));
-        EXPECT_TRUE(c->converged()) << "seed " << seed;
-        EXPECT_TRUE(c->master().db().equals(c->slave(0).db()))
-            << "seed " << seed;
+        chaos::slave_crash(fanout(seed), "slave-crash", sim::seconds(8));
     }
 }
 
@@ -92,28 +52,7 @@ TEST(ChaosCrash, SlaveCrashDuringFanoutLinearizable) {
 // survivor, then both impairments heal.
 TEST(ChaosCrash, CrashPlusPartitionLinearizable) {
     for (const std::uint64_t seed : {9707ull, 9808ull, 9909ull}) {
-        CrashClusterOpts o;
-        o.n_slaves = 3;
-        auto c = make_crash_cluster(seed, o);
-        Fleet fleet;
-        fleet.spawn(*c, 3, 40, 0.5);
-        c->sim().run_until(c->sim().now() + sim::milliseconds(300));
-        ASSERT_FALSE(fleet.all_idle()) << "workload finished pre-fault";
-
-        net::FaultSpec cut;
-        cut.blocked = true;
-        c->fabric().faults().set_endpoint(c->slave(2).node().ep, cut);
-        c->sim().run_until(c->sim().now() + sim::milliseconds(200));
-        c->crash_node(1);
-        c->sim().run_until(c->sim().now() + sim::seconds(1));
-        c->restart_node(1, server::KvServer::RecoveryMode::kWarm);
-        c->fabric().faults().clear_endpoint(c->slave(2).node().ep);
-
-        ASSERT_TRUE(fleet.drain(*c, sim::seconds(60))) << "seed " << seed;
-        EXPECT_EQ(fleet.history.size(), fleet.ops_issued) << "seed " << seed;
-        gate_linearizable(*c, fleet.history, "crash+partition");
-        c->sim().run_until(c->sim().now() + sim::seconds(10));
-        EXPECT_TRUE(c->converged()) << "seed " << seed;
+        chaos::crash_plus_partition(fanout(seed, 3), "crash+partition");
     }
 }
 
@@ -121,25 +60,9 @@ TEST(ChaosCrash, CrashPlusPartitionLinearizable) {
 // the workload running throughout.
 TEST(ChaosCrash, RestartStormLinearizable) {
     for (const std::uint64_t seed : {8111ull, 8222ull, 8333ull}) {
-        CrashClusterOpts o;
-        o.n_slaves = 3;
-        auto c = make_crash_cluster(seed, o);
-        Fleet fleet;
-        fleet.spawn(*c, 4, 60, 0.5, sim::milliseconds(60));
-        Cluster::CrashStormSpec storm;
-        storm.crashes = 6;
-        storm.downtime = sim::milliseconds(400);
-        const int scheduled = c->schedule_crash_storm(storm);
-        EXPECT_GT(scheduled, 0) << "seed " << seed;
-        // The storm spans at most ~6 * 900ms; the paced workload runs
-        // ~3.6s, so crashes land while clients are live.
-        ASSERT_TRUE(fleet.drain(*c, sim::seconds(90))) << "seed " << seed;
-        EXPECT_EQ(fleet.history.size(), fleet.ops_issued) << "seed " << seed;
-        EXPECT_EQ(c->master().role(), server::Role::kMaster)
-            << "seed " << seed;
-        gate_linearizable(*c, fleet.history, "restart-storm");
-        c->sim().run_until(c->sim().now() + sim::seconds(10));
-        EXPECT_TRUE(c->converged()) << "seed " << seed;
+        ChaosScenario s = fanout(seed, 3);
+        s.fleet.ops_each = 60;
+        chaos::restart_storm(s, "restart-storm");
     }
 }
 
@@ -147,35 +70,36 @@ TEST(ChaosCrash, RestartStormLinearizable) {
 // backlog partial resync instead of process memory.
 TEST(ChaosCrash, ColdRestartStormRecoversFromSnapshot) {
     for (const std::uint64_t seed : {8444ull, 8555ull, 8666ull}) {
-        CrashClusterOpts o;
-        o.persist_interval = sim::milliseconds(200);
-        auto c = make_crash_cluster(seed, o);
-        Fleet fleet;
-        fleet.spawn(*c, 3, 50, 0.7, sim::milliseconds(60));
-        Cluster::CrashStormSpec storm;
-        storm.crashes = 4;
-        storm.min_gap = sim::milliseconds(400);
-        storm.max_gap = sim::seconds(1);
-        storm.downtime = sim::milliseconds(500);
-        storm.mode = server::KvServer::RecoveryMode::kCold;
-        EXPECT_GT(c->schedule_crash_storm(storm), 0) << "seed " << seed;
+        ChaosScenario s = fanout(seed);
+        s.cluster.server_tmpl.persist_interval = sim::milliseconds(200);
+        s.fleet.ops_each = 50;
+        s.fleet.spec.set_ratio = 0.7;
+        s.fleet.policy.turnaround = sim::milliseconds(60);
+        s.schedule = {{.action = kStorm,
+                       .storm = {.crashes = 4,
+                                 .min_gap = sim::milliseconds(400),
+                                 .max_gap = sim::seconds(1),
+                                 .downtime = sim::milliseconds(500),
+                                 .mode = server::KvServer::RecoveryMode::kCold}}};
+        s.drain_cap = sim::seconds(90);
+        auto r = s.run();
+        EXPECT_GT(r.storm_crashes, 0) << "seed " << seed;
+        ASSERT_TRUE(r.drained) << "seed " << seed;
+        EXPECT_TRUE(r.complete) << "seed " << seed;
+        gate_linearizable(r, "cold-storm");
 
-        ASSERT_TRUE(fleet.drain(*c, sim::seconds(90))) << "seed " << seed;
-        EXPECT_EQ(fleet.history.size(), fleet.ops_issued) << "seed " << seed;
-        gate_linearizable(*c, fleet.history, "cold-storm");
-
-        c->sim().run_until(c->sim().now() + sim::seconds(10));
-        EXPECT_TRUE(c->converged()) << "seed " << seed;
+        EXPECT_TRUE(r.settle(sim::seconds(10))) << "seed " << seed;
+        auto& c = *r.cluster;
         std::uint64_t cold = 0;
         std::uint64_t snaps = 0;
-        for (int i = 0; i < c->slave_count(); ++i) {
-            cold += c->slave(i).stats().counter("cold_recoveries");
-            snaps += c->slave(i).stats().counter("snapshots_persisted");
+        for (int i = 0; i < c.slave_count(); ++i) {
+            cold += c.slave(i).stats().counter("cold_recoveries");
+            snaps += c.slave(i).stats().counter("snapshots_persisted");
         }
         EXPECT_GT(cold, 0u) << "seed " << seed;
         EXPECT_GT(snaps, 0u) << "seed " << seed;
-        for (int i = 0; i < c->slave_count(); ++i) {
-            EXPECT_TRUE(c->master().db().equals(c->slave(i).db()))
+        for (int i = 0; i < c.slave_count(); ++i) {
+            EXPECT_TRUE(c.master().db().equals(c.slave(i).db()))
                 << "seed " << seed << " slave" << i;
         }
     }
@@ -187,30 +111,17 @@ TEST(ChaosCrash, ColdRestartStormRecoversFromSnapshot) {
 // served by a replication-cut slave observes an old value; the recorded
 // history is genuinely non-linearizable and the gate must say so.
 TEST(ChaosCrash, CheckerRejectsInjectedStaleRead) {
-    CrashClusterOpts o;
-    o.wait_for_slaves = 0;
-    o.serve_stale_reads = true; // the injected bug
-    auto c = make_crash_cluster(7777, o);
+    auto cfg = crash_cluster_config(7777);
+    cfg.server_tmpl.wait_for_slaves = 0;
+    cfg.server_tmpl.serve_stale_reads = true; // the injected bug
+    auto c = workload::start_traced(cfg);
     check::History hist;
-    auto record = [&](check::OpType type, const std::string& value, bool found,
-                      std::int64_t invoke, std::int64_t complete) {
-        check::Op op;
-        op.client = type == check::OpType::kWrite ? 1 : 2;
-        op.seq = static_cast<std::uint64_t>(invoke);
-        op.type = type;
-        op.key = "sk";
-        op.value = value;
-        op.found = found;
-        op.invoke_ns = invoke;
-        op.complete_ns = complete;
-        hist.record(op);
-    };
 
     RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
     ASSERT_TRUE(master.connected());
     std::int64_t t0 = c->sim().now().ns();
     EXPECT_TRUE(master.call({"SET", "sk", "v1"}).is_ok());
-    record(check::OpType::kWrite, "v1", true, t0, c->sim().now().ns());
+    record(hist, check::OpType::kWrite, "sk", "v1", t0, c->sim().now().ns());
     c->sim().run_until(c->sim().now() + sim::seconds(1));
     ASSERT_TRUE(c->converged());
 
@@ -224,7 +135,7 @@ TEST(ChaosCrash, CheckerRejectsInjectedStaleRead) {
                                   c->slave(0).node().ep, cut);
     t0 = c->sim().now().ns();
     EXPECT_TRUE(master.call({"SET", "sk", "v2"}).is_ok());
-    record(check::OpType::kWrite, "v2", true, t0, c->sim().now().ns());
+    record(hist, check::OpType::kWrite, "sk", "v2", t0, c->sim().now().ns());
     c->sim().run_until(c->sim().now() + sim::milliseconds(100));
 
     RawConn stale(*c, c->slave(0).node().ep, c->slave(0).config().port, "r");
@@ -233,7 +144,7 @@ TEST(ChaosCrash, CheckerRejectsInjectedStaleRead) {
     const auto v = stale.call({"GET", "sk"});
     ASSERT_EQ(v.kind, kv::resp::Value::Kind::kBulk);
     EXPECT_EQ(v.str, "v1") << "expected the injected stale read";
-    record(check::OpType::kRead, v.str, true, t0, c->sim().now().ns());
+    record(hist, check::OpType::kRead, "sk", v.str, t0, c->sim().now().ns());
 
     const auto res = check::check_history(hist);
     EXPECT_FALSE(res.linearizable)
@@ -244,9 +155,9 @@ TEST(ChaosCrash, CheckerRejectsInjectedStaleRead) {
 // direct-retry path and the replicated stream (APPEND makes re-execution
 // visible as a doubled suffix).
 TEST(ChaosCrash, DuplicateWriteRetryNeverDoubleApplies) {
-    CrashClusterOpts o;
-    o.wait_for_slaves = 0;
-    auto c = make_crash_cluster(4242, o);
+    auto cfg = crash_cluster_config(4242);
+    cfg.server_tmpl.wait_for_slaves = 0;
+    auto c = workload::start_traced(cfg);
     RawConn conn(*c, c->master().node().ep, c->master().config().port, "dup");
     ASSERT_TRUE(conn.connected());
 
@@ -286,9 +197,9 @@ TEST(ChaosCrash, DuplicateWriteRetryNeverDoubleApplies) {
 // terminal broken state first and that event alone must invalidate the
 // slave in Nic-KV's node table and the master's replica count.
 TEST(ChaosCrash, RetransmitExhaustionBreaksLinkAndInvalidates) {
-    CrashClusterOpts o;
-    o.waiting_time = sim::seconds(30); // probes can't win this race
-    auto c = make_crash_cluster(5151, o);
+    auto cfg = crash_cluster_config(5151);
+    cfg.nic_cfg.waiting_time = sim::seconds(30); // probes can't win this race
+    auto c = workload::start_traced(cfg);
     ASSERT_EQ(c->nic_kv()->valid_slaves(), 2);
     ASSERT_EQ(c->master().available_slaves(), 2);
 
@@ -318,24 +229,22 @@ TEST(ChaosCrash, RetransmitExhaustionBreaksLinkAndInvalidates) {
 // Acceptance: with every server down, ops never hang — each completes
 // with an explicit failure/timeout inside its deadline.
 TEST(ChaosCrash, TotalOutageOpsFailExplicitlyWithinDeadline) {
-    CrashClusterOpts o;
-    o.n_slaves = 1;
-    auto c = make_crash_cluster(6161, o);
-    Fleet fleet;
-    fleet.spawn(*c, 2, 6, 1.0, sim::milliseconds(150));
-    c->sim().run_until(c->sim().now() + sim::milliseconds(300));
-    ASSERT_FALSE(fleet.all_idle());
-    const auto outage_at = c->sim().now();
-    c->crash_node(-1);
-    c->crash_node(0);
-
-    ASSERT_TRUE(fleet.drain(*c, sim::seconds(40))) << "clients hung";
-    EXPECT_EQ(fleet.history.size(), fleet.ops_issued);
+    ChaosScenario s = fanout(6161, 1);
+    s.fleet.clients = 2;
+    s.fleet.ops_each = 6;
+    s.fleet.spec.set_ratio = 1.0;
+    s.fleet.policy.turnaround = sim::milliseconds(150);
+    s.schedule = {{sim::milliseconds(300), kCrash, -1}, {{}, kCrash, 0}};
+    s.drain_cap = sim::seconds(40);
+    const auto r = s.run();
+    ASSERT_TRUE(r.live);
+    ASSERT_TRUE(r.drained) << "clients hung";
+    EXPECT_TRUE(r.complete);
     const auto deadline = sim::seconds(4);
-    for (const auto& op : fleet.history.ops()) {
+    for (const auto& op : r.history->ops()) {
         EXPECT_LE(op.complete_ns - op.invoke_ns, deadline.ns())
             << "op exceeded its deadline";
-        if (op.invoke_ns > outage_at.ns()) {
+        if (op.invoke_ns > r.first_fault.ns()) {
             EXPECT_NE(op.outcome, check::Outcome::kOk)
                 << "op succeeded against a fully crashed cluster";
         }
@@ -346,28 +255,12 @@ TEST(ChaosCrash, TotalOutageOpsFailExplicitlyWithinDeadline) {
 // retries, backoff jitter, and failover — is a pure function of the seed:
 // double-running it yields bit-identical trace digests and histories.
 TEST(ChaosCrash, CrashScenarioDeterministicWithRetries) {
-    auto run_once = [](std::uint64_t seed) {
-        auto c = make_crash_cluster(seed);
-        Fleet fleet;
-        fleet.spawn(*c, 2, 25, 0.5);
-        c->sim().run_until(c->sim().now() + sim::milliseconds(300));
-        EXPECT_FALSE(fleet.all_idle());
-        c->crash_node(-1);
-        c->sim().run_until(c->sim().now() + sim::milliseconds(400));
-        c->crash_node(0);
-        c->sim().run_until(c->sim().now() + sim::milliseconds(500));
-        c->restart_node(0, server::KvServer::RecoveryMode::kWarm);
-        EXPECT_TRUE(fleet.drain(*c, sim::seconds(60)));
-        std::string fp;
-        fp += std::to_string(c->sim().events_executed()) + "|";
-        fp += std::to_string(c->sim().trace_digest()) + "|";
-        fp += fleet.history.to_json() + "|";
-        fp += c->nic_kv()->stats().format() + "|";
-        fp += std::to_string(fleet.ok());
-        return fp;
-    };
-    EXPECT_EQ(run_once(31), run_once(31));
-    EXPECT_NE(run_once(31), run_once(32));
+    using chaos::crash_sequence_fingerprint;
+    constexpr auto kFanout = server::ReplicationMode::kFanout;
+    const std::string fp = crash_sequence_fingerprint(31, kFanout, 25);
+    EXPECT_EQ(fp, crash_sequence_fingerprint(31, kFanout, 25));
+    EXPECT_NE(fp, crash_sequence_fingerprint(32, kFanout, 25));
+    EXPECT_EQ(chaos::fnv1a(fp), 0x5233a8576c541c05u) << std::hex << chaos::fnv1a(fp);
 }
 
 } // namespace

@@ -1,16 +1,18 @@
 #pragma once
 
-// Shared chaos-test scaffolding: the crash-tuned cluster factory, the
-// retrying client fleet, the linearizability gate (with minimal-artifact
-// dumps and a per-scenario budget-exhaustion summary), and a synchronous
-// raw-connection shell. Used by chaos_crash_test.cpp (fan-out protocol)
-// and chaos_repl_test.cpp (protocol menu matrix).
+// Shared chaos-test scaffolding around the scenario runner
+// (workload/chaos.hpp): the linearizability gate (with minimal-artifact
+// dumps and a per-scenario budget-exhaustion summary), the scenario bodies
+// both crash suites run, the double-run determinism fingerprint, and a
+// synchronous raw-connection shell with the history recorder and tail
+// isolation of the hand-driven consistency traps. Used by
+// chaos_crash_test.cpp (fan-out protocol), chaos_repl_test.cpp (protocol
+// menu matrix) and behaviour_pin_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,7 +21,7 @@
 #include "check/linearize.hpp"
 #include "kv/resp.hpp"
 #include "skv/cluster.hpp"
-#include "workload/retry_client.hpp"
+#include "workload/chaos.hpp"
 
 namespace skv::offload::chaos {
 
@@ -33,129 +35,6 @@ inline std::uint64_t fnv1a(std::string_view s) {
     }
     return h;
 }
-
-/// Crash-chaos cluster: SKV topology with a fast failure detector (so
-/// failover completes well inside client op deadlines), immediate apply
-/// acks, commit gating on one replica, and linearizable read routing
-/// (replicas refuse reads unless the protocol says otherwise, so
-/// retrying clients always find a legitimate server).
-struct CrashClusterOpts {
-    int n_slaves = 2;
-    int wait_for_slaves = 1;
-    sim::Duration persist_interval{};
-    bool serve_stale_reads = false;
-    sim::Duration waiting_time{sim::milliseconds(450)};
-    /// Which replication protocol the cluster runs (DESIGN.md §13).
-    server::ReplicationMode replication_mode = server::ReplicationMode::kFanout;
-    /// Test-only quorum fault injection (see NicKvConfig).
-    int quorum_slave_acks_override = -1;
-    /// Chain-mode tail read lease; must stay below the detector's
-    /// invalidation latency (waiting_time + probe_interval).
-    sim::Duration chain_read_lease{sim::milliseconds(400)};
-};
-
-inline std::unique_ptr<Cluster> make_crash_cluster(
-    std::uint64_t seed, const CrashClusterOpts& o = {}) {
-    ClusterConfig cfg;
-    cfg.seed = seed;
-    cfg.n_slaves = o.n_slaves;
-    cfg.offload = true;
-    cfg.nic_cfg.probe_interval = sim::milliseconds(200);
-    cfg.nic_cfg.waiting_time = o.waiting_time;
-    cfg.nic_cfg.quorum_slave_acks_override = o.quorum_slave_acks_override;
-    cfg.server_tmpl.ack_interval = sim::milliseconds(20);
-    cfg.server_tmpl.ack_on_apply = true;
-    cfg.server_tmpl.wait_for_slaves = o.wait_for_slaves;
-    cfg.server_tmpl.wait_timeout = sim::milliseconds(150);
-    cfg.server_tmpl.serve_stale_reads = o.serve_stale_reads;
-    cfg.server_tmpl.persist_interval = o.persist_interval;
-    cfg.server_tmpl.probe_silence_timeout = sim::seconds(1);
-    cfg.server_tmpl.replication_mode = o.replication_mode;
-    cfg.server_tmpl.chain_read_lease = o.chain_read_lease;
-    auto c = std::make_unique<Cluster>(cfg);
-    c->tracer().set_enabled(true);
-    c->start();
-    return c;
-}
-
-/// A fleet of retrying clients sharing one recorded history.
-struct Fleet {
-    check::History history;
-    std::vector<std::shared_ptr<workload::RetryClient>> clients;
-    std::uint64_t ops_issued = 0;
-    /// Protocol-aware read routing: when set, each read's first attempt
-    /// goes to this target index (0 = master, 1+i = slave i). Chain-mode
-    /// fleets point it at the tail; retries still rotate everywhere.
-    std::size_t read_first = SIZE_MAX;
-
-    /// `turnaround` paces the clients so the workload genuinely overlaps
-    /// the injected faults instead of finishing before the first crash.
-    void spawn(Cluster& c, int n, std::uint64_t ops_each, double set_ratio,
-               sim::Duration turnaround = sim::milliseconds(25)) {
-        std::vector<workload::RetryClient::Target> targets;
-        targets.push_back({c.master().node().ep, c.master().config().port});
-        for (int i = 0; i < c.slave_count(); ++i) {
-            targets.push_back(
-                {c.slave(i).node().ep, c.slave(i).config().port});
-        }
-        auto dial = [&c](net::NodeRef from, workload::RetryClient::Target t,
-                         std::function<void(net::ChannelPtr)> cb) {
-            c.cm().connect(from, t.ep, t.port, std::move(cb));
-        };
-        workload::RetryPolicy pol;
-        pol.attempt_timeout = sim::milliseconds(120);
-        pol.op_deadline = sim::seconds(4);
-        pol.turnaround = turnaround;
-        for (int i = 0; i < n; ++i) {
-            workload::WorkloadSpec spec;
-            spec.set_ratio = set_ratio;
-            spec.key_count = 8; // small keyspace: real read/write contention
-            spec.value_bytes = 16;
-            spec.key_prefix = "ck:";
-            workload::Generator gen(spec, c.sim().fork_rng());
-            auto node = c.add_client_host("rc" + std::to_string(i));
-            clients.push_back(std::make_shared<workload::RetryClient>(
-                c.sim(), c.costs(), node, 100 + static_cast<std::uint64_t>(i),
-                std::move(gen), pol, targets, dial, &history));
-            if (read_first != SIZE_MAX) {
-                clients.back()->set_read_first(read_first);
-            }
-        }
-        for (auto& cl : clients) cl->start(ops_each);
-        ops_issued += static_cast<std::uint64_t>(n) * ops_each;
-    }
-
-    [[nodiscard]] bool all_idle() const {
-        for (const auto& cl : clients) {
-            if (!cl->idle()) return false;
-        }
-        return true;
-    }
-
-    /// Run the sim until every client finished its ops. Returning false
-    /// means a client hung — itself an acceptance failure.
-    [[nodiscard]] bool drain(Cluster& c, sim::Duration cap) {
-        const auto stop = c.sim().now() + cap;
-        while (c.sim().now() < stop) {
-            if (all_idle()) return true;
-            c.sim().run_until(c.sim().now() + sim::milliseconds(20));
-        }
-        return all_idle();
-    }
-
-    [[nodiscard]] std::uint64_t ok() const {
-        std::uint64_t n = 0;
-        for (const auto& cl : clients) n += cl->ops_ok();
-        return n;
-    }
-
-    /// Nonzero retries prove the workload was live while faults were in.
-    [[nodiscard]] std::uint64_t total_retries() const {
-        std::uint64_t n = 0;
-        for (const auto& cl : clients) n += cl->retries();
-        return n;
-    }
-};
 
 /// Per-scenario count of checker budget exhaustions across the whole test
 /// binary, reported in the suite summary so an under-sized search budget
@@ -186,25 +65,26 @@ public:
 inline const bool chaos_summary_registered =
     (::testing::AddGlobalTestEnvironment(new ChaosSummaryEnv), true);
 
-/// The linearizability gate. On a violation — or an indeterminate verdict
-/// from budget exhaustion — the *minimal offending per-key sub-history*
-/// is dumped to chaos_history_<seed>.json (CI uploads it together with
-/// the chrome trace) so the offending schedule can be replayed offline
-/// without wading through every other key's ops.
-inline void gate_linearizable(Cluster& c, const check::History& hist,
+/// The linearizability gate over a run's verdict. On a violation — or an
+/// indeterminate verdict from budget exhaustion — the *minimal offending
+/// per-key sub-history* is dumped to chaos_history_<seed>.json (CI uploads
+/// it together with the chrome trace) so the offending schedule can be
+/// replayed offline without wading through every other key's ops.
+inline void gate_linearizable(const workload::ChaosRun& r,
                               const std::string& scenario) {
-    const auto res = check::check_history(hist);
-    const std::string tag =
-        scenario + " seed " + std::to_string(c.sim().seed());
+    const auto& res = r.check;
+    const std::uint64_t seed = r.cluster->sim().seed();
+    const std::string tag = scenario + " seed " + std::to_string(seed);
     if (res.budget_exhausted) ++budget_exhaustions()[scenario];
-    if (!res.linearizable || res.budget_exhausted) {
+    if (!r.linearizable) {
         char path[64];
         std::snprintf(path, sizeof(path), "chaos_history_%016llx.json",
-                      static_cast<unsigned long long>(c.sim().seed()));
+                      static_cast<unsigned long long>(seed));
         if (std::FILE* f = std::fopen(path, "wb")) {
-            const std::string json = res.offending_key.empty()
-                                         ? hist.to_json()
-                                         : hist.to_json_for_key(res.offending_key);
+            const std::string json =
+                res.offending_key.empty()
+                    ? r.history->to_json()
+                    : r.history->to_json_for_key(res.offending_key);
             std::fwrite(json.data(), 1, json.size(), f);
             std::fclose(f);
             std::fprintf(stderr,
@@ -215,6 +95,164 @@ inline void gate_linearizable(Cluster& c, const check::History& hist,
     }
     EXPECT_FALSE(res.budget_exhausted) << tag << ": " << res.reason;
     EXPECT_TRUE(res.linearizable) << tag << ": " << res.reason;
+}
+
+// --- scenario bodies shared by ChaosCrash.* and ChaosRepl*.* -------------
+// Each takes a scenario's cluster and fleet, adds its fault schedule and
+// asserts its verdicts; `name` keys the gate's budget-exhaustion summary.
+
+/// Master crash + failover: the master dies 400 ms into the workload and
+/// stays dead. Clients must ride over to the promoted stand-in and every op
+/// must complete (successfully or with an explicit failure) inside its
+/// deadline.
+inline void master_crash(workload::ChaosScenario s, const std::string& name) {
+    using enum workload::ChaosStep::Action;
+    const std::uint64_t seed = s.cluster.seed;
+    s.schedule = {{sim::milliseconds(400), kCrash, -1}};
+    const auto r = s.run();
+    ASSERT_TRUE(r.live) << "workload finished pre-crash";
+    ASSERT_TRUE(r.drained) << "seed " << seed;
+    EXPECT_TRUE(r.complete) << "seed " << seed;
+    EXPECT_GT(r.retries(), 0u) << "seed " << seed;
+    EXPECT_EQ(r.cluster->nic_kv()->stats().counter("failovers"), 1u)
+        << "seed " << seed;
+    int promoted = 0;
+    for (int i = 0; i < r.cluster->slave_count(); ++i) {
+        if (r.cluster->slave(i).role() == server::Role::kMaster) ++promoted;
+    }
+    EXPECT_EQ(promoted, 1) << "seed " << seed;
+    // Progress resumed after the crash, not just before it.
+    bool ok_after_crash = false;
+    for (const auto& cl : r.clients) {
+        if (cl->last_ok_at() > r.first_fault) ok_after_crash = true;
+    }
+    EXPECT_TRUE(ok_after_crash) << "seed " << seed;
+    gate_linearizable(r, name);
+}
+
+/// Slave crash during replication under commit gating: writes park on
+/// replica acks, the crash must unblock them through the detector (flush,
+/// or -WAITTIMEOUT and a retry), and the warm restart 800 ms later must
+/// resync without corrupting the history. The restarted slave converges
+/// within `settle`.
+inline void slave_crash(workload::ChaosScenario s, const std::string& name,
+                        sim::Duration settle) {
+    using enum workload::ChaosStep::Action;
+    const std::uint64_t seed = s.cluster.seed;
+    s.fleet.spec.set_ratio = 0.7;
+    s.schedule = {{sim::milliseconds(300), kCrash, 0},
+                  {sim::milliseconds(800), kWarmRestart, 0}};
+    auto r = s.run();
+    ASSERT_TRUE(r.live) << "workload finished pre-crash";
+    ASSERT_TRUE(r.drained) << "seed " << seed;
+    EXPECT_TRUE(r.complete) << "seed " << seed;
+    // Commit gating was actually exercised (every protocol parks the reply
+    // for at least the replication round trip).
+    EXPECT_GT(r.cluster->master().stats().counter("writes_parked"), 0u)
+        << "seed " << seed;
+    gate_linearizable(r, name);
+    EXPECT_TRUE(r.settle(settle)) << "seed " << seed;
+    EXPECT_TRUE(r.cluster->master().db().equals(r.cluster->slave(0).db()))
+        << "seed " << seed;
+}
+
+/// Crash + partition at once on three slaves: slave 2 is cut off, slave 1
+/// crashes 200 ms later, and both heal together a second after that.
+/// Under quorum, 2 of 4 replicas are impaired meanwhile, so writes park and
+/// time out explicitly until the heal: the gate checks consistency, not
+/// availability.
+inline void crash_plus_partition(workload::ChaosScenario s,
+                                 const std::string& name) {
+    using enum workload::ChaosStep::Action;
+    const std::uint64_t seed = s.cluster.seed;
+    s.schedule = {{sim::milliseconds(300), kBlock, 2},
+                  {sim::milliseconds(200), kCrash, 1},
+                  {sim::seconds(1), kWarmRestart, 1},
+                  {{}, kUnblock, 2}};
+    auto r = s.run();
+    ASSERT_TRUE(r.live) << "workload finished pre-fault";
+    ASSERT_TRUE(r.drained) << "seed " << seed;
+    EXPECT_TRUE(r.complete) << "seed " << seed;
+    gate_linearizable(r, name);
+    EXPECT_TRUE(r.settle(sim::seconds(10))) << "seed " << seed;
+}
+
+/// A seeded storm of six warm slave restarts (each down 400 ms) with four
+/// paced clients live throughout: the storm spans at most ~6 × 900 ms and
+/// the paced workload runs longer, so crashes land while clients are live.
+inline void restart_storm(workload::ChaosScenario s, const std::string& name) {
+    using enum workload::ChaosStep::Action;
+    const std::uint64_t seed = s.cluster.seed;
+    s.fleet.clients = 4;
+    s.fleet.policy.turnaround = sim::milliseconds(60);
+    s.schedule = {{.action = kStorm,
+                   .storm = {.crashes = 6, .downtime = sim::milliseconds(400)}}};
+    s.drain_cap = sim::seconds(90);
+    auto r = s.run();
+    EXPECT_GT(r.storm_crashes, 0) << "seed " << seed;
+    ASSERT_TRUE(r.drained) << "seed " << seed;
+    EXPECT_TRUE(r.complete) << "seed " << seed;
+    EXPECT_EQ(r.cluster->master().role(), server::Role::kMaster)
+        << "seed " << seed;
+    gate_linearizable(r, name);
+    EXPECT_TRUE(r.settle(sim::seconds(10))) << "seed " << seed;
+}
+
+/// One run of the double-run determinism scenario — `ops_each` ops from
+/// each of two clients while the master crashes 300 ms in, slave 0 crashes
+/// 400 ms later and comes back warm after another 500 ms — reduced to its
+/// fingerprint: event count, trace digest, history, Nic-KV counters and
+/// successful ops.
+inline std::string crash_sequence_fingerprint(std::uint64_t seed,
+                                              server::ReplicationMode mode,
+                                              std::uint64_t ops_each) {
+    using enum workload::ChaosStep::Action;
+    workload::ChaosScenario s{
+        .cluster = workload::crash_cluster_config(seed, mode),
+        .fleet = {.clients = 2, .ops_each = ops_each}};
+    s.schedule = {{sim::milliseconds(300), kCrash, -1},
+                  {sim::milliseconds(400), kCrash, 0},
+                  {sim::milliseconds(500), kWarmRestart, 0}};
+    const auto r = s.run();
+    EXPECT_TRUE(r.live);
+    EXPECT_TRUE(r.drained);
+    std::string fp;
+    fp += std::to_string(r.events) + "|";
+    fp += std::to_string(r.trace_digest) + "|";
+    fp += r.history->to_json() + "|";
+    fp += r.cluster->nic_kv()->stats().format() + "|";
+    fp += std::to_string(r.ops_ok());
+    return fp;
+}
+
+/// Record one op of a hand-driven trap test: writes as client 1, reads as
+/// client 2, sequenced by invocation time.
+inline void record(check::History& hist, check::OpType type,
+                   const std::string& key, const std::string& value,
+                   std::int64_t invoke_ns, std::int64_t complete_ns) {
+    check::Op op;
+    op.client = type == check::OpType::kWrite ? 1 : 2;
+    op.seq = static_cast<std::uint64_t>(invoke_ns);
+    op.type = type;
+    op.key = key;
+    op.value = value;
+    op.invoke_ns = invoke_ns;
+    op.complete_ns = complete_ns;
+    hist.record(op);
+}
+
+/// Cut the chain tail off from the NIC, the master and its predecessor
+/// (the other slave of a two-slave chain) in both directions; clients can
+/// still reach it.
+inline void isolate_tail(Cluster& c, int tail) {
+    net::FaultSpec cut;
+    cut.blocked = true;
+    auto& faults = c.fabric().faults();
+    const auto tail_ep = c.slave(tail).node().ep;
+    for (const auto peer : {c.nic_kv()->endpoint(), c.master().node().ep,
+                            c.slave(tail == 0 ? 1 : 0).node().ep}) {
+        faults.set_link(peer, tail_ep, cut);
+    }
 }
 
 /// Minimal synchronous command shell over a raw channel, for tests that

@@ -9,6 +9,7 @@
 #include "net/fault.hpp"
 #include "obs/export.hpp"
 #include "skv/cluster.hpp"
+#include "workload/chaos.hpp"
 
 namespace skv::offload {
 namespace {
@@ -121,27 +122,8 @@ std::unique_ptr<Cluster> make_skv(int slaves, std::uint64_t seed,
     cfg.n_slaves = slaves;
     cfg.offload = true;
     cfg.server_tmpl.min_slaves = min_slaves;
-    auto c = std::make_unique<Cluster>(cfg);
-    // Chaos runs with span collection on: the determinism fingerprints
-    // below double as a standing check that tracing never perturbs the
-    // event stream, and a failing seed leaves a chrome trace behind.
-    c->tracer().set_enabled(true);
-    c->start();
-    return c;
-}
-
-/// Attach `spec` to every replication link: NIC <-> slave (fan-out, probes)
-/// and master <-> slave (direct sync channels, acks). The client link and
-/// the master <-> NIC PCIe path stay clean.
-void fault_repl_links(Cluster& c, const net::FaultSpec& spec) {
-    auto& faults = c.fabric().faults();
-    const auto nic_ep = c.nic_kv()->endpoint();
-    const auto master_ep = c.master().node().ep;
-    for (int i = 0; i < c.slave_count(); ++i) {
-        const auto slave_ep = c.slave(i).node().ep;
-        faults.set_link(nic_ep, slave_ep, spec);
-        faults.set_link(master_ep, slave_ep, spec);
-    }
+    // Traced: a failing seed leaves a chrome trace behind.
+    return workload::start_traced(cfg);
 }
 
 void expect_acked_everywhere(Cluster& c, const std::vector<std::string>& keys) {
@@ -159,7 +141,7 @@ TEST(Chaos, DropLossConvergesAcrossSeeds) {
         DigestReporter audit(*c);
         net::FaultSpec loss;
         loss.drop_prob = 0.01;
-        fault_repl_links(*c, loss);
+        workload::fault_replication_links(*c, loss);
 
         SetDriver driver(*c, "k");
         ASSERT_TRUE(driver.connected()) << "seed " << seed;
@@ -187,7 +169,7 @@ TEST(Chaos, DeterministicUnderChaos) {
         mess.dup_prob = 0.02;
         mess.jitter_prob = 0.2;
         mess.jitter_mean = sim::microseconds(200);
-        fault_repl_links(*c, mess);
+        workload::fault_replication_links(*c, mess);
         SetDriver driver(*c, "d");
         driver.run(100);
         c->sim().run_until(c->sim().now() + sim::seconds(5));
@@ -214,7 +196,7 @@ TEST(Chaos, DuplicationAndJitterAreHarmless) {
     mess.dup_prob = 0.05;
     mess.jitter_prob = 0.3;
     mess.jitter_mean = sim::microseconds(500);
-    fault_repl_links(*c, mess);
+    workload::fault_replication_links(*c, mess);
 
     SetDriver driver(*c, "j");
     driver.run(150);
@@ -237,7 +219,7 @@ TEST(Chaos, NoFalseFailoverUnderJitterBelowWaitingTime) {
     net::FaultSpec jitter;
     jitter.jitter_prob = 0.8;
     jitter.jitter_mean = sim::milliseconds(50);
-    fault_repl_links(*c, jitter);
+    workload::fault_replication_links(*c, jitter);
 
     SetDriver driver(*c, "n");
     driver.run(100);
@@ -332,7 +314,7 @@ TEST(Chaos, LinkFlapsLoseNoAcknowledgedWrites) {
     flap.flap_period = sim::seconds(1);
     flap.flap_down = sim::milliseconds(150);
     flap.flap_phase = sim::milliseconds(250);
-    fault_repl_links(*c, flap);
+    workload::fault_replication_links(*c, flap);
 
     SetDriver driver(*c, "f");
     driver.run(200, sim::seconds(60));
@@ -350,7 +332,7 @@ TEST(Chaos, MasterCrashFailoverStillWorksUnderLoss) {
     DigestReporter audit(*c);
     net::FaultSpec loss;
     loss.drop_prob = 0.01;
-    fault_repl_links(*c, loss);
+    workload::fault_replication_links(*c, loss);
 
     SetDriver driver(*c, "m");
     driver.run(50);
