@@ -34,7 +34,7 @@ int main() {
         cfg.n_slaves = 3;
         cfg.transport = server::Transport::kRdma;
         cfg.offload = true;
-        cfg.costs.nic_core_slowdown = slow;
+        cfg.nic_params.core_slowdown = slow;
         auto cluster = std::make_unique<offload::Cluster>(cfg);
         cluster->start();
         const auto r = workload::run_workload(*cluster, opts);

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -159,7 +160,7 @@ void print_json(const std::vector<SweepRun>& runs, const SweepProfile& prof,
 
 int main(int argc, char** argv) {
     SweepProfile prof = full_profile();
-    std::string workloads = "ABC";
+    std::string_view workloads = "ABC";
     std::vector<server::ReplicationMode> modes = {
         server::ReplicationMode::kFanout, server::ReplicationMode::kChain,
         server::ReplicationMode::kQuorum};

@@ -8,7 +8,7 @@ namespace skv::cpu {
 /// Every CPU/NIC/network cost constant in the simulation, in one place.
 /// All durations are expressed in host-core time at the reference clock
 /// (2.3 GHz Xeon Gold 5218, the paper's testbed); SmartNIC ARM cores scale
-/// them by their Core::speed_factor.
+/// them by their Core::speed_factor (nic::SmartNicParams::core_slowdown).
 ///
 /// The defaults are calibrated so the *shapes* of the paper's figures
 /// emerge (see DESIGN.md §2 "Calibration targets"): TCP-Redis saturates
@@ -86,13 +86,6 @@ struct CostModel {
     /// allocator slow paths and interrupt interference; produces realistic
     /// latency tails.
     double jitter_frac = 0.06;
-
-    // --- SmartNIC ----------------------------------------------------------
-    /// Slowdown of one BlueField-2 A72 core relative to the host Xeon for
-    /// this workload (paper §II-C / [22]: "much weaker").
-    double nic_core_slowdown = 2.5;
-    /// ARM cores available on the SmartNIC for Nic-KV.
-    int nic_cores = 8;
 
     /// Apply multiplicative jitter to a base cost.
     [[nodiscard]] sim::Duration jittered(sim::Rng& rng, sim::Duration base) const {

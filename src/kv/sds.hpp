@@ -33,7 +33,6 @@ public:
     [[nodiscard]] std::size_t size() const { return buf_.size(); }
     [[nodiscard]] bool empty() const { return buf_.empty(); }
     [[nodiscard]] std::size_t capacity() const { return buf_.capacity(); }
-    [[nodiscard]] std::size_t avail() const { return buf_.capacity() - buf_.size(); }
 
     [[nodiscard]] const char* data() const { return buf_.data(); }
     [[nodiscard]] std::string_view view() const { return buf_; }

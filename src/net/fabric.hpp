@@ -58,9 +58,6 @@ class Fabric {
 public:
     explicit Fabric(sim::Simulation& sim);
 
-    /// Forwarding latency of the ToR switch (cut-through).
-    void set_switch_latency(sim::Duration d) { switch_latency_ = d; }
-
     /// Attach a host NIC port with a dedicated link to the switch.
     EndpointId add_host(const std::string& name, LinkParams link = {});
 
@@ -97,7 +94,6 @@ public:
     }
 
     [[nodiscard]] const std::string& name_of(EndpointId ep) const;
-    [[nodiscard]] std::size_t endpoint_count() const { return endpoints_.size(); }
     [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
     [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
 
@@ -106,8 +102,8 @@ public:
         return endpoints_.at(ep).is_companion;
     }
 
-    /// Fabric-level typed metrics (sends/delivers/drops, hot-path counters
-    /// pre-resolved to obs handles at construction).
+    /// Fabric-level metrics: `fault_drops`, the messages the fault injector
+    /// dropped (pre-resolved to an obs handle at construction).
     [[nodiscard]] obs::Registry& obs() { return obs_; }
     /// Wire the observability tracer; when enabled, every delivery records
     /// a kFabricTransfer span on the sending endpoint's track. The tracer
@@ -166,18 +162,16 @@ private:
     /// Tracer track for `ep`, registered on first use.
     [[nodiscard]] std::uint32_t fabric_track(EndpointId ep);
 
+    /// Forwarding latency of the ToR switch (cut-through).
+    static constexpr sim::Duration kSwitchLatency = sim::nanoseconds(300);
+
     sim::Simulation& sim_;
-    sim::Duration switch_latency_{sim::nanoseconds(300)};
     std::vector<Endpoint> endpoints_;
     std::uint64_t messages_ = 0;
     std::uint64_t bytes_ = 0;
     std::uint64_t dropped_in_flight_ = 0;
     std::unique_ptr<FaultInjector> faults_;
-    obs::Registry obs_{"fabric"};
-    obs::Counter c_sends_;
-    obs::Counter c_bytes_;
-    obs::Counter c_delivers_;
-    obs::Counter c_drops_in_flight_;
+    obs::Registry obs_;
     obs::Counter c_fault_drops_;
     obs::Tracer* tracer_ = nullptr;
 };

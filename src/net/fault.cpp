@@ -21,17 +21,7 @@ void FaultInjector::clear_pair(EndpointId from, EndpointId to) {
     pairs_.erase({from, to});
 }
 
-void FaultInjector::clear_link(EndpointId a, EndpointId b) {
-    clear_pair(a, b);
-    clear_pair(b, a);
-}
-
 void FaultInjector::clear_endpoint(EndpointId ep) { endpoints_.erase(ep); }
-
-void FaultInjector::clear() {
-    pairs_.clear();
-    endpoints_.clear();
-}
 
 void FaultInjector::apply(const FaultSpec& spec, sim::SimTime now, Decision* d) {
     if (!spec.active()) return;

@@ -56,9 +56,7 @@ public:
     /// Attach `spec` to every message sent to or from `ep`.
     void set_endpoint(EndpointId ep, FaultSpec spec);
     void clear_pair(EndpointId from, EndpointId to);
-    void clear_link(EndpointId a, EndpointId b);
     void clear_endpoint(EndpointId ep);
-    void clear();
 
     /// Verdict for one message.
     struct Decision {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,20 +8,16 @@
 #include "cpu/core.hpp"
 #include "net/channel.hpp"
 #include "net/fabric.hpp"
-#include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
 
 namespace skv::nic {
-
-/// Where the NIC switch steers a flow (paper Fig. 2): straight through to
-/// the host PCIe function, or up to the ARM cores on the SmartNIC.
-enum class SteerTarget : std::uint8_t { kHost, kNicCores };
 
 /// Physical parameters of the simulated BlueField-2 class device.
 struct SmartNicParams {
     /// ARM A72 cores available to offloaded services.
     int arm_cores = 8;
-    /// Slowdown of one ARM core relative to the host Xeon (cost scaling).
+    /// Slowdown of one ARM core relative to the host Xeon (cost scaling;
+    /// paper §II-C / [22]: "much weaker").
     double core_slowdown = 2.5;
     /// On-board DDR available to Nic-KV (16 GB on the paper's MBF2H516A).
     std::size_t dram_bytes = 16ULL * 1024 * 1024 * 1024;
@@ -33,8 +28,10 @@ struct SmartNicParams {
 
 /// An off-path multi-core SoC SmartNIC installed behind one host port.
 /// Owns the companion fabric endpoint (the NIC is "just like a separated
-/// endpoint in the network", §II-A2), the ARM cores, the on-board memory
-/// budget, and the NIC-switch steering table.
+/// endpoint in the network", §II-A2), the ARM cores and the on-board memory
+/// budget. NIC-switch steering (paper Fig. 2) is a per-hop cost on the
+/// companion path (net::CompanionParams::steering), not a table: only
+/// traffic addressed to the companion endpoint reaches the ARM cores.
 class SmartNic {
 public:
     SmartNic(sim::Simulation& sim, net::Fabric& fabric, net::EndpointId host,
@@ -59,36 +56,12 @@ public:
     [[nodiscard]] std::size_t memory_used() const { return mem_used_; }
     [[nodiscard]] std::size_t memory_capacity() const { return params_.dram_bytes; }
 
-    // --- NIC switch steering table -----------------------------------------
-    /// Steer traffic addressed to `service_port` to the host or the ARM
-    /// cores. Unlisted ports default to the host, so ordinary flows bypass
-    /// the ARM cores entirely (the off-path property).
-    void steer(std::uint16_t service_port, SteerTarget target);
-    [[nodiscard]] SteerTarget steering(std::uint16_t service_port) const;
-    [[nodiscard]] std::size_t steering_rules() const { return steering_.size(); }
-
-    /// The fabric endpoint a flow to `service_port` should address.
-    [[nodiscard]] net::EndpointId resolve(std::uint16_t service_port) const {
-        return steering(service_port) == SteerTarget::kNicCores ? endpoint_ : host_;
-    }
-
-    [[nodiscard]] const SmartNicParams& params() const { return params_; }
-    [[nodiscard]] const std::string& name() const { return name_; }
-    [[nodiscard]] obs::Registry& obs() { return obs_; }
-
 private:
     net::EndpointId host_;
     net::EndpointId endpoint_;
-    std::string name_;
     SmartNicParams params_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     std::size_t mem_used_ = 0;
-    std::map<std::uint16_t, SteerTarget> steering_;
-
-    obs::Registry obs_;
-    obs::Counter c_mem_rejects_;
-    obs::Gauge g_mem_used_;
-    obs::Gauge g_steering_rules_;
 };
 
 } // namespace skv::nic

@@ -105,65 +105,6 @@ std::string json_escape(std::string_view s) {
     return out;
 }
 
-std::string registry_text(const Registry& r) {
-    const Snapshot s = r.snapshot();
-    const std::string prefix = r.scope().empty() ? "" : r.scope() + ".";
-    std::string out;
-    for (const auto& [k, v] : s.counters) {
-        out += prefix + k + "=" + std::to_string(v) + "\n";
-    }
-    for (const auto& [k, v] : s.gauges) {
-        out += prefix + k + "=" + std::to_string(v) + "\n";
-    }
-    for (const auto& [k, t] : s.timers) {
-        char buf[192];
-        const double mean =
-            t.count ? t.sum_ns / static_cast<double>(t.count) : 0.0;
-        std::snprintf(buf, sizeof(buf),
-                      "n=%llu mean_us=%.3f p50_us=%.3f p99_us=%.3f "
-                      "p999_us=%.3f max_us=%.3f",
-                      static_cast<unsigned long long>(t.count), mean / 1e3,
-                      static_cast<double>(t.p50_ns) / 1e3,
-                      static_cast<double>(t.p99_ns) / 1e3,
-                      static_cast<double>(t.p999_ns) / 1e3,
-                      static_cast<double>(t.max_ns) / 1e3);
-        out += prefix + k + ": " + buf + "\n";
-    }
-    return out;
-}
-
-std::string snapshot_json(const Snapshot& s, std::string_view scope) {
-    JsonWriter w;
-    w.begin_object();
-    if (!scope.empty()) w.kv("scope", scope);
-    w.key("counters").begin_object();
-    for (const auto& [k, v] : s.counters) w.kv(k, v);
-    w.end_object();
-    w.key("gauges").begin_object();
-    for (const auto& [k, v] : s.gauges) w.kv(k, v);
-    w.end_object();
-    w.key("timers").begin_object();
-    for (const auto& [k, t] : s.timers) {
-        const double mean =
-            t.count ? t.sum_ns / static_cast<double>(t.count) : 0.0;
-        w.key(k).begin_object();
-        w.kv("count", t.count);
-        w.kv("mean_us", mean / 1e3);
-        w.kv("p50_us", static_cast<double>(t.p50_ns) / 1e3);
-        w.kv("p99_us", static_cast<double>(t.p99_ns) / 1e3);
-        w.kv("p999_us", static_cast<double>(t.p999_ns) / 1e3);
-        w.kv("max_us", static_cast<double>(t.max_ns) / 1e3);
-        w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-    return w.str();
-}
-
-std::string registry_json(const Registry& r) {
-    return snapshot_json(r.snapshot(), r.scope());
-}
-
 std::string chrome_trace_json(const Tracer& t) {
     // ts/dur in microseconds. ns -> us with 3 decimals is an exact decimal
     // conversion, so snprintf output is deterministic byte for byte.

@@ -3,17 +3,15 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
 namespace skv::obs {
 
-/// Deterministic JSON builder shared by the metric exporters and the bench
-/// binaries. All floating-point values are formatted with a fixed decimal
-/// count via snprintf, so same-seed runs produce byte-identical documents
-/// (the stability guarantee EXPERIMENTS.md documents for the bench schema).
+/// Deterministic JSON builder for the bench binaries. All floating-point
+/// values are formatted with a fixed decimal count via snprintf, so
+/// same-seed runs produce byte-identical documents (the stability guarantee
+/// EXPERIMENTS.md documents for the bench schema).
 class JsonWriter {
 public:
     JsonWriter& begin_object();
@@ -42,18 +40,6 @@ private:
 
 /// Escape a string for embedding in JSON (quotes not included).
 [[nodiscard]] std::string json_escape(std::string_view s);
-
-/// Full registry dump as sorted "scope.name=value" text lines, including
-/// timer summaries (count/mean/p50/p99/p999/max). Unlike Registry::format()
-/// this is the complete picture; format() keeps its frozen counters-then-
-/// gauges layout without timers.
-[[nodiscard]] std::string registry_text(const Registry& r);
-
-/// Registry as a JSON object: {"scope":...,"counters":{...},"gauges":{...},
-/// "timers":{name:{count,mean_us,p50_us,p99_us,p999_us,max_us}}}.
-[[nodiscard]] std::string registry_json(const Registry& r);
-[[nodiscard]] std::string snapshot_json(const Snapshot& s,
-                                        std::string_view scope = {});
 
 /// Tracer spans as chrome://tracing "traceEvents" JSON (ph:"X" complete
 /// events, ts/dur in microseconds with fixed 3-decimal formatting, tracks

@@ -55,7 +55,7 @@ std::uint64_t Tracer::span_id(std::uint32_t track, Stage stage) {
 
 void Tracer::push_span(std::uint32_t track, Stage stage, sim::SimTime begin,
                        sim::SimTime end) {
-    if (spans_.size() >= max_spans_) {
+    if (spans_.size() >= kMaxSpans) {
         ++dropped_spans_;
         return;
     }
@@ -65,7 +65,6 @@ void Tracer::push_span(std::uint32_t track, Stage stage, sim::SimTime begin,
 void Tracer::accumulate(Stage stage, sim::Duration d) {
     accums_[static_cast<std::size_t>(stage)].sum_ns += d.ns();
     ++accums_[static_cast<std::size_t>(stage)].count;
-    hists_[static_cast<std::size_t>(stage)].record(d);
 }
 
 void Tracer::complete(std::uint32_t track, Stage stage, sim::SimTime begin,
@@ -173,16 +172,6 @@ void Tracer::repl_ack(std::int64_t cum_offset) {
                   it->second.propagate, sim_.now());
         it = repl_.erase(it);
     }
-}
-
-void Tracer::clear() {
-    spans_.clear();
-    flows_.clear();
-    repl_.clear();
-    for (auto& a : accums_) a = StageAccum{};
-    for (auto& h : hists_) h.clear();
-    dropped_spans_ = 0;
-    seq_ = 0;
 }
 
 } // namespace skv::obs

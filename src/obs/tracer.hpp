@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/histogram.hpp"
 #include "sim/simulation.hpp"
 
 namespace skv::obs {
@@ -42,10 +41,10 @@ struct Span {
     sim::SimTime end;
 };
 
-/// Running (sum, count) per stage. Kept alongside the per-stage histograms
-/// because measurement windows need exact subtractable sums: the
-/// workload runner snapshots these at window start/end and the deltas give
-/// matched per-request populations for the latency breakdown.
+/// Running (sum, count) per stage. Measurement windows need exact
+/// subtractable sums: the workload runner snapshots these at window
+/// start/end and the deltas give matched per-request populations for the
+/// latency breakdown.
 struct StageAccum {
     std::int64_t sum_ns = 0;
     std::uint64_t count = 0;
@@ -69,8 +68,7 @@ struct StageAccum {
 ///    in the kReplData/kAck node messages end to end.
 class Tracer {
 public:
-    explicit Tracer(sim::Simulation& sim, std::size_t max_spans = 1 << 16)
-        : sim_(sim), max_spans_(max_spans) {}
+    explicit Tracer(sim::Simulation& sim) : sim_(sim) {}
 
     Tracer(const Tracer&) = delete;
     Tracer& operator=(const Tracer&) = delete;
@@ -103,19 +101,12 @@ public:
     [[nodiscard]] const StageAccum& stage_accum(Stage s) const {
         return accums_[static_cast<std::size_t>(s)];
     }
-    [[nodiscard]] const sim::LatencyHistogram& stage_hist(Stage s) const {
-        return hists_[static_cast<std::size_t>(s)];
-    }
     [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
     [[nodiscard]] const std::vector<std::string>& track_names() const {
         return track_names_;
     }
     [[nodiscard]] std::uint64_t dropped_spans() const { return dropped_spans_; }
     [[nodiscard]] sim::Simulation& sim() { return sim_; }
-
-    /// Drop recorded spans, stage stats and open correlation state. Track
-    /// registrations survive (they are topology, not data).
-    void clear();
 
 private:
     struct FlowState {
@@ -136,6 +127,8 @@ private:
         bool have_fanout = false;
     };
 
+    /// Spans past this many are counted in dropped_spans(), not kept.
+    static constexpr std::size_t kMaxSpans = 1 << 16;
     static constexpr std::size_t kMaxFlows = 1 << 16;
     static constexpr std::size_t kMaxRepl = 1 << 13;
 
@@ -145,7 +138,6 @@ private:
     void accumulate(Stage stage, sim::Duration d);
 
     sim::Simulation& sim_;
-    std::size_t max_spans_;
     bool enabled_ = false;
     std::uint64_t seq_ = 0;
     std::uint64_t dropped_spans_ = 0;
@@ -153,8 +145,6 @@ private:
     std::vector<std::string> track_names_;
     std::map<std::string, std::uint32_t> track_index_;
     std::array<StageAccum, static_cast<std::size_t>(Stage::kCount)> accums_{};
-    std::array<sim::LatencyHistogram, static_cast<std::size_t>(Stage::kCount)>
-        hists_{};
     std::map<std::uint64_t, FlowState> flows_;
     std::map<std::int64_t, ReplState> repl_;
 };

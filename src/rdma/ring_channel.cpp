@@ -167,7 +167,6 @@ void RingChannel::on_cq_event() {
             // re-registered before its information is announced again.
             if (self->batch_data_bytes_ + self->params_.credit_threshold >=
                 self->params_.ring_bytes) {
-                self->recv_mr_->reregister();
                 self->self_.core->consume(self->net_.costs().mr_register);
                 ++self->reregs_;
             }
@@ -217,16 +216,12 @@ void RingChannel::handle_data(const Completion& c) {
         // window recovers), resync the cursor, and poison reassembly until
         // the next message boundary.
         const std::size_t gap = (off + cap - read_cursor_) % cap;
-        if (gap > cap / 2) {
-            ++stale_frames_;
-            return;
-        }
+        if (gap > cap / 2) return;
         lost_gap_bytes_ += gap;
         total_consumed_ += gap;
         consumed_since_credit_ += gap;
         batch_data_bytes_ += gap;
         read_cursor_ = off;
-        if (!reassembly_.empty()) ++reassembly_resets_;
         reassembly_.clear();
         discard_until_final_ = true;
     }

@@ -62,11 +62,7 @@ public:
     [[nodiscard]] std::uint64_t credit_messages() const { return credit_msgs_; }
     [[nodiscard]] std::uint64_t mr_reregistrations() const { return reregs_; }
     [[nodiscard]] std::uint64_t lost_gap_bytes() const { return lost_gap_bytes_; }
-    [[nodiscard]] std::uint64_t stale_frames() const { return stale_frames_; }
-    [[nodiscard]] std::uint64_t reassembly_resets() const { return reassembly_resets_; }
-    [[nodiscard]] std::size_t send_window() const { return free_space_; }
     [[nodiscard]] const MemoryRegionPtr& recv_mr() const { return recv_mr_; }
-    [[nodiscard]] const QueuePairPtr& qp() const { return qp_; }
     [[nodiscard]] const CompletionQueuePtr& send_cq() const { return send_cq_; }
     [[nodiscard]] const CompletionQueuePtr& recv_cq() const { return recv_cq_; }
 
@@ -139,8 +135,6 @@ private:
     std::uint64_t credit_msgs_ = 0;
     std::uint64_t reregs_ = 0;
     std::uint64_t lost_gap_bytes_ = 0;
-    std::uint64_t stale_frames_ = 0;
-    std::uint64_t reassembly_resets_ = 0;
     // Lazily registered tracer track for completion-wakeup spans.
     std::uint32_t obs_track_ = UINT32_MAX;
 };

@@ -109,7 +109,6 @@ void CompletionChannel::fire() {
 
 void CompletionQueue::push(Completion c) {
     queue_.push_back(std::move(c));
-    ++total_;
     if (channel_) channel_->fire();
 }
 
@@ -124,9 +123,7 @@ std::vector<Completion> CompletionQueue::poll(std::size_t max) {
 RdmaNetwork::RdmaNetwork(sim::Simulation& sim, net::Fabric& fabric,
                          const cpu::CostModel& costs)
     : sim_(sim), fabric_(fabric), costs_(costs), rng_(sim.fork_rng()),
-      c_wr_posts_(obs_.counter_handle("wr_posts")),
-      c_write_imm_(obs_.counter_handle("write_with_imm")),
-      c_mr_regs_(obs_.counter_handle("mr_registrations")) {}
+      c_wr_posts_(obs_.counter_handle("wr_posts")) {}
 
 RdmaNetwork::~RdmaNetwork() {
     for (MemoryRegion* mr : mrs_) {
@@ -137,7 +134,6 @@ RdmaNetwork::~RdmaNetwork() {
 MemoryRegionPtr RdmaNetwork::register_mr(net::NodeRef node, std::size_t size) {
     const auto rkey = static_cast<std::uint32_t>(mrs_.size() + 1);
     auto mr = std::make_shared<MemoryRegion>(rkey, size);
-    c_mr_regs_.incr();
     mr->registry_ = this;
     mrs_.push_back(mr.get());
     if (node.core) node.core->consume(costs_.mr_register);
@@ -202,7 +198,6 @@ void QueuePair::post_recv(std::uint64_t wr_id, MemoryRegionPtr mr,
 
 void QueuePair::post_send(SendWr wr) {
     net_.c_wr_posts_.incr();
-    if (wr.op == Opcode::kWriteWithImm) net_.c_write_imm_.incr();
     auto peer = peer_.lock();
     if (!peer) {
         self_.core->consume(net_.wr_post_cost(self_.ep));
@@ -282,7 +277,7 @@ void QueuePair::launch(QueuePairPtr peer, Inbound in, std::size_t wire_bytes,
             if (signaled) {
                 // Hardware ACK flows back; the send completion needs no
                 // remote CPU.
-                net.simulation().after(net.ack_latency(), [self, wr_id, op]() {
+                net.simulation().after(RdmaNetwork::kAckLatency, [self, wr_id, op]() {
                     Completion c;
                     c.wr_id = wr_id;
                     c.op = op;

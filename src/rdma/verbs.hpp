@@ -87,12 +87,6 @@ public:
     /// `out`: read_wrapped without the temporary.
     void append_wrapped(std::size_t offset, std::size_t len, std::string& out) const;
 
-    /// Number of times this MR has been (re-)registered; the ring messenger
-    /// re-registers when the receive buffer drains after filling up, per the
-    /// paper's flow-control description.
-    [[nodiscard]] std::uint32_t generation() const { return generation_; }
-    void reregister() { ++generation_; }
-
 private:
     friend class RdmaNetwork;
 
@@ -105,7 +99,6 @@ private:
 
     inline static long live_count_ = 0;
     std::uint32_t rkey_;
-    std::uint32_t generation_ = 1;
     std::size_t size_;
     std::vector<std::unique_ptr<char[]>> pages_; // null until first written
     /// The network whose rkey table points at this MR; cleared when the
@@ -130,7 +123,6 @@ public:
     /// Arm the channel: the next completion pushed to an attached CQ fires
     /// the callback once.
     void req_notify() { armed_ = true; }
-    [[nodiscard]] bool armed() const { return armed_; }
 
 private:
     friend class CompletionQueue;
@@ -175,12 +167,10 @@ public:
     void clear() { queue_.clear(); }
 
     [[nodiscard]] std::size_t depth() const { return queue_.size(); }
-    [[nodiscard]] std::uint64_t total_pushed() const { return total_; }
 
 private:
     std::shared_ptr<CompletionChannel> channel_;
     std::deque<Completion> queue_;
-    std::uint64_t total_ = 0;
 };
 
 using CompletionQueuePtr = std::shared_ptr<CompletionQueue>;
@@ -316,8 +306,7 @@ public:
 
     /// One-way hardware ACK latency for send completions (RC QPs complete a
     /// signaled WR when the remote NIC acks, no remote CPU involved).
-    [[nodiscard]] sim::Duration ack_latency() const { return ack_latency_; }
-    void set_ack_latency(sim::Duration d) { ack_latency_ = d; }
+    static constexpr sim::Duration kAckLatency = sim::nanoseconds(900);
 
     /// Per-WR cost charged at post time for endpoint `ep`. Host endpoints
     /// ring the doorbell over PCIe MMIO and occasionally stall on it;
@@ -330,8 +319,8 @@ public:
     /// RoCE header overhead added to payload size on the wire.
     static constexpr std::size_t kHeaderBytes = 58; // Eth+IP+UDP+BTH(+RETH)
 
-    /// RDMA-layer typed metrics (WR posts, WRITE_WITH_IMM count, MR
-    /// registrations — hot counters pre-resolved at construction).
+    /// RDMA-layer metrics: `wr_posts`, every work request posted
+    /// (pre-resolved to an obs handle at construction).
     [[nodiscard]] obs::Registry& obs() { return obs_; }
     /// Observability tracer shared by all RDMA objects of this network;
     /// RingChannels record completion-channel wakeup spans through it.
@@ -352,7 +341,6 @@ private:
     net::Fabric& fabric_;
     const cpu::CostModel& costs_;
     sim::Rng rng_;
-    sim::Duration ack_latency_{sim::nanoseconds(900)};
     std::uint64_t writes_unknown_mr_ = 0;
     /// The MR registered under rkey i + 1 (rkeys are issued sequentially
     /// from 1 and never reused), or null once it was deregistered or
@@ -360,10 +348,8 @@ private:
     /// own slot, and this network detaches every MR it still points at when
     /// it dies first. One slot per registration for the network's life.
     std::vector<MemoryRegion*> mrs_;
-    obs::Registry obs_{"rdma"};
+    obs::Registry obs_;
     obs::Counter c_wr_posts_;
-    obs::Counter c_write_imm_;
-    obs::Counter c_mr_regs_;
     obs::Tracer* tracer_ = nullptr;
 };
 

@@ -86,15 +86,13 @@ KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
       repl_(repl ? std::move(repl) : std::make_unique<HostFanout>()),
       db_([&sim]() { return sim.now().ns() / 1'000'000; }),
       backlog_(cfg_.backlog_bytes),
-      commands_table_(kv::CommandTable::instance()), stats_(cfg_.name),
+      commands_table_(kv::CommandTable::instance()),
       c_reads_(stats_.counter_handle("reads")),
       c_writes_(stats_.counter_handle("writes")),
       c_repl_offload_(stats_.counter_handle("repl_offload_requests")),
       c_repl_sends_(stats_.counter_handle("repl_sends")),
       c_repl_applied_(stats_.counter_handle("repl_applied")),
-      t_cmd_all_(stats_.timer_handle("cmd.service")),
-      t_cmd_write_(stats_.timer_handle("cmd.service.write")),
-      t_cmd_read_(stats_.timer_handle("cmd.service.read")) {
+      t_cmd_all_(stats_.timer_handle("cmd.service")) {
     SKV_CHECK(self_.valid());
     SKV_CHECK(nets_.fabric != nullptr);
     repl_->s_ = this;
@@ -515,7 +513,6 @@ void KvServer::record_command_latency(const std::vector<std::string>& argv,
                                       bool is_write, sim::SimTime t0) {
     const sim::Duration dur = sim_.now() - t0;
     t_cmd_all_.record(dur);
-    (is_write ? t_cmd_write_ : t_cmd_read_).record(dur);
     if (cfg_.slowlog_threshold.ns() >= 0 &&
         dur.ns() >= cfg_.slowlog_threshold.ns()) {
         SlowlogEntry e;

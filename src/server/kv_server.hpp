@@ -87,20 +87,12 @@ public:
     /// the node was down; it resynchronizes via the NIC-driven resync.
     void recover(RecoveryMode mode = RecoveryMode::kWarm);
     [[nodiscard]] bool crashed() const { return crashed_; }
-    /// Offset of the last persisted snapshot (what a cold restart resumes
-    /// from); 0 when nothing was persisted yet.
-    [[nodiscard]] std::int64_t persisted_offset() const { return persisted_offset_; }
-    /// Parked replies currently waiting for replica acknowledgements.
-    [[nodiscard]] std::size_t parked_replies() const { return parked_.size(); }
     /// Retained duplicate-suppression entries (one per writing client).
     [[nodiscard]] std::size_t dup_entries() const { return dup_table_.size(); }
     /// Whether a duplicate-suppression entry for `client` is retained.
     [[nodiscard]] bool dup_has(std::uint64_t client) const {
         return dup_table_.find(client) != dup_table_.end();
     }
-    /// Chain replication: whether this node currently believes it is the
-    /// tail.
-    [[nodiscard]] bool chain_is_tail() const;
     /// Quorum replication: the majority watermark last released by the NIC.
     [[nodiscard]] std::int64_t quorum_commit_offset() const;
 
@@ -347,8 +339,6 @@ private:
     obs::Counter c_repl_sends_;
     obs::Counter c_repl_applied_;
     obs::Timer t_cmd_all_;
-    obs::Timer t_cmd_write_;
-    obs::Timer t_cmd_read_;
 
     obs::Tracer* tracer_ = nullptr;
     std::uint32_t obs_track_ = UINT32_MAX;
@@ -400,7 +390,6 @@ public:
     virtual void on_chain_set(const NodeMsg&) { stats().incr("node_msgs_unexpected"); }
     virtual void on_chain_data(const NodeMsg&) { stats().incr("node_msgs_unexpected"); }
     virtual void on_quorum_commit(const NodeMsg&) { stats().incr("node_msgs_unexpected"); }
-    [[nodiscard]] virtual bool chain_is_tail() const { return false; }
     [[nodiscard]] virtual std::int64_t quorum_commit_offset() const { return 0; }
 
 protected:
@@ -437,7 +426,6 @@ private:
     KvServer* s_ = nullptr;
 };
 
-inline bool KvServer::chain_is_tail() const { return repl_->chain_is_tail(); }
 inline std::int64_t KvServer::quorum_commit_offset() const {
     return repl_->quorum_commit_offset();
 }

@@ -235,7 +235,6 @@ void ReliableChannel::send_ack_now() {
     wire.reserve(kAckFrame);
     wire.push_back(kAck);
     put_u64(wire, delivered_seq_);
-    ++acks_sent_;
     c_acks_.incr();
     inner_->send(wire);
 }

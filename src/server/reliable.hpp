@@ -87,7 +87,6 @@ public:
     /// Out-of-order arrivals dropped because the reorder window was full.
     [[nodiscard]] std::uint64_t reorder_overflows() const { return reorder_overflows_; }
     [[nodiscard]] std::uint64_t crc_drops() const { return crc_drops_; }
-    [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
     [[nodiscard]] std::size_t unacked_count() const { return unacked_.size(); }
 
 private:
@@ -137,7 +136,6 @@ private:
     std::uint64_t dups_suppressed_ = 0;
     std::uint64_t reorder_overflows_ = 0;
     std::uint64_t crc_drops_ = 0;
-    std::uint64_t acks_sent_ = 0;
 
     // Owner-scoped aggregate counters, pre-resolved in wrap(). Inert when
     // no registry was supplied.

@@ -85,8 +85,6 @@ public:
         apply_frame(msg);
     }
 
-    [[nodiscard]] bool chain_is_tail() const override { return member_ && tail_; }
-
 private:
     /// Forget the assignment and drop the successor link.
     void leave() {

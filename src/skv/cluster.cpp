@@ -64,11 +64,8 @@ void Cluster::start() {
     // SmartNIC + Nic-KV on the master (SKV mode only; the baseline's NIC
     // switch steers everything straight to the host).
     if (cfg_.offload) {
-        nic::SmartNicParams np = cfg_.nic_params;
-        np.core_slowdown = cfg_.costs.nic_core_slowdown;
-        np.arm_cores = cfg_.costs.nic_cores;
         nic_ = std::make_unique<nic::SmartNic>(sim_, fabric_, master_ep,
-                                               "master/bf2", np);
+                                               "master/bf2", cfg_.nic_params);
         nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_, cfg_.nic_cfg,
                                          std::move(protocol.nic));
         nickv_->set_tracer(&tracer_, "nic/" + cfg_.nic_cfg.name);

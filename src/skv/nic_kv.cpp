@@ -19,7 +19,7 @@ NicKv::NicKv(sim::Simulation& sim, const cpu::CostModel& costs,
              rdma::ConnectionManager& cm, nic::SmartNic& nic, NicKvConfig cfg,
              std::unique_ptr<NicReplication> repl)
     : sim_(sim), costs_(costs), cm_(cm), nic_(nic), cfg_(std::move(cfg)),
-      rng_(sim.fork_rng()), repl_(std::move(repl)), stats_(cfg_.name),
+      rng_(sim.fork_rng()), repl_(std::move(repl)),
       c_fanout_sends_(stats_.counter_handle("fanout_sends")),
       c_repl_requests_(stats_.counter_handle("repl_requests")) {
     SKV_CHECK(repl_ != nullptr);
@@ -29,8 +29,6 @@ NicKv::NicKv(sim::Simulation& sim, const cpu::CostModel& costs,
 void NicKv::start() {
     SKV_CHECK(!started_);
     started_ = true;
-    // The NIC switch steers this service port up to the ARM cores.
-    nic_.steer(cfg_.port, nic::SteerTarget::kNicCores);
     cm_.listen(nic_.node(0), cfg_.port,
                [this](net::ChannelPtr ch) {
                    if (ch && !crashed_) on_accept(std::move(ch));

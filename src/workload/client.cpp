@@ -2,11 +2,21 @@
 
 namespace skv::workload {
 
+namespace {
+
+/// Per-request client turnaround: the load generator's own event loop,
+/// buffer management and timer bookkeeping between receiving a reply and
+/// issuing the next request. Calibrated so the concurrency at which the
+/// server saturates matches the paper's Fig. 10/11 knees (redis-benchmark
+/// is not a zero-overhead client).
+constexpr sim::Duration kTurnaround = sim::microseconds(9);
+
+} // namespace
+
 BenchClient::BenchClient(sim::Simulation& sim, const cpu::CostModel& costs,
-                         net::NodeRef node, Generator gen,
-                         sim::Duration turnaround)
+                         net::NodeRef node, Generator gen)
     : sim_(sim), costs_(costs), node_(node), gen_(std::move(gen)),
-      turnaround_(turnaround), rng_(sim.fork_rng()) {}
+      rng_(sim.fork_rng()) {}
 
 void BenchClient::attach(net::ChannelPtr ch) {
     channel_ = std::move(ch);
@@ -46,7 +56,6 @@ void BenchClient::on_reply(std::string payload) {
         }
         if (!in_flight_) continue; // stale reply after stop()
         in_flight_ = false;
-        ++total_;
         if (tracer_ != nullptr && tracer_->enabled()) {
             tracer_->flow_complete(channel_->flow_id());
         }
@@ -62,7 +71,7 @@ void BenchClient::on_reply(std::string payload) {
         // connections do not serialize behind one simulated core).
         node_.core->consume(costs_.jittered(rng_, costs_.cmd_parse));
         auto self = shared_from_this();
-        sim_.after(costs_.jittered(rng_, turnaround_),
+        sim_.after(costs_.jittered(rng_, kTurnaround),
                    [self]() { self->issue_next(); });
     }
 }

@@ -20,8 +20,7 @@ namespace skv::workload {
 class BenchClient : public std::enable_shared_from_this<BenchClient> {
 public:
     BenchClient(sim::Simulation& sim, const cpu::CostModel& costs,
-                net::NodeRef node, Generator gen,
-                sim::Duration turnaround = sim::microseconds(9));
+                net::NodeRef node, Generator gen);
 
     /// Attach the established channel and start issuing.
     void attach(net::ChannelPtr ch);
@@ -43,7 +42,6 @@ public:
     }
 
     [[nodiscard]] std::uint64_t recorded_ops() const { return recorded_; }
-    [[nodiscard]] std::uint64_t total_ops() const { return total_; }
     [[nodiscard]] std::uint64_t errors() const { return errors_; }
     [[nodiscard]] const sim::LatencyHistogram& latencies() const { return hist_; }
 
@@ -55,7 +53,6 @@ private:
     const cpu::CostModel& costs_;
     net::NodeRef node_;
     Generator gen_;
-    sim::Duration turnaround_;
     sim::Rng rng_;
 
     net::ChannelPtr channel_;
@@ -65,7 +62,6 @@ private:
     bool running_ = true;
     bool recording_ = false;
 
-    std::uint64_t total_ = 0;
     std::uint64_t recorded_ = 0;
     std::uint64_t errors_ = 0;
     sim::LatencyHistogram hist_;

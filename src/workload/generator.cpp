@@ -43,8 +43,6 @@ std::string Generator::key_name(std::uint64_t idx) const {
 
 std::string Generator::next_key() { return key_name(next_key_index()); }
 
-std::string Generator::pick_key() { return next_key(); }
-
 std::string Generator::make_value() {
     std::string v(spec_.value_bytes, 'x');
     // Vary a small prefix so values are not all identical (and int-encoded).
@@ -58,10 +56,10 @@ std::string Generator::make_value() {
 std::vector<std::string> Generator::next() {
     if (rng_.next_double() < spec_.set_ratio) {
         ++sets_;
-        return {"SET", pick_key(), make_value()};
+        return {"SET", next_key(), make_value()};
     }
     ++gets_;
-    return {"GET", pick_key()};
+    return {"GET", next_key()};
 }
 
 } // namespace skv::workload

@@ -81,8 +81,6 @@ public:
     [[nodiscard]] std::string make_value();
 
 private:
-    [[nodiscard]] std::string pick_key();
-
     WorkloadSpec spec_;
     sim::Rng rng_;
     std::unique_ptr<sim::ZipfianGenerator> zipf_;

@@ -319,14 +319,13 @@ void RetryClient::finalize(check::Outcome outcome, bool found,
 }
 
 sim::Duration RetryClient::next_backoff() {
-    // base * 2^(attempts-1), capped, then jittered by +/- jitter_frac.
-    std::int64_t ns = policy_.backoff_base.ns();
-    for (int i = 1; i < op_attempts_ && ns < policy_.backoff_cap.ns(); ++i) {
-        ns *= 2;
-    }
-    if (ns > policy_.backoff_cap.ns()) ns = policy_.backoff_cap.ns();
-    const double jitter =
-        1.0 + policy_.jitter_frac * (2.0 * rng_.next_double() - 1.0);
+    // 10 ms * 2^(attempts-1), capped at 320 ms, then jittered by +/-25%.
+    constexpr std::int64_t kBaseNs = sim::milliseconds(10).ns();
+    constexpr std::int64_t kCapNs = sim::milliseconds(320).ns();
+    std::int64_t ns = kBaseNs;
+    for (int i = 1; i < op_attempts_ && ns < kCapNs; ++i) ns *= 2;
+    if (ns > kCapNs) ns = kCapNs;
+    const double jitter = 1.0 + 0.25 * (2.0 * rng_.next_double() - 1.0);
     return sim::Duration(ns).scaled(jitter);
 }
 

@@ -16,9 +16,10 @@
 
 namespace skv::workload {
 
-/// Client-side robustness knobs (ISSUE PR6): per-attempt timeouts, a hard
-/// per-operation deadline, and capped exponential backoff with seeded
-/// jitter between attempts.
+/// Client-side robustness knobs: per-attempt timeouts, a hard per-operation
+/// deadline and the pacing between operations. Between attempts the client
+/// backs off exponentially: 10 ms * 2^(n-1) before attempt n, capped at
+/// 320 ms, then jittered by +/-25% from the client's forked RNG stream.
 struct RetryPolicy {
     /// An attempt (dial + request + reply) that has not answered within
     /// this long is abandoned: the channel to that target is closed (so a
@@ -29,11 +30,6 @@ struct RetryPolicy {
     /// cannot be met the op completes with an explicit timeout/failure —
     /// the client never hangs.
     sim::Duration op_deadline{sim::seconds(6)};
-    /// Backoff before attempt n is base * 2^(n-1), capped, then jittered
-    /// by +/- jitter_frac from the client's forked RNG stream.
-    sim::Duration backoff_base{sim::milliseconds(10)};
-    sim::Duration backoff_cap{sim::milliseconds(320)};
-    double jitter_frac = 0.25;
     /// Client-side pacing between consecutive operations.
     sim::Duration turnaround{sim::microseconds(20)};
 };

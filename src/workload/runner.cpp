@@ -126,7 +126,7 @@ RunResult run_workload(offload::Cluster& cluster, const RunOptions& opts) {
     for (int i = 0; i < opts.clients; ++i) {
         auto client = std::make_shared<BenchClient>(
             sim, cluster.costs(), client_host,
-            Generator(opts.spec, sim.fork_rng()), opts.client_turnaround);
+            Generator(opts.spec, sim.fork_rng()));
         if (opts.trace_stages) {
             client->set_tracer(&tracer, "client/" + std::to_string(i));
         }

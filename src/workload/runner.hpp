@@ -24,12 +24,6 @@ struct RunOptions {
     /// Keys preloaded into every node before the run (GET workloads need a
     /// populated keyspace).
     bool preload = false;
-    /// Per-request client turnaround: the load generator's own event loop,
-    /// buffer management and timer bookkeeping between receiving a reply
-    /// and issuing the next request. Calibrated so the concurrency at
-    /// which the server saturates matches the paper's Fig. 10/11 knees
-    /// (redis-benchmark is not a zero-overhead client).
-    sim::Duration client_turnaround{sim::microseconds(9)};
     /// Scripted fault injections relative to the start of measurement.
     struct Fault {
         sim::Duration at;

@@ -82,9 +82,7 @@ struct Driver : std::enable_shared_from_this<Driver> {
     }
 
     [[nodiscard]] sim::Duration next_gap() {
-        const double mean_ns = 1e6 / opts.offered_kops;
-        double g = mean_ns;
-        if (opts.poisson) g = arr_rng.next_exponential(mean_ns);
+        const double g = arr_rng.next_exponential(1e6 / opts.offered_kops);
         auto ns = static_cast<std::int64_t>(g + 0.5);
         if (ns < 1) ns = 1;
         return sim::Duration(ns);
@@ -255,10 +253,10 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
     StageBreakdown stages;
     if (opts.trace_stages) stage_window.finish(tracer, &stages);
 
-    // Drain: no new arrivals; let queued/in-flight window ops finish (their
-    // latency belongs to the window). The retry machinery's op deadlines
-    // bound each op, the cap bounds the loop.
-    const sim::SimTime drain_stop = driver->measure_end + opts.drain;
+    // Drain: no new arrivals; for up to 8 s let queued/in-flight window ops
+    // finish (their latency belongs to the window they arrived in). The
+    // retry machinery's op deadlines bound each op, the cap bounds the loop.
+    const sim::SimTime drain_stop = driver->measure_end + sim::seconds(8);
     while (sim.now() < drain_stop && !driver->drained()) {
         sim.run_until(sim.now() + sim::milliseconds(10));
     }

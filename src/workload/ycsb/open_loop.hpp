@@ -27,17 +27,11 @@ struct OpenLoopOptions {
     /// Connections are spread over client hosts this many per host (one
     /// simulated core per host, as redis-benchmark threads would be).
     int connections_per_host = 64;
-    /// Offered arrival rate (thousands of ops per second).
+    /// Offered arrival rate (thousands of ops per second), as Poisson
+    /// arrivals (exponential gaps).
     double offered_kops = 40.0;
-    /// Poisson arrivals (exponential gaps) when true; a fixed-rate
-    /// metronome when false.
-    bool poisson = true;
     sim::Duration warmup{sim::milliseconds(300)};
     sim::Duration measure{sim::seconds(2)};
-    /// After the measurement window, arrivals stop and the driver runs up
-    /// to this much longer so queued/in-flight recorded ops complete (their
-    /// latency belongs to the window they arrived in).
-    sim::Duration drain{sim::seconds(8)};
     bool preload = true;
     /// Per-connection retry/timeout machinery (same semantics as the
     /// closed-loop RetryClient fleet).

@@ -191,7 +191,7 @@ TEST(Linearize, DeepConcurrencySearchCompletes) {
     History h;
     for (int i = 0; i < 12; ++i) {
         h.record(w(static_cast<std::uint64_t>(i), "k",
-                   "v" + std::to_string(i), i, 1000 + i));
+                   std::string("v").append(std::to_string(i)), i, 1000 + i));
     }
     h.record(r(99, "k", "v7", true, 2000, 2010));
     const auto res = check_history(h);

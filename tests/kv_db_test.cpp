@@ -91,7 +91,7 @@ TEST(Database, ActiveExpireCycle) {
     Clock clk;
     Database db(clk.fn());
     for (int i = 0; i < 100; ++i) {
-        const std::string k = "k" + std::to_string(i);
+        const std::string k = std::string("k").append(std::to_string(i));
         db.set(k, Object::make_string("v"));
         db.set_expire(k, 50);
     }

@@ -30,7 +30,8 @@ Database random_db(sim::Rng& rng) {
     Database db = make_db();
     const auto keys = 1 + rng.next_below(24);
     for (std::uint64_t i = 0; i < keys; ++i) {
-        const std::string key = "k" + std::to_string(rng.next_below(100));
+        const std::string key =
+            std::string("k").append(std::to_string(rng.next_below(100)));
         std::string v;
         switch (rng.next_below(4)) {
             case 0: v = std::to_string(rng.next_range(-1'000'000, 1'000'000)); break;

@@ -249,15 +249,21 @@ TEST(ReplyParser, OversizedBulkIsError) {
 
 TEST(ReplyParser, LimitsMatchRequestParser) {
     ReplyParser p;
-    p.feed("$" + std::to_string(RequestParser::kMaxBulk + 1) + "\r\n");
+    p.feed(std::string("$")
+               .append(std::to_string(RequestParser::kMaxBulk + 1))
+               .append("\r\n"));
     Value v;
     EXPECT_EQ(p.next(&v), Status::kError);
     ReplyParser q;
-    q.feed("*" + std::to_string(RequestParser::kMaxMultiBulk + 1) + "\r\n");
+    q.feed(std::string("*")
+               .append(std::to_string(RequestParser::kMaxMultiBulk + 1))
+               .append("\r\n"));
     EXPECT_EQ(q.next(&v), Status::kError);
     // At the limit, a bulk header alone is a valid prefix.
     ReplyParser r;
-    r.feed("$" + std::to_string(RequestParser::kMaxBulk) + "\r\n");
+    r.feed(std::string("$")
+               .append(std::to_string(RequestParser::kMaxBulk))
+               .append("\r\n"));
     EXPECT_EQ(r.next(&v), Status::kNeedMore);
 }
 

@@ -66,7 +66,9 @@ TEST_F(ScanCommandTest, ScanMatchFilters) {
 }
 
 TEST_F(ScanCommandTest, ScanCountControlsStepSize) {
-    for (int i = 0; i < 100; ++i) run({"SET", "k" + std::to_string(i), "v"});
+    for (int i = 0; i < 100; ++i) {
+        run({"SET", std::string("k").append(std::to_string(i)), "v"});
+    }
     // COUNT 1 must still terminate and cover everything.
     const auto seen = full_scan({"COUNT", "1"});
     EXPECT_EQ(seen.size(), 100u);

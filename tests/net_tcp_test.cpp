@@ -68,10 +68,15 @@ TEST_F(TcpTest, MessagesArriveInOrder) {
     sim.run();
     std::vector<std::string> got;
     server->set_on_message([&](std::string m) { got.push_back(std::move(m)); });
-    for (int i = 0; i < 20; ++i) client->send("m" + std::to_string(i));
+    for (int i = 0; i < 20; ++i) {
+        client->send(std::string("m").append(std::to_string(i)));
+    }
     sim.run();
     ASSERT_EQ(got.size(), 20u);
-    for (int i = 0; i < 20; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], "m" + std::to_string(i));
+    for (int i = 0; i < 20; ++i) {
+        EXPECT_EQ(got[static_cast<std::size_t>(i)],
+                  std::string("m").append(std::to_string(i)));
+    }
 }
 
 TEST_F(TcpTest, KernelCostsChargedToCores) {

@@ -48,23 +48,6 @@ TEST_F(SmartNicTest, MemoryBudgetEnforced) {
     EXPECT_EQ(nic.memory_used(), 0u);
 }
 
-TEST_F(SmartNicTest, SteeringDefaultsToHost) {
-    SmartNic nic(sim, fabric, host, "bf2");
-    EXPECT_EQ(nic.steering(6379), SteerTarget::kHost);
-    EXPECT_EQ(nic.resolve(6379), host);
-    EXPECT_EQ(nic.steering_rules(), 0u);
-}
-
-TEST_F(SmartNicTest, SteerToNicCores) {
-    SmartNic nic(sim, fabric, host, "bf2");
-    nic.steer(7000, SteerTarget::kNicCores);
-    EXPECT_EQ(nic.steering(7000), SteerTarget::kNicCores);
-    EXPECT_EQ(nic.resolve(7000), nic.endpoint());
-    EXPECT_EQ(nic.resolve(6379), host); // other flows bypass the ARM cores
-    nic.steer(7000, SteerTarget::kHost);
-    EXPECT_EQ(nic.steering_rules(), 0u);
-}
-
 TEST_F(SmartNicTest, NamedCores) {
     SmartNic nic(sim, fabric, host, "bf2");
     EXPECT_EQ(nic.core(0).name(), "bf2/arm0");

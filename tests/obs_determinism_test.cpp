@@ -3,6 +3,7 @@
 #include <string>
 #include <tuple>
 
+#include "chaos_support.hpp"
 #include "kv/resp.hpp"
 #include "obs/export.hpp"
 #include "skv/cluster.hpp"
@@ -60,7 +61,7 @@ ObsRun run_scenario(std::uint64_t seed, bool tracing, int ops) {
         last_reply = reply;
         ++replies;
         if (sent >= ops) return;
-        const std::string key = "k" + std::to_string(sent / 2);
+        const std::string key = std::string("k").append(std::to_string(sent / 2));
         issue(sent % 2 == 0 ? std::vector<std::string>{"SET", key, "v"}
                             : std::vector<std::string>{"GET", key});
     });
@@ -109,6 +110,12 @@ TEST(ObsDeterminism, SameSeedByteIdenticalExports) {
     EXPECT_EQ(a.info_reply, b.info_reply) << "INFO reply diverged";
     EXPECT_EQ(a.master_stats, b.master_stats);
     EXPECT_GT(a.spans, 0u) << "tracer saw no spans";
+    // The double run compares a commit with itself; this constant, recorded
+    // from an earlier commit, catches a change that moves any of the three
+    // exports between commits.
+    const std::uint64_t exports =
+        offload::chaos::fnv1a(a.chrome_json + a.info_reply + a.master_stats);
+    EXPECT_EQ(exports, 0x7c72a5c67fe83107u) << std::hex << exports;
 }
 
 TEST(ObsDeterminism, TracerDoesNotPerturbTheDigest) {

@@ -82,8 +82,9 @@ TEST(Cluster, DeterministicAcrossRuns) {
         c.sim().run_until(c.sim().now() + sim::milliseconds(10));
         ch->set_on_message([](std::string) {});
         for (int i = 0; i < 100; ++i) {
-            ch->send(kv::resp::command({"SET", "k" + std::to_string(i % 10),
-                                        "v" + std::to_string(i)}));
+            ch->send(kv::resp::command(
+                {"SET", std::string("k").append(std::to_string(i % 10)),
+                 std::string("v").append(std::to_string(i))}));
         }
         c.sim().run_until(c.sim().now() + sim::milliseconds(200));
         return std::tuple{c.sim().events_executed(),

@@ -58,7 +58,8 @@ TEST_F(LagTest, HealthySlavesNeverTripTheGate) {
         cl.pump();
     });
     for (int i = 0; i < 200; ++i) {
-        cl.ch->send(kv::resp::command({"SET", "k" + std::to_string(i), "v"}));
+        cl.ch->send(kv::resp::command(
+            {"SET", std::string("k").append(std::to_string(i)), "v"}));
     }
     c->sim().run_until(c->sim().now() + sim::milliseconds(300));
     EXPECT_EQ(cl.errors, 0);
@@ -82,7 +83,8 @@ TEST_F(LagTest, DeadButUndetectedSlaveTripsTheGateEventually) {
     // Immediately hammer writes, before the detector can react (its next
     // probe round is up to 1s + waiting-time away).
     for (int i = 0; i < 300; ++i) {
-        cl.ch->send(kv::resp::command({"SET", "k" + std::to_string(i),
+        cl.ch->send(kv::resp::command({"SET",
+                                       std::string("k").append(std::to_string(i)),
                                        std::string(32, 'v')}));
     }
     c->sim().run_until(c->sim().now() + sim::milliseconds(400));

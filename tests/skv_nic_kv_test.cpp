@@ -27,7 +27,8 @@ void drive_writes(Cluster& c, int n) {
     ASSERT_TRUE(ch);
     ch->set_on_message([](std::string) {});
     for (int i = 0; i < n; ++i) {
-        ch->send(kv::resp::command({"SET", "k" + std::to_string(i), "v"}));
+        ch->send(kv::resp::command(
+            {"SET", std::string("k").append(std::to_string(i)), "v"}));
     }
     c.sim().run_until(c.sim().now() + sim::milliseconds(100));
 }
@@ -49,12 +50,35 @@ TEST(NicKv, NodeListChargesOnBoardMemory) {
     EXPECT_LT(c->smartnic()->memory_used(), c->smartnic()->memory_capacity());
 }
 
-TEST(NicKv, SteeringRuleInstalledForNicPort) {
-    auto c = make_skv(1);
-    EXPECT_EQ(c->smartnic()->steering(c->nic_kv()->config().port),
-              nic::SteerTarget::kNicCores);
-    // Ordinary KV traffic still goes to the host.
-    EXPECT_EQ(c->smartnic()->steering(6379), nic::SteerTarget::kHost);
+TEST(NicKv, ClusterBuildsTheSmartNicItIsGiven) {
+    ClusterConfig cfg;
+    cfg.n_slaves = 1;
+    cfg.offload = true;
+    cfg.nic_params.arm_cores = 2;
+    cfg.nic_params.core_slowdown = 4.0;
+    Cluster c(cfg);
+    c.start();
+    ASSERT_NE(c.smartnic(), nullptr);
+    EXPECT_EQ(c.smartnic()->core_count(), 2);
+    EXPECT_DOUBLE_EQ(c.smartnic()->core(1).speed_factor(), 4.0);
+}
+
+TEST(NicKv, NodeTableStopsAtOnBoardMemory) {
+    // A node entry takes 512 KB of on-board DRAM. With room for two, the
+    // master and one slave join and the other two slaves are turned away.
+    ClusterConfig cfg;
+    cfg.n_slaves = 3;
+    cfg.offload = true;
+    cfg.nic_params.dram_bytes = 2 * 512 * 1024;
+    Cluster c(cfg);
+    c.start();
+    const NicKv* nic = c.nic_kv();
+    ASSERT_NE(nic, nullptr);
+    EXPECT_EQ(nic->nodes().size(), 2u);
+    EXPECT_TRUE(nic->master_known());
+    EXPECT_EQ(nic->slave_count(), 1u);
+    EXPECT_EQ(c.smartnic()->memory_used(), c.smartnic()->memory_capacity());
+    EXPECT_GE(c.nic_kv()->stats().counter("oom_rejects"), 2u);
 }
 
 TEST(NicKv, FanOutForwardsEveryWriteToEverySlave) {

@@ -41,7 +41,7 @@ std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> run_set_get(
         EXPECT_FALSE(reply.empty());
         ++replies;
         if (sent >= ops) return;
-        const std::string key = "k" + std::to_string(sent / 2);
+        const std::string key = std::string("k").append(std::to_string(sent / 2));
         ch->send(sent % 2 == 0 ? kv::resp::command({"SET", key, "v"})
                                : kv::resp::command({"GET", key}));
         ++sent;
