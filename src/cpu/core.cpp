@@ -30,10 +30,6 @@ void Core::consume(sim::Duration host_cost) {
     submit(host_cost, nullptr);
 }
 
-sim::SimTime Core::busy_until() const {
-    return std::max(sim_.now(), busy_until_);
-}
-
 double Core::utilization() const {
     const std::int64_t now = sim_.now().ns();
     if (now <= 0) return 0.0;

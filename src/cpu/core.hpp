@@ -36,9 +36,6 @@ public:
     /// anything at completion (pure cost accounting).
     void consume(sim::Duration host_cost);
 
-    /// When the core next becomes idle (now() if it is idle already).
-    [[nodiscard]] sim::SimTime busy_until() const;
-
     /// Total time this core has spent (or is committed to spend) executing.
     [[nodiscard]] sim::Duration total_busy() const { return total_busy_; }
 

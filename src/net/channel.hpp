@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,6 +29,10 @@ struct NodeRef {
 /// Delivery is asynchronous: send() returns immediately after charging the
 /// local transport cost; the peer's message handler fires when the payload
 /// has crossed the simulated network and the peer paid its receive cost.
+///
+/// The base owns the receive side every transport shares: the handler and
+/// the queue of messages that arrive before one is installed. A transport
+/// hands each arrived message to deliver().
 ///
 /// Ownership model (see DESIGN.md "Ownership model"): the accepting or
 /// connecting component owns the channel via this shared_ptr. The message
@@ -61,7 +66,14 @@ public:
 
     /// Install the receive handler. Messages arriving before a handler is
     /// installed are buffered and delivered on installation.
-    virtual void set_on_message(MessageHandler handler) = 0;
+    void set_on_message(MessageHandler handler) {
+        on_message_ = std::move(handler);
+        while (on_message_ && !pending_.empty()) {
+            auto payload = std::move(pending_.front());
+            pending_.pop_front();
+            on_message_(std::move(payload));
+        }
+    }
 
     /// Tear down this side of the channel. In-flight messages are dropped.
     virtual void close() = 0;
@@ -83,7 +95,24 @@ public:
     [[nodiscard]] virtual std::uint64_t flow_id() const { return flow_id_; }
     void set_flow_id(std::uint64_t id) { flow_id_ = id; }
 
+protected:
+    /// Hand one arrived message to the handler, or queue it until one is
+    /// installed.
+    void deliver(std::string payload) {
+        if (on_message_) {
+            on_message_(std::move(payload));
+        } else {
+            pending_.push_back(std::move(payload));
+        }
+    }
+    [[nodiscard]] bool has_handler() const { return static_cast<bool>(on_message_); }
+    /// Close paths drop undelivered messages at once; the handler itself is
+    /// cleared (set_on_message(nullptr)) one sim event later.
+    void drop_pending() { pending_.clear(); }
+
 private:
+    MessageHandler on_message_;
+    std::deque<std::string> pending_; // arrived before a handler was set
     std::uint64_t flow_id_ = 0;
     // The simulation is single-threaded; a plain counter is deterministic.
     inline static long live_count_ = 0;

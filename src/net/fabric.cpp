@@ -74,11 +74,6 @@ void Fabric::restore(EndpointId ep) {
     sim_.trace().note(sim::TraceEvent::kFabricRestore, sim_.now(), ep);
 }
 
-bool Fabric::severed(EndpointId ep) const {
-    SKV_CHECK(ep < endpoints_.size());
-    return endpoints_[ep].severed;
-}
-
 const std::string& Fabric::name_of(EndpointId ep) const {
     SKV_CHECK(ep < endpoints_.size());
     return endpoints_[ep].name;

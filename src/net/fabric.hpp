@@ -79,7 +79,6 @@ public:
     /// the wire before the cut must not materialize after restore().
     void sever(EndpointId ep);
     void restore(EndpointId ep);
-    [[nodiscard]] bool severed(EndpointId ep) const;
 
     /// Lazily created fault-injection plans consulted by send(). Fault-free
     /// simulations never call this, so they draw nothing from the seed

@@ -8,16 +8,7 @@ namespace skv::net {
 
 TcpNetwork::TcpNetwork(sim::Simulation& sim, Fabric& fabric,
                        const cpu::CostModel& costs)
-    : sim_(sim), fabric_(fabric), costs_(costs), rng_(sim.fork_rng()) {}
-
-void TcpNetwork::listen(NodeRef node, std::uint16_t port, AcceptHandler on_accept) {
-    SKV_CHECK(node.valid());
-    listeners_[ListenerKey{node.ep, port}] = Listener{node, std::move(on_accept)};
-}
-
-void TcpNetwork::stop_listening(EndpointId ep, std::uint16_t port) {
-    listeners_.erase(ListenerKey{ep, port});
-}
+    : Transport(fabric), sim_(sim), costs_(costs), rng_(sim.fork_rng()) {}
 
 void TcpNetwork::connect(NodeRef from, EndpointId to, std::uint16_t port,
                          ConnectHandler on_connected) {
@@ -25,15 +16,15 @@ void TcpNetwork::connect(NodeRef from, EndpointId to, std::uint16_t port,
     // SYN: one control message across the fabric plus kernel work on the
     // initiator.
     from.core->consume(costs_.jittered(rng_, costs_.tcp_side_cost(64)));
-    fabric_.send(from.ep, to, 64, [this, from, to, port,
-                                   on_connected = std::move(on_connected)]() mutable {
-        auto it = listeners_.find(ListenerKey{to, port});
-        if (it == listeners_.end()) return; // connection refused: no SYN-ACK
-        const Listener listener = it->second;
+    fabric().send(from.ep, to, 64, [this, from, to, port,
+                                    on_connected = std::move(on_connected)]() mutable {
+        const Listener* bound = find_listener(to, port);
+        if (bound == nullptr) return; // connection refused: no SYN-ACK
+        const Listener listener = *bound;
         // SYN-ACK back to the initiator; accept() completes on arrival.
         listener.node.core->consume(costs_.jittered(rng_, costs_.tcp_side_cost(64)));
-        fabric_.send(to, from.ep, 64, [this, from, listener,
-                                       on_connected = std::move(on_connected)]() {
+        fabric().send(to, from.ep, 64, [this, from, listener,
+                                        on_connected = std::move(on_connected)]() {
             auto client_side = std::make_shared<TcpChannel>(*this, from, listener.node.ep);
             auto server_side = std::make_shared<TcpChannel>(*this, listener.node, from.ep);
             client_side->wire(server_side);
@@ -66,12 +57,12 @@ void TcpChannel::send(std::string_view payload) {
             self->net_.fabric().send(
                 self->self_.ep, self->peer_, bytes + 66 /* eth+ip+tcp hdrs */,
                 [remote, payload = std::move(payload)]() mutable {
-                    remote->deliver(std::move(payload));
+                    remote->arrive(std::move(payload));
                 });
         });
 }
 
-void TcpChannel::deliver(std::string payload) {
+void TcpChannel::arrive(std::string payload) {
     if (!open_) return;
     // Receiver-side kernel work happens when the application read()s: the
     // cost lands on the receiver's core ahead of the message handler, so
@@ -81,31 +72,17 @@ void TcpChannel::deliver(std::string payload) {
     self_.core->submit(
         net_.costs().jittered(rng_, net_.costs().tcp_side_cost(bytes)),
         [self, payload = std::move(payload)]() mutable {
-            if (!self->open_) return;
-            if (self->on_message_) {
-                self->on_message_(std::move(payload));
-            } else {
-                self->pending_.push_back(std::move(payload));
-            }
+            if (self->open_) self->deliver(std::move(payload));
         });
-}
-
-void TcpChannel::set_on_message(MessageHandler handler) {
-    on_message_ = std::move(handler);
-    while (on_message_ && !pending_.empty()) {
-        auto payload = std::move(pending_.front());
-        pending_.pop_front();
-        on_message_(std::move(payload));
-    }
 }
 
 void TcpChannel::teardown() {
     if (!open_) return;
     open_ = false;
-    pending_.clear();
+    drop_pending();
     net_.simulation().trace().note(sim::TraceEvent::kChannelClose,
                                    net_.simulation().now(), self_.ep, peer_);
-    if (on_message_) {
+    if (has_handler()) {
         // The handler may be the very function object we are executing
         // inside (a handler closing its own channel), so destroying it
         // synchronously would free a lambda mid-call. Defer the clear one
@@ -114,7 +91,7 @@ void TcpChannel::teardown() {
                                        net_.simulation().now(), self_.ep, peer_);
         auto self = shared_from_this();
         net_.simulation().after(sim::Duration::zero(),
-                                [self]() { self->on_message_ = nullptr; });
+                                [self]() { self->set_on_message(nullptr); });
     }
 }
 

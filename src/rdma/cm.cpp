@@ -4,25 +4,13 @@
 
 namespace skv::rdma {
 
-void ConnectionManager::listen(net::NodeRef node, std::uint16_t port,
-                               AcceptHandler on_accept, RingParams params) {
-    SKV_CHECK(node.valid());
-    listeners_[ListenerKey{node.ep, port}] =
-        Listener{node, std::move(on_accept), params};
-}
-
-void ConnectionManager::stop_listening(net::EndpointId ep, std::uint16_t port) {
-    listeners_.erase(ListenerKey{ep, port});
-}
-
 void ConnectionManager::connect(net::NodeRef from, net::EndpointId to,
-                                std::uint16_t port, ConnectHandler on_connected,
-                                RingParams params) {
+                                std::uint16_t port, ConnectHandler on_connected) {
     SKV_CHECK(from.valid());
 
     // Client allocates its resources up front: CQs, completion channel and
     // the receive-ring MR whose information travels in the handshake.
-    auto client_ch = std::make_shared<RingChannel>(net_, from, to, params);
+    auto client_ch = std::make_shared<RingChannel>(net_, from, to, params_);
     client_ch->init_local();
     from.core->consume(net_.costs().event_dispatch);
 
@@ -30,8 +18,8 @@ void ConnectionManager::connect(net::NodeRef from, net::EndpointId to,
     net_.fabric().send(from.ep, to, kCtrlBytes, [this, from, to, port, client_ch,
                                                  on_connected =
                                                      std::move(on_connected)]() mutable {
-        auto it = listeners_.find(ListenerKey{to, port});
-        if (it == listeners_.end()) {
+        const Listener* bound = find_listener(to, port);
+        if (bound == nullptr) {
             // REJ back to the initiator; the client's pre-allocated ring
             // (CQs, recv MR) is torn down with the refused connection
             // instead of lingering registered forever.
@@ -43,11 +31,11 @@ void ConnectionManager::connect(net::NodeRef from, net::EndpointId to,
                                });
             return;
         }
-        const Listener listener = it->second;
+        const Listener listener = *bound;
 
         // Server allocates its side, then REPs with its MR info.
         auto server_ch = std::make_shared<RingChannel>(net_, listener.node,
-                                                       from.ep, listener.params);
+                                                       from.ep, params_);
         server_ch->init_local();
         listener.node.core->consume(net_.costs().event_dispatch);
 

@@ -1,9 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 
+#include "net/transport.hpp"
 #include "rdma/ring_channel.hpp"
 #include "rdma/verbs.hpp"
 
@@ -13,43 +12,24 @@ namespace skv::rdma {
 /// REQ/REP/RTU handshake that also performs the paper's MR-information
 /// exchange ("the client and the server exchange their Memory Region
 /// information using SEND/RECV primitives"), after which both sides hold a
-/// connected RingChannel.
-class ConnectionManager {
+/// connected RingChannel built with this manager's RingParams.
+class ConnectionManager final : public net::Transport {
 public:
-    using AcceptHandler = std::function<void(RingChannelPtr)>;
-    using ConnectHandler = std::function<void(RingChannelPtr)>;
-
-    explicit ConnectionManager(RdmaNetwork& net) : net_(net) {}
-
-    void listen(net::NodeRef node, std::uint16_t port, AcceptHandler on_accept,
-                RingParams params = {});
-    void stop_listening(net::EndpointId ep, std::uint16_t port);
+    explicit ConnectionManager(RdmaNetwork& net, RingParams params = {})
+        : Transport(net.fabric()), net_(net), params_(params) {}
 
     /// Initiate a connection. `on_connected` receives the client-side
     /// channel, or nullptr if the peer rejected (nobody listening).
     void connect(net::NodeRef from, net::EndpointId to, std::uint16_t port,
-                 ConnectHandler on_connected, RingParams params = {});
+                 ConnectHandler on_connected) override;
+    [[nodiscard]] const char* name() const override { return "rdma"; }
 
 private:
-    struct ListenerKey {
-        net::EndpointId ep;
-        std::uint16_t port;
-        bool operator<(const ListenerKey& o) const {
-            return ep != o.ep ? ep < o.ep : port < o.port;
-        }
-    };
-
-    struct Listener {
-        net::NodeRef node;
-        AcceptHandler on_accept;
-        RingParams params;
-    };
-
     /// Control-plane message size on the wire (CM MAD + MR info).
     static constexpr std::size_t kCtrlBytes = 96;
 
     RdmaNetwork& net_;
-    std::map<ListenerKey, Listener> listeners_;
+    RingParams params_;
     // Deterministic flow-id source: handshakes complete in sim-event order,
     // so both ends of pair N get id N (see net::Channel::flow_id).
     std::uint64_t next_flow_ = 0;

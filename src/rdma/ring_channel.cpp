@@ -245,11 +245,7 @@ void RingChannel::handle_data(const Completion& c) {
     if (flag != kFinal) return;
     std::string payload = std::move(reassembly_);
     reassembly_.clear();
-    if (on_message_) {
-        on_message_(std::move(payload));
-    } else {
-        pending_.push_back(std::move(payload));
-    }
+    deliver(std::move(payload));
 }
 
 void RingChannel::maybe_return_credits() {
@@ -264,15 +260,6 @@ void RingChannel::maybe_return_credits() {
     qp_->post_send(std::move(wr));
 }
 
-void RingChannel::set_on_message(MessageHandler handler) {
-    on_message_ = std::move(handler);
-    while (on_message_ && !pending_.empty()) {
-        auto payload = std::move(pending_.front());
-        pending_.pop_front();
-        on_message_(std::move(payload));
-    }
-}
-
 void RingChannel::close() {
     if (!open_) return;
     open_ = false;
@@ -281,24 +268,24 @@ void RingChannel::close() {
     if (qp_) qp_->disconnect();
     backlog_.clear();
     backlog_bytes_ = 0;
-    pending_.clear();
+    drop_pending();
     reassembly_.clear();
     // Drop the rkey registry entry: WRITEs still on the wire toward this
     // ring are discarded by the transport (remote-access error in hardware).
     // recv_mr_ itself stays until the ring dies — in-flight CM handshake
     // callbacks may still query recv_mr()->rkey().
     if (recv_mr_) net_.deregister_mr(recv_mr_->rkey());
-    if (on_message_ || qp_ || channel_) {
+    if (has_handler() || qp_ || channel_) {
         net_.simulation().trace().note(sim::TraceEvent::kHandlerClear,
                                        net_.simulation().now(), self_.ep, peer_);
-        // close() may be running inside on_message_ (a server handler
+        // close() may be running inside the message handler (a server
         // tearing down the connection it is serving) or inside the CQ task
         // that still touches qp_/channel_ after handle_completion returns.
         // Defer the release one sim event; open_ == false already cuts off
         // all delivery and posting.
         auto self = shared_from_this();
         net_.simulation().after(sim::Duration::zero(), [self]() {
-            self->on_message_ = nullptr;
+            self->set_on_message(nullptr);
             self->qp_.reset();
             if (self->channel_) self->channel_->set_on_event(nullptr);
         });

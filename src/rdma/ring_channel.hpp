@@ -45,7 +45,6 @@ public:
 
     // --- net::Channel ----------------------------------------------------
     void send(std::string_view payload) override;
-    void set_on_message(MessageHandler handler) override;
     void close() override;
     [[nodiscard]] bool open() const override { return open_; }
     [[nodiscard]] net::EndpointId peer() const override { return peer_; }
@@ -121,12 +120,10 @@ private:
     std::size_t posted_recvs_ = 0;
     std::uint64_t next_wr_id_ = 1;
 
-    MessageHandler on_message_;
     std::string reassembly_; // accumulates kMore fragments
     // Set when a loss hole is detected: frames up to the next kFinal may be
     // a tail whose head is gone, so they are consumed but not delivered.
     bool discard_until_final_ = false;
-    std::deque<std::string> pending_;
     bool open_ = true;
     bool cq_task_scheduled_ = false;
 

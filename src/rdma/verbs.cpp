@@ -11,7 +11,6 @@ const char* to_string(Opcode op) {
         case Opcode::kSend: return "SEND";
         case Opcode::kWrite: return "WRITE";
         case Opcode::kWriteWithImm: return "WRITE_WITH_IMM";
-        case Opcode::kRead: return "READ";
         case Opcode::kRecv: return "RECV";
     }
     return "?";
@@ -208,9 +207,7 @@ void QueuePair::post_send(SendWr wr) {
         return;
     }
 
-    const std::size_t wire_bytes =
-        (wr.op == Opcode::kRead ? wr.read_len : wr.payload.size()) +
-        RdmaNetwork::kHeaderBytes;
+    const std::size_t wire_bytes = wr.payload.size() + RdmaNetwork::kHeaderBytes;
 
     Inbound in;
     in.op = wr.op;
@@ -224,60 +221,32 @@ void QueuePair::post_send(SendWr wr) {
     const std::uint64_t wr_id = wr.wr_id;
     const Opcode op = wr.op;
     const bool signaled = wr.signaled;
-    const std::size_t read_len = wr.read_len;
     auto self = shared_from_this();
 
     // WQE build + doorbell on the posting core; the message leaves the NIC
     // once the doorbell has rung. This per-WR cost is what the paper counts
     // per slave in the baseline and once per write in SKV.
     self_.core->submit(net_.wr_post_cost(self_.ep), [self, peer, in = std::move(in),
-                                             wire_bytes, wr_id, op, signaled,
-                                             read_len]() mutable {
+                                             wire_bytes, wr_id, op,
+                                             signaled]() mutable {
         self->launch(std::move(peer), std::move(in), wire_bytes, wr_id, op,
-                     signaled, read_len);
+                     signaled);
     });
 }
 
 void QueuePair::launch(QueuePairPtr peer, Inbound in, std::size_t wire_bytes,
-                       std::uint64_t wr_id, Opcode op, bool signaled,
-                       std::size_t read_len) {
+                       std::uint64_t wr_id, Opcode op, bool signaled) {
     auto self = shared_from_this();
     const net::EndpointId to = peer->self_.ep;
     net_.fabric().send(
         self_.ep, to, wire_bytes,
-        [self, peer = std::move(peer), in = std::move(in), wr_id, op, signaled,
-         read_len]() mutable {
-            auto& net = self->net_;
-            if (op == Opcode::kRead) {
-                // The remote NIC DMA-reads the MR and returns the data; the
-                // response consumes wire time back to the requester.
-                MemoryRegionPtr mr = net.lookup_mr(in.rkey);
-                std::string data;
-                if (mr) {
-                    data = in.wrapped
-                               ? mr->read_wrapped(in.remote_offset, read_len)
-                               : mr->read(in.remote_offset, read_len);
-                }
-                const bool ok = mr != nullptr;
-                net.fabric().send(
-                    peer->self_.ep, self->self_.ep,
-                    read_len + RdmaNetwork::kHeaderBytes,
-                    [self, wr_id, ok, data = std::move(data), read_len]() {
-                        Completion c;
-                        c.wr_id = wr_id;
-                        c.op = Opcode::kRead;
-                        c.success = ok;
-                        c.byte_len = static_cast<std::uint32_t>(read_len);
-                        c.inline_payload = std::move(data);
-                        self->send_cq_->push(std::move(c));
-                    });
-                return;
-            }
+        [self, peer = std::move(peer), in = std::move(in), wr_id, op,
+         signaled]() mutable {
             peer->arrive(std::move(in));
             if (signaled) {
                 // Hardware ACK flows back; the send completion needs no
                 // remote CPU.
-                net.simulation().after(RdmaNetwork::kAckLatency, [self, wr_id, op]() {
+                self->net_.simulation().after(RdmaNetwork::kAckLatency, [self, wr_id, op]() {
                     Completion c;
                     c.wr_id = wr_id;
                     c.op = op;
@@ -311,7 +280,6 @@ void QueuePair::arrive(Inbound in) {
         case Opcode::kSend:
             consume_recv(std::move(in));
             break;
-        case Opcode::kRead:
         case Opcode::kRecv:
             SKV_UNREACHABLE("unexpected inbound opcode");
             break;

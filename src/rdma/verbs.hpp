@@ -20,13 +20,12 @@ namespace skv::rdma {
 
 /// RDMA operation kinds modelled by the simulator. The subset SKV uses:
 /// SEND/RECV for control (MR exchange, credits), WRITE_WITH_IMM for the
-/// request/reply and replication data path, READ for completeness and the
+/// request/reply and replication data path, and plain WRITE for the
 /// Fig. 3 microbenchmark.
 enum class Opcode : std::uint8_t {
     kSend,
     kWrite,
     kWriteWithImm,
-    kRead,
     kRecv, // only appears in completions
 };
 
@@ -180,9 +179,8 @@ struct SendWr {
     std::uint64_t wr_id = 0;
     Opcode op = Opcode::kSend;
     std::string payload;            // bytes to transfer (SEND/WRITE)
-    std::uint32_t rkey = 0;         // target MR for WRITE/READ
+    std::uint32_t rkey = 0;         // target MR for WRITE
     std::size_t remote_offset = 0;  // offset within the target MR
-    std::size_t read_len = 0;       // for READ
     bool wrapped = false;           // circular-buffer WRITE
     bool has_imm = false;
     std::uint32_t imm = 0;
@@ -217,9 +215,6 @@ public:
     void post_send(SendWr wr);
 
     [[nodiscard]] bool connected() const { return !peer_.expired(); }
-    [[nodiscard]] net::NodeRef self() const { return self_; }
-    [[nodiscard]] CompletionQueuePtr send_cq() const { return send_cq_; }
-    [[nodiscard]] CompletionQueuePtr recv_cq() const { return recv_cq_; }
     [[nodiscard]] std::size_t posted_recvs() const { return recv_queue_.size(); }
 
     void disconnect();
@@ -247,7 +242,7 @@ private:
     /// Put a built WQE on the wire (runs after the doorbell cost elapses).
     void launch(std::shared_ptr<QueuePair> peer, Inbound in,
                 std::size_t wire_bytes, std::uint64_t wr_id, Opcode op,
-                bool signaled, std::size_t read_len);
+                bool signaled);
     /// Handle an arriving message on the receive side.
     void arrive(Inbound in);
     /// Match an inbound SEND/IMM against a posted receive; queue if none

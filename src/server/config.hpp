@@ -7,7 +7,8 @@
 
 namespace skv::server {
 
-/// Which transport a server speaks to its clients and peers.
+/// Which transport a cluster runs on. Cluster turns it into the one
+/// net::Transport that every server listens and dials through.
 enum class Transport : std::uint8_t { kTcp, kRdma };
 
 /// Replication role of a Host-KV instance.
@@ -18,13 +19,11 @@ enum class Role : std::uint8_t { kStandalone, kMaster, kSlave };
 /// into each side's protocol half (skv/fanout.hpp, chain.hpp, quorum.hpp).
 enum class ReplicationMode : std::uint8_t { kFanout, kChain, kQuorum };
 
-const char* to_string(Transport t);
 const char* to_string(Role r);
 const char* to_string(ReplicationMode m);
 
 struct ServerConfig {
     std::string name = "kv";
-    Transport transport = Transport::kRdma;
     std::uint16_t port = 6379;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
 
     /// Replication backlog ring capacity.

@@ -52,14 +52,6 @@ public:
     void on_slaves_changed() override { server().available_slaves_ = valid_slaves(); }
 };
 
-const char* to_string(Transport t) {
-    switch (t) {
-        case Transport::kTcp: return "tcp";
-        case Transport::kRdma: return "rdma";
-    }
-    return "?";
-}
-
 const char* to_string(Role r) {
     switch (r) {
         case Role::kStandalone: return "standalone";
@@ -79,10 +71,10 @@ const char* to_string(ReplicationMode m) {
 }
 
 KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
-                   Transports nets, net::NodeRef self, ServerConfig cfg,
+                   net::Transport& transport, net::NodeRef self, ServerConfig cfg,
                    std::unique_ptr<HostReplication> repl)
-    : sim_(sim), costs_(costs), nets_(nets), self_(self), cfg_(std::move(cfg)),
-      rng_(sim.fork_rng()),
+    : sim_(sim), costs_(costs), transport_(transport), self_(self),
+      cfg_(std::move(cfg)), rng_(sim.fork_rng()),
       repl_(repl ? std::move(repl) : std::make_unique<HostFanout>()),
       db_([&sim]() { return sim.now().ns() / 1'000'000; }),
       backlog_(cfg_.backlog_bytes),
@@ -94,35 +86,20 @@ KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
       c_repl_applied_(stats_.counter_handle("repl_applied")),
       t_cmd_all_(stats_.timer_handle("cmd.service")) {
     SKV_CHECK(self_.valid());
-    SKV_CHECK(nets_.fabric != nullptr);
     repl_->s_ = this;
-    SKV_DCHECK(cfg_.transport == Transport::kTcp ? nets_.tcp != nullptr
-                                                 : nets_.cm != nullptr);
 }
 
 void KvServer::start() {
     SKV_CHECK(!started_);
     started_ = true;
-    listen_all();
-    sim_.after(kCronInterval, [this]() { cron(); });
-}
-
-void KvServer::listen_all() {
-    auto client_accept = [this](net::ChannelPtr ch) {
+    transport_.listen(self_, cfg_.port, [this](net::ChannelPtr ch) {
         if (ch) on_client_accept(std::move(ch));
-    };
-    auto node_accept = [this](net::ChannelPtr ch) {
-        if (ch) on_node_accept(std::move(ch));
-    };
-    if (cfg_.transport == Transport::kTcp) {
-        nets_.tcp->listen(self_, cfg_.port, client_accept);
-        nets_.tcp->listen(self_, static_cast<std::uint16_t>(cfg_.port + 1),
-                          node_accept);
-    } else {
-        nets_.cm->listen(self_, cfg_.port, client_accept);
-        nets_.cm->listen(self_, static_cast<std::uint16_t>(cfg_.port + 1),
-                         node_accept);
-    }
+    });
+    transport_.listen(self_, static_cast<std::uint16_t>(cfg_.port + 1),
+                      [this](net::ChannelPtr ch) {
+                          if (ch) on_node_accept(std::move(ch));
+                      });
+    sim_.after(kCronInterval, [this]() { cron(); });
 }
 
 void KvServer::set_tracer(obs::Tracer* tracer, const std::string& track_name) {
@@ -964,11 +941,7 @@ void KvServer::dial_node(net::EndpointId ep, std::uint16_t port,
         adopt_node_link(ch);
         up(ch);
     };
-    if (cfg_.transport == Transport::kTcp) {
-        nets_.tcp->connect(self_, ep, port, std::move(cb));
-    } else {
-        nets_.cm->connect(self_, ep, port, std::move(cb));
-    }
+    transport_.connect(self_, ep, port, std::move(cb));
     if (!settled) return;
     sim_.after(kConnectRetry, [this, settled = std::move(settled),
                                     again = std::move(again)]() {
@@ -1014,7 +987,6 @@ void KvServer::slaveof_baseline(net::EndpointId master_ep,
 }
 
 void KvServer::slaveof_skv(net::EndpointId nic_ep, std::uint16_t nic_port) {
-    SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
     role_ = Role::kSlave;
     skv_nic_ep_ = nic_ep;
     skv_nic_port_ = nic_port;
@@ -1033,7 +1005,6 @@ void KvServer::slaveof_skv(net::EndpointId nic_ep, std::uint16_t nic_port) {
 }
 
 void KvServer::attach_nic(net::EndpointId nic_ep, std::uint16_t nic_port) {
-    SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
     role_ = Role::kMaster;
     attached_as_master_ = true;
     skv_nic_ep_ = nic_ep;
@@ -1118,7 +1089,7 @@ void KvServer::crash() {
     SKV_CHECK(!crashed_);
     crashed_ = true;
     self_.core->halt();
-    nets_.fabric->sever(self_.ep);
+    transport_.fabric().sever(self_.ep);
     // The process is gone, and so is every connection object in it. No
     // close() here — a FIN from a dead process is wrong and the halted
     // core could not run it anyway; dropping the references is exactly
@@ -1145,7 +1116,7 @@ void KvServer::recover(RecoveryMode mode) {
     SKV_CHECK(crashed_);
     crashed_ = false;
     self_.core->resume();
-    nets_.fabric->restore(self_.ep);
+    transport_.fabric().restore(self_.ep);
     stats_.incr("recoveries");
     if (mode == RecoveryMode::kCold) {
         // Machine restart: process memory is gone. Reload the last
@@ -1200,7 +1171,7 @@ std::string KvServer::info_sections() const {
     std::string out;
     out += "# Server\r\n";
     out += "server_name:" + cfg_.name + "\r\n";
-    out += "transport:" + std::string(to_string(cfg_.transport)) + "\r\n";
+    out += "transport:" + std::string(transport_.name()) + "\r\n";
     out += "uptime_in_seconds:" + kv::ll2string(sim_.now().ns() / 1'000'000'000) + "\r\n";
     out += "# Clients\r\n";
     out += "connected_clients:" + kv::ll2string(static_cast<long long>(clients_.size())) + "\r\n";
@@ -1240,7 +1211,7 @@ std::string KvServer::info() const {
     std::snprintf(buf, sizeof(buf),
                   "%s role=%s transport=%s keys=%zu offset=%lld applied=%lld "
                   "slaves=%zu cmds=%llu",
-                  cfg_.name.c_str(), to_string(role_), to_string(cfg_.transport),
+                  cfg_.name.c_str(), to_string(role_), transport_.name(),
                   db_.size(), static_cast<long long>(backlog_.master_offset()),
                   static_cast<long long>(applied_offset_), slaves_.size(),
                   static_cast<unsigned long long>(commands_));

@@ -14,8 +14,7 @@
 #include "kv/db.hpp"
 #include "kv/resp.hpp"
 #include "net/channel.hpp"
-#include "net/tcp.hpp"
-#include "rdma/cm.hpp"
+#include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "server/config.hpp"
@@ -49,16 +48,11 @@ struct SlaveLink {
 /// speaks NodeMsg to peers (slaves, masters, Nic-KV).
 class KvServer {
 public:
-    struct Transports {
-        net::Fabric* fabric = nullptr;
-        net::TcpNetwork* tcp = nullptr;
-        rdma::ConnectionManager* cm = nullptr;
-    };
-
-    /// `repl` is the replication protocol's host half; null gives the
-    /// baseline host fan-out (RDMA-Redis / TCP Redis).
+    /// Every listen and dial goes through `transport` (TCP Redis,
+    /// RDMA-Redis or SKV). `repl` is the replication protocol's host half;
+    /// null gives the baseline host fan-out (RDMA-Redis / TCP Redis).
     KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
-             Transports nets, net::NodeRef self, ServerConfig cfg,
+             net::Transport& transport, net::NodeRef self, ServerConfig cfg,
              std::unique_ptr<HostReplication> repl = nullptr);
 
     /// Begin listening on the client and node ports and start serverCron.
@@ -128,9 +122,6 @@ public:
         std::int64_t dur_ns = 0;
         std::vector<std::string> argv;
     };
-    [[nodiscard]] const std::deque<SlowlogEntry>& slowlog() const {
-        return slowlog_;
-    }
 
     /// Wire the cluster's observability tracer. `track_name` names this
     /// server's chrome-trace row. The tracer only observes (no events, no
@@ -149,7 +140,6 @@ private:
     using ClientPtr = std::shared_ptr<ClientConn>;
 
     // -- listening / connections
-    void listen_all();
     void on_client_accept(net::ChannelPtr ch);
     void on_node_accept(net::ChannelPtr ch);
     /// Wrap a node link in the retransmitting layer (when configured) and
@@ -250,7 +240,7 @@ private:
 
     sim::Simulation& sim_;
     const cpu::CostModel& costs_;
-    Transports nets_;
+    net::Transport& transport_;
     net::NodeRef self_;
     ServerConfig cfg_;
     sim::Rng rng_;

@@ -221,14 +221,6 @@ void ReliableChannel::handle_data(std::uint64_t seq, std::string payload) {
     schedule_ack(/*immediate=*/true);
 }
 
-void ReliableChannel::deliver(std::string payload) {
-    if (on_message_) {
-        on_message_(std::move(payload));
-    } else {
-        pending_.push_back(std::move(payload));
-    }
-}
-
 void ReliableChannel::send_ack_now() {
     if (closed_ || !inner_->open()) return;
     std::string wire;
@@ -257,15 +249,6 @@ void ReliableChannel::schedule_ack(bool immediate) {
     });
 }
 
-void ReliableChannel::set_on_message(MessageHandler handler) {
-    on_message_ = std::move(handler);
-    while (on_message_ && !pending_.empty()) {
-        auto payload = std::move(pending_.front());
-        pending_.pop_front();
-        on_message_(std::move(payload));
-    }
-}
-
 void ReliableChannel::close() {
     if (closed_) return;
     closed_ = true;
@@ -273,17 +256,18 @@ void ReliableChannel::close() {
     ++ack_epoch_;
     unacked_.clear();
     reorder_.clear();
-    pending_.clear();
-    if (on_message_ || on_broken_) {
+    drop_pending();
+    if (has_handler() || on_broken_) {
         sim_.trace().note(sim::TraceEvent::kHandlerClear, sim_.now(),
                           inner_->peer());
         // close() is frequently called from inside on_broken_ (the owner's
-        // link-broken handler tears the link down) or from on_message_, so
-        // neither function object may be destroyed synchronously. Defer one
-        // sim event; closed_ already gates every entry point.
+        // link-broken handler tears the link down) or from the message
+        // handler, so neither function object may be destroyed
+        // synchronously. Defer one sim event; closed_ already gates every
+        // entry point.
         auto self = shared_from_this();
         sim_.after(sim::Duration::zero(), [self]() {
-            self->on_message_ = nullptr;
+            self->set_on_message(nullptr);
             self->on_broken_ = nullptr;
         });
     }

@@ -61,7 +61,6 @@ public:
 
     // --- net::Channel ----------------------------------------------------
     void send(std::string_view payload) override;
-    void set_on_message(MessageHandler handler) override;
     void close() override;
     [[nodiscard]] bool open() const override {
         return !broken_ && inner_->open();
@@ -98,7 +97,6 @@ private:
 
     void on_inner_message(std::string payload);
     void handle_data(std::uint64_t seq, std::string payload);
-    void deliver(std::string payload);
     void send_ack_now();
     void schedule_ack(bool immediate);
     void arm_rto();
@@ -126,8 +124,6 @@ private:
     bool ack_scheduled_ = false;
     std::uint64_t ack_epoch_ = 0;
 
-    MessageHandler on_message_;
-    std::deque<std::string> pending_; // delivered before a handler existed
     std::function<void()> on_broken_;
     bool broken_ = false;
     bool closed_ = false;

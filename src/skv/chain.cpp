@@ -108,8 +108,6 @@ private:
             return;
         }
         const std::uint64_t epoch = ++dial_epoch_;
-        SKV_CHECK(config().transport == server::Transport::kRdma,
-                  "chain replication requires the RDMA transport");
         dial_node(
             *ep, static_cast<std::uint16_t>(config().port + 1),
             [this, epoch] { return epoch == dial_epoch_ && role() == Role::kSlave; },

@@ -14,6 +14,9 @@ namespace {
 /// Chain successor tables and quorum ack aggregation live on Nic-KV, so
 /// neither protocol exists in the baseline topology.
 ReplicationProtocol choose_protocol(const ClusterConfig& cfg) {
+    // Nic-KV listens on the RDMA connection manager alone.
+    SKV_CHECK(!cfg.offload || cfg.transport == server::Transport::kRdma,
+              "SKV mode requires the RDMA transport");
     constexpr const char* kNeedsNic =
         "chain/quorum replication requires the SKV offload topology";
     switch (cfg.server_tmpl.replication_mode) {
@@ -31,12 +34,20 @@ ReplicationProtocol choose_protocol(const ClusterConfig& cfg) {
     return {[] { return std::unique_ptr<server::HostReplication>(); }, nullptr};
 }
 
+/// The one place that decides which transport every server, client and
+/// load generator of the cluster listens and dials on.
+net::Transport& choose_transport(const ClusterConfig& cfg, net::TcpNetwork& tcp,
+                                 rdma::ConnectionManager& cm) {
+    if (cfg.transport == server::Transport::kTcp) return tcp;
+    return cm;
+}
+
 } // namespace
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(std::move(cfg)), sim_(cfg_.seed), tracer_(sim_), fabric_(sim_),
       tcp_(sim_, fabric_, cfg_.costs), rdma_(sim_, fabric_, cfg_.costs),
-      cm_(rdma_) {
+      cm_(rdma_), transport_(choose_transport(cfg_, tcp_, cm_)) {
     // Observability wiring: every component shares the cluster tracer. It
     // starts disabled, so instrumented code paths are no-ops by default.
     fabric_.set_tracer(&tracer_);
@@ -48,16 +59,13 @@ void Cluster::start() {
     started_ = true;
     ReplicationProtocol protocol = choose_protocol(cfg_);
 
-    server::KvServer::Transports nets{&fabric_, &tcp_, &cm_};
-
     // Master host.
     const net::EndpointId master_ep = fabric_.add_host("master");
     cores_.push_back(std::make_unique<cpu::Core>(sim_, "master/cpu"));
     const net::NodeRef master_node{master_ep, cores_.back().get()};
     server::ServerConfig mcfg = cfg_.server_tmpl;
     mcfg.name = "master";
-    mcfg.transport = cfg_.transport;
-    master_ = std::make_unique<server::KvServer>(sim_, cfg_.costs, nets,
+    master_ = std::make_unique<server::KvServer>(sim_, cfg_.costs, transport_,
                                                  master_node, mcfg, protocol.make_host());
     master_->set_tracer(&tracer_, "server/master");
 
@@ -79,9 +87,8 @@ void Cluster::start() {
         const net::NodeRef node{ep, cores_.back().get()};
         server::ServerConfig scfg = cfg_.server_tmpl;
         scfg.name = name;
-        scfg.transport = cfg_.transport;
         slaves_.push_back(std::make_unique<server::KvServer>(
-            sim_, cfg_.costs, nets, node, scfg, protocol.make_host()));
+            sim_, cfg_.costs, transport_, node, scfg, protocol.make_host()));
         slaves_.back()->set_tracer(&tracer_, "server/" + name);
     }
 
@@ -118,13 +125,8 @@ net::NodeRef Cluster::add_client_host(const std::string& name) {
 
 void Cluster::connect_client(net::NodeRef from,
                              std::function<void(net::ChannelPtr)> cb) {
-    if (cfg_.transport == server::Transport::kTcp) {
-        tcp_.connect(from, master_->node().ep, master_->config().port,
-                     std::move(cb));
-    } else {
-        cm_.connect(from, master_->node().ep, master_->config().port,
-                    std::move(cb));
-    }
+    transport_.connect(from, master_->node().ep, master_->config().port,
+                       std::move(cb));
 }
 
 // --- node crash/restart fault model ------------------------------------------

@@ -8,6 +8,7 @@
 #include "cpu/cost_model.hpp"
 #include "net/fabric.hpp"
 #include "net/tcp.hpp"
+#include "net/transport.hpp"
 #include "nic/smartnic.hpp"
 #include "obs/tracer.hpp"
 #include "rdma/cm.hpp"
@@ -20,10 +21,11 @@ namespace skv::offload {
 
 /// Everything needed to stand up the paper's testbed in one call: a
 /// master host (optionally with a BlueField-class SmartNIC running
-/// Nic-KV), N slave hosts, the RoCE fabric, and both transports.
+/// Nic-KV), N slave hosts, the RoCE fabric, and the transport they share.
 struct ClusterConfig {
     std::uint64_t seed = 42;
     int n_slaves = 3;
+    /// TCP Redis or RDMA; SKV (offload) requires RDMA.
     server::Transport transport = server::Transport::kRdma;
     /// true = SKV (replication offloaded to Nic-KV); false = the baseline
     /// where the master fans out itself (RDMA-Redis or TCP Redis).
@@ -62,15 +64,18 @@ public:
     [[nodiscard]] NicKv* nic_kv() { return nickv_.get(); }
     [[nodiscard]] nic::SmartNic* smartnic() { return nic_.get(); }
 
-    [[nodiscard]] net::TcpNetwork& tcp() { return tcp_; }
+    /// The transport every server listens and dials on, picked once from
+    /// ClusterConfig::transport. Clients dial through it too.
+    [[nodiscard]] net::Transport& transport() { return transport_; }
     [[nodiscard]] rdma::RdmaNetwork& rdma() { return rdma_; }
+    /// The RDMA connection manager (Nic-KV always listens on it).
     [[nodiscard]] rdma::ConnectionManager& cm() { return cm_; }
 
     /// Create an additional host (with its own core) for load generators.
     net::NodeRef add_client_host(const std::string& name);
 
-    /// Open a client connection to the master over the configured
-    /// transport; `cb` receives the channel when established.
+    /// Open a client connection to the master over transport(); `cb`
+    /// receives the channel when established.
     void connect_client(net::NodeRef from,
                         std::function<void(net::ChannelPtr)> cb);
 
@@ -119,6 +124,7 @@ private:
     net::TcpNetwork tcp_;
     rdma::RdmaNetwork rdma_;
     rdma::ConnectionManager cm_;
+    net::Transport& transport_; // tcp_ or cm_
 
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     std::unique_ptr<nic::SmartNic> nic_;

@@ -57,7 +57,7 @@ std::vector<RetryClient::Target> retry_targets(offload::Cluster& c) {
 RetryClient::DialFn retry_dial(offload::Cluster& c) {
     return [&c](net::NodeRef from, RetryClient::Target t,
                 std::function<void(net::ChannelPtr)> cb) {
-        c.cm().connect(from, t.ep, t.port, std::move(cb));
+        c.transport().connect(from, t.ep, t.port, std::move(cb));
     };
 }
 

@@ -69,11 +69,7 @@ public:
     void set_frontier(std::shared_ptr<KeyFrontier> frontier) {
         frontier_ = std::move(frontier);
     }
-    [[nodiscard]] const std::shared_ptr<KeyFrontier>& frontier() const {
-        return frontier_;
-    }
 
-    [[nodiscard]] const WorkloadSpec& spec() const { return spec_; }
     [[nodiscard]] std::uint64_t sets_generated() const { return sets_; }
     [[nodiscard]] std::uint64_t gets_generated() const { return gets_; }
 

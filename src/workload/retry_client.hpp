@@ -100,7 +100,6 @@ public:
     [[nodiscard]] std::uint64_t ops_failed() const { return ops_failed_; }
     [[nodiscard]] std::uint64_t ops_timed_out() const { return ops_timed_out_; }
     [[nodiscard]] std::uint64_t retries() const { return retries_; }
-    [[nodiscard]] std::uint64_t client_id() const { return client_id_; }
     /// Sim time of the most recent kOk completion (zero if none yet) —
     /// the availability bench derives recovery time from this.
     [[nodiscard]] sim::SimTime last_ok_at() const { return last_ok_at_; }

@@ -1,9 +1,11 @@
 #include "workload/runner.hpp"
 
+#include <array>
 #include <cstdio>
 #include <memory>
 
 #include "kv/object.hpp"
+#include "obs/tracer.hpp"
 #include "workload/client.hpp"
 
 namespace skv::workload {
@@ -55,32 +57,56 @@ void finalize_latency(RunResult& r, const sim::LatencyHistogram& merged,
     r.max_us = static_cast<double>(merged.max_ns()) / 1e3;
 }
 
-ThroughputTimeline::ThroughputTimeline(sim::Duration bin, sim::Duration span)
-    : bin_(bin) {
-    if (enabled()) {
-        bins_.assign(static_cast<std::size_t>(span.ns() / bin.ns() + 1), 0);
-    }
-}
+namespace {
 
-void ThroughputTimeline::record(sim::Duration offset) {
-    if (!enabled()) return;
-    const auto idx = static_cast<std::size_t>(offset.ns() / bin_.ns());
-    if (idx < bins_.size()) ++bins_[idx];
-}
-
-void ThroughputTimeline::fill(RunResult& r) const {
-    if (!enabled()) return;
-    r.timeline_kops.reserve(bins_.size());
-    for (const auto b : bins_) {
-        r.timeline_kops.push_back(static_cast<double>(b) / bin_.sec() / 1e3);
+/// Binned completion counter behind RunResult::timeline_kops. Disabled
+/// (all no-ops) when bin is zero.
+class ThroughputTimeline {
+public:
+    ThroughputTimeline(sim::Duration bin, sim::Duration span) : bin_(bin) {
+        if (enabled()) {
+            bins_.assign(static_cast<std::size_t>(span.ns() / bin.ns() + 1), 0);
+        }
     }
-}
-
-void StageWindow::begin(const obs::Tracer& tracer) {
-    for (std::size_t i = 0; i < before_.size(); ++i) {
-        before_[i] = tracer.stage_accum(static_cast<obs::Stage>(i));
+    [[nodiscard]] bool enabled() const { return bin_.ns() > 0; }
+    /// Count one completion at `offset` past the measurement-window start.
+    void record(sim::Duration offset) {
+        if (!enabled()) return;
+        const auto idx = static_cast<std::size_t>(offset.ns() / bin_.ns());
+        if (idx < bins_.size()) ++bins_[idx];
     }
-}
+    /// Convert counts to kops/s and store into `r.timeline_kops`.
+    void fill(RunResult& r) const {
+        if (!enabled()) return;
+        r.timeline_kops.reserve(bins_.size());
+        for (const auto b : bins_) {
+            r.timeline_kops.push_back(static_cast<double>(b) / bin_.sec() / 1e3);
+        }
+    }
+
+private:
+    sim::Duration bin_;
+    std::vector<std::uint64_t> bins_;
+};
+
+/// Snapshot-and-diff of the tracer's per-stage accumulators so a stage
+/// breakdown covers exactly one measurement window (matched request
+/// populations).
+class StageWindow {
+public:
+    /// Snapshot the accumulators at window start.
+    void begin(const obs::Tracer& tracer) {
+        for (std::size_t i = 0; i < before_.size(); ++i) {
+            before_[i] = tracer.stage_accum(static_cast<obs::Stage>(i));
+        }
+    }
+    /// Diff against the snapshot and fill `out` (sets out.valid).
+    void finish(const obs::Tracer& tracer, StageBreakdown* out) const;
+
+private:
+    std::array<obs::StageAccum, static_cast<std::size_t>(obs::Stage::kCount)>
+        before_{};
+};
 
 void StageWindow::finish(const obs::Tracer& tracer,
                          StageBreakdown* out) const {
@@ -104,6 +130,8 @@ void StageWindow::finish(const obs::Tracer& tracer,
     sb.slave_ack_us = mean_delta_us(obs::Stage::kSlaveAck, nullptr);
     sb.valid = sb.requests > 0;
 }
+
+} // namespace
 
 RunResult run_workload(offload::Cluster& cluster, const RunOptions& opts) {
     auto& sim = cluster.sim();

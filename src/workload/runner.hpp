@@ -1,11 +1,9 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/tracer.hpp"
 #include "sim/histogram.hpp"
 #include "sim/time.hpp"
 #include "skv/cluster.hpp"
@@ -88,37 +86,6 @@ void preload_keyspace(offload::Cluster& cluster, const WorkloadSpec& spec);
 /// histogram and the measurement window length (`r.ops` must be set).
 void finalize_latency(RunResult& r, const sim::LatencyHistogram& merged,
                       sim::Duration measure);
-
-/// Binned completion counter behind RunResult::timeline_kops. Disabled
-/// (all no-ops) when bin is zero.
-class ThroughputTimeline {
-public:
-    ThroughputTimeline(sim::Duration bin, sim::Duration span);
-    [[nodiscard]] bool enabled() const { return bin_.ns() > 0; }
-    /// Count one completion at `offset` past the measurement-window start.
-    void record(sim::Duration offset);
-    /// Convert counts to kops/s and store into `r.timeline_kops`.
-    void fill(RunResult& r) const;
-
-private:
-    sim::Duration bin_;
-    std::vector<std::uint64_t> bins_;
-};
-
-/// Snapshot-and-diff of the tracer's per-stage accumulators so a stage
-/// breakdown covers exactly one measurement window (matched request
-/// populations), shared by both drivers.
-class StageWindow {
-public:
-    /// Snapshot the accumulators at window start.
-    void begin(const obs::Tracer& tracer);
-    /// Diff against the snapshot and fill `out` (sets out.valid).
-    void finish(const obs::Tracer& tracer, StageBreakdown* out) const;
-
-private:
-    std::array<obs::StageAccum, static_cast<std::size_t>(obs::Stage::kCount)>
-        before_{};
-};
 
 /// Drive `opts.clients` closed-loop clients against the cluster's master
 /// and measure. The cluster must already be start()ed. redis-benchmark

@@ -52,14 +52,12 @@ struct Pending {
 /// drain cap.
 struct Driver : std::enable_shared_from_this<Driver> {
     Driver(sim::Simulation& s, const OpenLoopOptions& o, MixGenerator m)
-        : sim(s), opts(o), mix(std::move(m)), arr_rng(s.fork_rng()),
-          timeline(o.timeline_bin, o.measure) {}
+        : sim(s), opts(o), mix(std::move(m)), arr_rng(s.fork_rng()) {}
 
     sim::Simulation& sim;
     OpenLoopOptions opts; // copied: in-flight callbacks may outlive the caller
     MixGenerator mix;
     sim::Rng arr_rng; // arrival-gap draws (own stream)
-    ThroughputTimeline timeline;
 
     std::vector<std::shared_ptr<RetryClient>> conns;
     std::vector<std::size_t> idle; // LIFO free list
@@ -171,7 +169,6 @@ struct Driver : std::enable_shared_from_this<Driver> {
             per_type[kind_idx(p.op.kind)].record(lat);
             if (o == check::Outcome::kFail) ++failed;
             if (o == check::Outcome::kTimeout) ++timed_out;
-            timeline.record(sim.now() - measure_begin);
         }
         if (!queue.empty()) {
             Pending next = std::move(queue.front());
@@ -244,14 +241,10 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
     sim.run_until(driver->measure_begin);
     const double busy_before =
         static_cast<double>(cluster.master().node().core->total_busy().ns());
-    StageWindow stage_window;
-    stage_window.begin(tracer);
 
     sim.run_until(driver->measure_end);
     const double busy_after =
         static_cast<double>(cluster.master().node().core->total_busy().ns());
-    StageBreakdown stages;
-    if (opts.trace_stages) stage_window.finish(tracer, &stages);
 
     // Drain: no new arrivals; for up to 8 s let queued/in-flight window ops
     // finish (their latency belongs to the window they arrived in). The
@@ -267,8 +260,6 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
     finalize_latency(res.run, driver->merged, opts.measure);
     res.run.master_cpu_util =
         (busy_after - busy_before) / static_cast<double>(opts.measure.ns());
-    driver->timeline.fill(res.run);
-    if (opts.trace_stages) res.run.stages = stages;
 
     res.offered_kops = opts.offered_kops;
     res.achieved_kops = res.run.throughput_kops;

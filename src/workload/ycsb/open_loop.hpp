@@ -36,9 +36,8 @@ struct OpenLoopOptions {
     /// Per-connection retry/timeout machinery (same semantics as the
     /// closed-loop RetryClient fleet).
     RetryPolicy policy{};
-    /// When non-zero, collect RunResult::timeline_kops at this bin width.
-    sim::Duration timeline_bin{sim::Duration::zero()};
-    /// Fill RunResult::stages from the measurement window (tracer-based).
+    /// Enable the cluster tracer and give every connection a track, so the
+    /// tracer's per-stage accumulators cover the run.
     bool trace_stages = false;
 };
 
@@ -55,7 +54,7 @@ struct OpTypeStats {
 struct OpenLoopResult {
     /// Merged coordinated-omission-safe result: ops/errors/latency over
     /// every op that *arrived* in the measurement window (even if it
-    /// completed during the drain), timeline and stage breakdown included.
+    /// completed during the drain).
     RunResult run;
     double offered_kops = 0;
     /// Completions of measurement-window arrivals / window length. Tracks

@@ -85,12 +85,6 @@ public:
     /// The next operation of the stream.
     YcsbOp next();
 
-    [[nodiscard]] const YcsbOptions& options() const { return opts_; }
-    [[nodiscard]] const OpMix& mix() const { return mix_; }
-    [[nodiscard]] const std::shared_ptr<KeyFrontier>& frontier() const {
-        return frontier_;
-    }
-
 private:
     YcsbOptions opts_;
     OpMix mix_;

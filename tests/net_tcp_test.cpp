@@ -140,14 +140,5 @@ TEST_F(TcpTest, CloseStopsTraffic) {
     EXPECT_FALSE(server->open()); // FIN arrived
 }
 
-TEST_F(TcpTest, StopListening) {
-    tcp.listen(b(), 80, [](ChannelPtr) { FAIL() << "should not accept"; });
-    tcp.stop_listening(ep_b, 80);
-    bool connected = false;
-    tcp.connect(a(), ep_b, 80, [&](ChannelPtr) { connected = true; });
-    sim.run();
-    EXPECT_FALSE(connected);
-}
-
 } // namespace
 } // namespace skv::net

@@ -9,18 +9,22 @@ namespace {
 class RingTest : public ::testing::Test {
 protected:
     RingTest()
-        : sim(1), fabric(sim), net(sim, fabric, costs), cm(net),
+        : sim(1), fabric(sim), net(sim, fabric, costs),
           core_a(sim, "a"), core_b(sim, "b") {
         ep_a = fabric.add_host("a");
         ep_b = fabric.add_host("b");
     }
 
-    /// CM-establish a channel pair with the given ring parameters.
+    /// CM-establish a channel pair with the given ring parameters. The
+    /// handshake completes inside sim.run(), so the CM may go out of scope.
     void connect(RingParams params = {}) {
-        cm.listen({ep_b, &core_b}, 7000,
-                  [&](RingChannelPtr ch) { server = std::move(ch); }, params);
-        cm.connect({ep_a, &core_a}, ep_b, 7000,
-                   [&](RingChannelPtr ch) { client = std::move(ch); }, params);
+        ConnectionManager cm(net, params);
+        cm.listen({ep_b, &core_b}, 7000, [&](net::ChannelPtr ch) {
+            server = std::dynamic_pointer_cast<RingChannel>(std::move(ch));
+        });
+        cm.connect({ep_a, &core_a}, ep_b, 7000, [&](net::ChannelPtr ch) {
+            client = std::dynamic_pointer_cast<RingChannel>(std::move(ch));
+        });
         sim.run();
         ASSERT_TRUE(client);
         ASSERT_TRUE(server);
@@ -30,7 +34,6 @@ protected:
     sim::Simulation sim;
     net::Fabric fabric;
     RdmaNetwork net;
-    ConnectionManager cm;
     cpu::Core core_a;
     cpu::Core core_b;
     net::EndpointId ep_a = 0;
@@ -40,9 +43,10 @@ protected:
 };
 
 TEST_F(RingTest, ConnectRejectedWithoutListener) {
+    ConnectionManager cm(net);
     bool called = false;
-    RingChannelPtr ch;
-    cm.connect({ep_a, &core_a}, ep_b, 7777, [&](RingChannelPtr c) {
+    net::ChannelPtr ch;
+    cm.connect({ep_a, &core_a}, ep_b, 7777, [&](net::ChannelPtr c) {
         called = true;
         ch = std::move(c);
     });

@@ -206,23 +206,6 @@ TEST_F(VerbsTest, RnrHoldsUntilRecvPosted) {
     EXPECT_EQ(comps[0].inline_payload, "early");
 }
 
-TEST_F(VerbsTest, ReadReturnsRemoteBytes) {
-    auto mr = net.register_mr(node_b(), 64);
-    mr->write(4, "secret");
-    SendWr wr;
-    wr.wr_id = 11;
-    wr.op = Opcode::kRead;
-    wr.rkey = mr->rkey();
-    wr.remote_offset = 4;
-    wr.read_len = 6;
-    qp_a->post_send(std::move(wr));
-    sim.run();
-    const auto comps = cq_a->poll();
-    ASSERT_EQ(comps.size(), 1u);
-    EXPECT_TRUE(comps[0].success);
-    EXPECT_EQ(comps[0].inline_payload, "secret");
-}
-
 TEST_F(VerbsTest, UnsignaledWriteNoSenderCompletion) {
     auto mr = net.register_mr(node_b(), 64);
     SendWr wr;

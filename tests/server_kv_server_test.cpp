@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "kv/resp.hpp"
+#include "net/tcp.hpp"
+#include "rdma/cm.hpp"
 #include "server/kv_server.hpp"
 
 namespace skv::server {
@@ -44,23 +46,21 @@ protected:
         client_ep = fabric.add_host("client");
         ServerConfig cfg;
         cfg.name = "test-server";
-        cfg.transport = GetParam();
         server = std::make_unique<KvServer>(
-            sim, costs, KvServer::Transports{&fabric, &tcp, &cm},
-            net::NodeRef{server_ep, &server_core}, cfg);
+            sim, costs, transport(), net::NodeRef{server_ep, &server_core}, cfg);
         server->start();
+    }
+
+    net::Transport& transport() {
+        if (GetParam() == Transport::kTcp) return tcp;
+        return cm;
     }
 
     TestClient connect() {
         TestClient c;
         net::ChannelPtr got;
-        if (GetParam() == Transport::kTcp) {
-            tcp.connect({client_ep, &client_core}, server_ep, 6379,
-                        [&](net::ChannelPtr ch) { got = std::move(ch); });
-        } else {
-            cm.connect({client_ep, &client_core}, server_ep, 6379,
-                       [&](net::ChannelPtr ch) { got = std::move(ch); });
-        }
+        transport().connect({client_ep, &client_core}, server_ep, 6379,
+                            [&](net::ChannelPtr ch) { got = std::move(ch); });
         sim.run_until(sim.now() + sim::milliseconds(5));
         c.attach(got);
         return c;

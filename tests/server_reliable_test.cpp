@@ -35,7 +35,7 @@ public:
 
     /// Hand `bytes` to this end's handler as if they had just arrived.
     void inject(std::string bytes) {
-        if (open_ && on_message_) on_message_(std::move(bytes));
+        if (open_) deliver(std::move(bytes));
     }
 
     void send(std::string_view payload) override {
@@ -57,9 +57,6 @@ public:
             });
         }
     }
-    void set_on_message(MessageHandler handler) override {
-        on_message_ = std::move(handler);
-    }
     void close() override { open_ = false; }
     [[nodiscard]] bool open() const override { return open_; }
     [[nodiscard]] net::EndpointId peer() const override { return 1; }
@@ -70,7 +67,6 @@ private:
     sim::Rng rng_;
     LinkSpec spec_;
     std::weak_ptr<LossyEnd> peer_;
-    MessageHandler on_message_;
     bool open_ = true;
 };
 
@@ -229,6 +225,23 @@ TEST(ReliableChannelTest, WireFormatIsPinned) {
     put_le(ack, 1, 8); // cumulative: seq 1 arrived
     ASSERT_EQ(link.raw_b->sent.size(), 1u);
     EXPECT_EQ(link.raw_b->sent.front(), ack);
+}
+
+TEST(ReliableChannelTest, BufferedDeliveryBeforeHandlerInstalled) {
+    sim::Simulation sim(8);
+    auto raw_a = std::make_shared<LossyEnd>(sim, 8, LinkSpec{});
+    auto raw_b = std::make_shared<LossyEnd>(sim, 9, LinkSpec{});
+    raw_a->wire_to(raw_b);
+    raw_b->wire_to(raw_a);
+    auto a = ReliableChannel::wrap(sim, raw_a);
+    auto b = ReliableChannel::wrap(sim, raw_b);
+    a->send("early");
+    a->send("later");
+    sim.run(); // both arrive, and are acked, before b has a handler
+    EXPECT_EQ(a->unacked_count(), 0u);
+    std::vector<std::string> got;
+    b->set_on_message([&got](std::string m) { got.push_back(std::move(m)); });
+    EXPECT_EQ(got, (std::vector<std::string>{"early", "later"}));
 }
 
 /// Robustness sweeps in the style of kv_resp_fuzz_test: the framing faces

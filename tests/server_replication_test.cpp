@@ -93,10 +93,7 @@ TEST_F(BaselineReplTest, LateSlaveFullSyncsExistingData) {
     auto node = c->add_client_host("late-slave");
     ServerConfig scfg;
     scfg.name = "late";
-    scfg.transport = Transport::kRdma;
-    KvServer late(c->sim(), c->costs(),
-                  KvServer::Transports{&c->fabric(), &c->tcp(), &c->cm()}, node,
-                  scfg);
+    KvServer late(c->sim(), c->costs(), c->transport(), node, scfg);
     late.start();
     late.slaveof_baseline(c->master().node().ep, 6380);
     c->sim().run_until(c->sim().now() + sim::milliseconds(100));
@@ -117,7 +114,7 @@ TEST_F(BaselineReplTest, SlaveRejectsDirectWrites) {
     auto node = c->add_client_host("writer");
     net::ChannelPtr ch;
     c->cm().connect(node, c->slave(0).node().ep, 6379,
-                    [&](rdma::RingChannelPtr x) { ch = x; });
+                    [&](net::ChannelPtr x) { ch = x; });
     c->sim().run_until(c->sim().now() + sim::milliseconds(5));
     ASSERT_TRUE(ch);
     std::string reply;

@@ -116,7 +116,7 @@ TEST_F(LagTest, PromotedStandInAcceptsWrites) {
     auto node = c->add_client_host("writer");
     net::ChannelPtr ch;
     c->cm().connect(node, c->slave(promoted).node().ep, 6379,
-                    [&](rdma::RingChannelPtr x) { ch = x; });
+                    [&](net::ChannelPtr x) { ch = x; });
     c->sim().run_until(c->sim().now() + sim::milliseconds(10));
     ASSERT_TRUE(ch);
     std::string replies;
@@ -150,7 +150,7 @@ TEST_F(LagTest, SlaveServesReadsThroughout) {
     auto node = c->add_client_host("reader");
     net::ChannelPtr ch;
     c->cm().connect(node, c->slave(0).node().ep, 6379,
-                    [&](rdma::RingChannelPtr x) { ch = x; });
+                    [&](net::ChannelPtr x) { ch = x; });
     c->sim().run_until(c->sim().now() + sim::milliseconds(10));
     ASSERT_TRUE(ch);
     std::string replies;

@@ -213,6 +213,29 @@ TEST(OpenLoop, AchievesOfferedRateOnAHealthyCluster) {
     EXPECT_GE(r.run.p95_us, r.run.p50_us);
 }
 
+// run_open_loop's retrying connections dial the cluster's own transport,
+// so a TCP Redis cluster is served like an RDMA one.
+TEST(OpenLoop, ServesEveryArrivalOverTcp) {
+    offload::ClusterConfig cfg;
+    cfg.seed = 7;
+    cfg.n_slaves = 1;
+    cfg.transport = server::Transport::kTcp;
+    offload::Cluster cluster(cfg);
+    cluster.start();
+    OpenLoopOptions opts;
+    opts.ycsb = YcsbOptions::standard(Workload::kA);
+    opts.ycsb.record_count = 500;
+    opts.connections = 4;
+    opts.offered_kops = 2.0;
+    opts.warmup = sim::milliseconds(50);
+    opts.measure = sim::milliseconds(200);
+    const auto r = run_open_loop(cluster, opts);
+
+    EXPECT_GT(r.arrivals, 0u);
+    EXPECT_EQ(r.completed, r.arrivals) << r.summary();
+    EXPECT_EQ(r.failed + r.timed_out, 0u);
+}
+
 TEST(OpenLoop, TenThousandConnectionsDoubleRunBitIdentical) {
     auto run = [](std::uint64_t seed) {
         auto cluster = make_skv(seed);
