@@ -9,8 +9,8 @@
 
 #include <cstdio>
 
-#include "kv/resp.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 using namespace skv;
 
@@ -46,24 +46,11 @@ int main() {
     cluster.start();
 
     // A client that keeps writing throughout.
-    auto client_node = cluster.add_client_host("app");
-    net::ChannelPtr ch;
-    cluster.connect_client(client_node,
-                           [&](net::ChannelPtr c) { ch = std::move(c); });
-    wait(cluster, 0.01);
+    workload::Session client(cluster, "app");
     int oks = 0;
     int errors = 0;
-    kv::resp::ReplyParser parser;
-    ch->set_on_message([&](std::string payload) {
-        parser.feed(payload);
-        kv::resp::Value v;
-        while (parser.next(&v) == kv::resp::Status::kOk) {
-            (v.is_error() ? errors : oks)++;
-        }
-    });
-    auto write = [&](const std::string& k) {
-        ch->send(kv::resp::command({"SET", k, "value"}));
-    };
+    client.on_reply([&](const kv::resp::Value& v) { (v.is_error() ? errors : oks)++; });
+    auto write = [&](const std::string& k) { client.send({"SET", k, "value"}); };
 
     status(cluster, "cluster up, all nodes healthy");
     write("before-failure");

@@ -20,10 +20,10 @@
 #include <iostream>
 #include <string>
 
-#include "kv/resp.hpp"
 #include "kv/sds.hpp"
 #include "obs/export.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 using namespace skv;
 
@@ -37,25 +37,14 @@ int main() {
     cluster.tracer().set_enabled(true);
     cluster.start();
 
-    auto client_node = cluster.add_client_host("shell");
-    net::ChannelPtr ch;
-    cluster.connect_client(client_node,
-                           [&](net::ChannelPtr c) { ch = std::move(c); });
-    cluster.sim().run_until(cluster.sim().now() + sim::milliseconds(10));
-    if (!ch) {
+    workload::Session session(cluster, "shell");
+    if (!session.connected()) {
         std::fprintf(stderr, "failed to connect to the simulated master\n");
         return 1;
     }
-
-    const std::uint32_t shell_track = cluster.tracer().track("client/shell");
-    kv::resp::ReplyParser parser;
-    ch->set_on_message([&](std::string payload) {
-        cluster.tracer().flow_complete(ch->flow_id());
-        parser.feed(payload);
-        kv::resp::Value v;
-        while (parser.next(&v) == kv::resp::Status::kOk) {
-            std::printf("%s\n", v.to_debug_string().c_str());
-        }
+    session.set_tracer(&cluster.tracer(), "client/shell");
+    session.on_reply([](const kv::resp::Value& v) {
+        std::printf("%s\n", v.to_debug_string().c_str());
     });
 
     std::printf("skv-shell: 1 master + 2 slaves behind a simulated "
@@ -116,8 +105,7 @@ int main() {
         std::vector<std::string> cmd;
         cmd.reserve(argv->size());
         for (const auto& a : *argv) cmd.push_back(a.str());
-        cluster.tracer().flow_issue(ch->flow_id(), shell_track);
-        ch->send(kv::resp::command(cmd));
+        session.send(cmd);
         // Run the simulation until the reply has been printed.
         cluster.sim().run_until(cluster.sim().now() + sim::milliseconds(50));
     }

@@ -6,8 +6,8 @@
 
 #include <cstdio>
 
-#include "kv/resp.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 using namespace skv;
 
@@ -29,32 +29,22 @@ int main() {
                 cluster.nic_kv()->valid_slaves());
 
     // Connect one client and run a tiny session.
-    auto client_node = cluster.add_client_host("app");
-    net::ChannelPtr ch;
-    cluster.connect_client(client_node,
-                           [&](net::ChannelPtr c) { ch = std::move(c); });
-    cluster.sim().run_until(cluster.sim().now() + sim::milliseconds(10));
-    if (!ch) {
+    workload::Session session(cluster, "app");
+    if (!session.connected()) {
         std::fprintf(stderr, "client failed to connect\n");
         return 1;
     }
-
-    kv::resp::ReplyParser replies;
-    ch->set_on_message([&](std::string payload) {
-        replies.feed(payload);
-        kv::resp::Value v;
-        while (replies.next(&v) == kv::resp::Status::kOk) {
-            std::printf("  reply: %s\n", v.to_debug_string().c_str());
-        }
+    session.on_reply([](const kv::resp::Value& v) {
+        std::printf("  reply: %s\n", v.to_debug_string().c_str());
     });
 
     std::printf("issuing commands:\n");
-    ch->send(kv::resp::command({"SET", "greeting", "hello, smartnic"}));
-    ch->send(kv::resp::command({"SET", "counter", "41"}));
-    ch->send(kv::resp::command({"INCR", "counter"}));
-    ch->send(kv::resp::command({"GET", "greeting"}));
-    ch->send(kv::resp::command({"APPEND", "greeting", ", offloaded"}));
-    ch->send(kv::resp::command({"GETRANGE", "greeting", "7", "-1"}));
+    session.send({"SET", "greeting", "hello, smartnic"});
+    session.send({"SET", "counter", "41"});
+    session.send({"INCR", "counter"});
+    session.send({"GET", "greeting"});
+    session.send({"APPEND", "greeting", ", offloaded"});
+    session.send({"GETRANGE", "greeting", "7", "-1"});
 
     // Let the commands execute and replication drain.
     cluster.sim().run_until(cluster.sim().now() + sim::milliseconds(500));

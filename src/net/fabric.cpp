@@ -25,29 +25,22 @@ sim::SimTime Fabric::Transmitter::reserve(sim::SimTime earliest, std::size_t byt
     return busy_until;
 }
 
-EndpointId Fabric::add_host(const std::string& name, LinkParams link) {
+EndpointId Fabric::add_host(const std::string& name) {
     Endpoint ep;
     ep.name = name;
-    ep.link = link;
-    const double nspb = 8.0 / link.gbps;
-    ep.egress.ns_per_byte = nspb;
-    ep.ingress.ns_per_byte = nspb;
     endpoints_.push_back(std::move(ep));
     return static_cast<EndpointId>(endpoints_.size() - 1);
 }
 
-EndpointId Fabric::add_companion(EndpointId host, const std::string& name,
-                                 CompanionParams params) {
+EndpointId Fabric::add_companion(EndpointId host, const std::string& name) {
     SKV_CHECK(host < endpoints_.size());
     SKV_CHECK(!endpoints_[host].is_companion, "companion must attach to a host");
     Endpoint ep;
     ep.name = name;
     ep.is_companion = true;
     ep.host = host;
-    ep.companion = params;
-    const double nspb = 8.0 / params.internal_gbps;
-    ep.internal_out.ns_per_byte = nspb;
-    ep.internal_in.ns_per_byte = nspb;
+    ep.internal_out.ns_per_byte = kInternalNsPerByte;
+    ep.internal_in.ns_per_byte = kInternalNsPerByte;
     endpoints_.push_back(std::move(ep));
     return static_cast<EndpointId>(endpoints_.size() - 1);
 }
@@ -79,17 +72,14 @@ const std::string& Fabric::name_of(EndpointId ep) const {
     return endpoints_[ep].name;
 }
 
-sim::SimTime Fabric::send_internal(Endpoint& host, Endpoint& nic, bool to_nic,
-                                   std::size_t bytes) {
+sim::SimTime Fabric::send_internal(Endpoint& nic, bool to_nic, std::size_t bytes) {
     // Host <-> its own SmartNIC: PCIe + NIC-switch path, no external link.
     // The message still traverses the full network stack on the SmartNIC,
     // which is why this latency is only "a little lower" than host-to-host
     // (paper Fig. 3).
-    (void)host;
     Transmitter& tx = to_nic ? nic.internal_out : nic.internal_in;
     const sim::SimTime serialized = tx.reserve(sim_.now(), bytes);
-    return serialized + nic.companion.internal_latency +
-           nic.companion.nic_stack_overhead;
+    return serialized + kInternalLatency + kNicStackOverhead;
 }
 
 sim::SimTime Fabric::send_external(EndpointId from, EndpointId to,
@@ -103,18 +93,17 @@ sim::SimTime Fabric::send_external(EndpointId from, EndpointId to,
     if (src.is_companion) {
         // NIC-originated traffic: crosses the NIC switch out of the port and
         // pays the NIC-side stack.
-        extra += src.companion.steering + src.companion.nic_stack_overhead;
+        extra += kSteering + kNicStackOverhead;
     }
     if (dst.is_companion) {
-        extra += dst.companion.steering + dst.companion.nic_stack_overhead;
+        extra += kSteering + kNicStackOverhead;
     }
 
     // Serialize out of the source port, fly to the switch, forward, then
     // occupy the destination port's ingress (store-and-forward at the NIC).
     const sim::SimTime out_done = src_port.egress.reserve(sim_.now(), bytes);
     const sim::SimTime at_dst_port =
-        out_done + src_port.link.propagation + kSwitchLatency +
-        dst_port.link.propagation;
+        out_done + kLinkPropagation + kSwitchLatency + kLinkPropagation;
     const sim::SimTime in_done = dst_port.ingress.reserve(at_dst_port, bytes);
     return in_done + extra;
 }
@@ -170,10 +159,9 @@ sim::SimTime Fabric::send(EndpointId from, EndpointId to, std::size_t bytes,
 
     sim::SimTime arrival;
     if (same_port(from, to)) {
-        Endpoint& host = endpoints_[port_of(from)];
         Endpoint& nic = endpoints_[endpoints_[from].is_companion ? from : to];
         const bool to_nic = endpoints_[to].is_companion;
-        arrival = send_internal(host, nic, to_nic, bytes);
+        arrival = send_internal(nic, to_nic, bytes);
     } else {
         arrival = send_external(from, to, bytes);
     }

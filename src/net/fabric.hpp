@@ -19,31 +19,6 @@ namespace skv::net {
 /// in net/fault.hpp so the injector does not depend on this header.)
 inline constexpr EndpointId kInvalidEndpoint = UINT32_MAX;
 
-/// Physical parameters of a host link to the ToR switch.
-struct LinkParams {
-    /// One-way propagation delay host->switch (cable + PHY).
-    sim::Duration propagation{sim::nanoseconds(250)};
-    /// Line rate in Gbit/s (100 for the paper's ConnectX-5 / SN2100).
-    double gbps = 100.0;
-};
-
-/// Parameters for an off-path SmartNIC companion endpoint that sits behind
-/// a host's physical port (BlueField model, paper Fig. 2).
-struct CompanionParams {
-    /// Host <-> SmartNIC internal path latency (PCIe + NIC switch, one way).
-    sim::Duration internal_latency{sim::nanoseconds(330)};
-    /// Internal path bandwidth in Gbit/s (PCIe gen4 x16 ballpark).
-    double internal_gbps = 128.0;
-    /// Extra per-message processing on the SmartNIC side: the full network
-    /// stack running on the NIC (paper §II-A2: "communication between the
-    /// SmartNIC and the host is inefficient due to the complete network
-    /// stack on SmartNIC").
-    sim::Duration nic_stack_overhead{sim::nanoseconds(380)};
-    /// NIC-switch steering cost for external traffic directed to the NIC
-    /// cores instead of the host.
-    sim::Duration steering{sim::nanoseconds(120)};
-};
-
 /// A single-switch RoCE fabric: every host connects to one ToR switch.
 /// The fabric models propagation latency, per-link serialization at the
 /// line rate (so large values congest), switch forwarding latency, and
@@ -59,11 +34,10 @@ public:
     explicit Fabric(sim::Simulation& sim);
 
     /// Attach a host NIC port with a dedicated link to the switch.
-    EndpointId add_host(const std::string& name, LinkParams link = {});
+    EndpointId add_host(const std::string& name);
 
     /// Attach an off-path SmartNIC endpoint behind `host`'s port.
-    EndpointId add_companion(EndpointId host, const std::string& name,
-                             CompanionParams params = {});
+    EndpointId add_companion(EndpointId host, const std::string& name);
 
     /// Send `bytes` from one endpoint to another. `on_delivered` fires when
     /// the last byte arrives at the destination endpoint. Returns the
@@ -118,7 +92,7 @@ private:
     /// back-to-back messages queues behind earlier ones.
     struct Transmitter {
         sim::SimTime busy_until = sim::SimTime::zero();
-        double ns_per_byte = 0.08; // 100 Gb/s
+        double ns_per_byte = kLinkNsPerByte;
 
         /// Reserve the transmitter for `bytes` starting no earlier than
         /// `earliest`; returns the time the last byte has been serialized.
@@ -129,8 +103,6 @@ private:
         std::string name;
         bool is_companion = false;
         EndpointId host = kInvalidEndpoint; // for companions
-        LinkParams link;                    // for hosts
-        CompanionParams companion;          // for companions
         // Host endpoints own the physical-port transmitters. Companions
         // share their host's and add internal-path transmitters.
         Transmitter egress;
@@ -149,8 +121,7 @@ private:
     /// traffic for `ep`.
     [[nodiscard]] EndpointId port_of(EndpointId ep) const;
 
-    sim::SimTime send_internal(Endpoint& host, Endpoint& nic, bool to_nic,
-                               std::size_t bytes);
+    sim::SimTime send_internal(Endpoint& nic, bool to_nic, std::size_t bytes);
     sim::SimTime send_external(EndpointId from, EndpointId to, std::size_t bytes);
 
     /// Schedule `cb` at `when`, re-checking at delivery time that neither
@@ -163,6 +134,23 @@ private:
 
     /// Forwarding latency of the ToR switch (cut-through).
     static constexpr sim::Duration kSwitchLatency = sim::nanoseconds(300);
+    /// Host link to the switch: one-way propagation (cable + PHY) and the
+    /// 100 Gb/s line rate of the paper's ConnectX-5 / SN2100.
+    static constexpr sim::Duration kLinkPropagation = sim::nanoseconds(250);
+    static constexpr double kLinkNsPerByte = 8.0 / 100.0;
+    /// Off-path SmartNIC companion behind a host's port (BlueField model,
+    /// paper Fig. 2): host <-> NIC internal path latency (PCIe + NIC
+    /// switch, one way) and bandwidth (128 Gb/s, PCIe gen4 x16 ballpark).
+    static constexpr sim::Duration kInternalLatency = sim::nanoseconds(330);
+    static constexpr double kInternalNsPerByte = 8.0 / 128.0;
+    /// Extra per-message processing on the SmartNIC side: the full network
+    /// stack running on the NIC (paper §II-A2: "communication between the
+    /// SmartNIC and the host is inefficient due to the complete network
+    /// stack on SmartNIC").
+    static constexpr sim::Duration kNicStackOverhead = sim::nanoseconds(380);
+    /// NIC-switch steering cost for external traffic directed to the NIC
+    /// cores instead of the host.
+    static constexpr sim::Duration kSteering = sim::nanoseconds(120);
 
     sim::Simulation& sim_;
     std::vector<Endpoint> endpoints_;

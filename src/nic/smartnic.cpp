@@ -8,7 +8,7 @@ SmartNic::SmartNic(sim::Simulation& sim, net::Fabric& fabric,
                    SmartNicParams params)
     : host_(host), params_(params) {
     SKV_CHECK(params_.arm_cores > 0);
-    endpoint_ = fabric.add_companion(host, name, params_.companion);
+    endpoint_ = fabric.add_companion(host, name);
     cores_.reserve(static_cast<std::size_t>(params_.arm_cores));
     for (int i = 0; i < params_.arm_cores; ++i) {
         cores_.push_back(std::make_unique<cpu::Core>(

@@ -21,16 +21,13 @@ struct SmartNicParams {
     double core_slowdown = 2.5;
     /// On-board DDR available to Nic-KV (16 GB on the paper's MBF2H516A).
     std::size_t dram_bytes = 16ULL * 1024 * 1024 * 1024;
-    /// Internal-path / stack-overhead parameters for the fabric companion
-    /// endpoint.
-    net::CompanionParams companion;
 };
 
 /// An off-path multi-core SoC SmartNIC installed behind one host port.
 /// Owns the companion fabric endpoint (the NIC is "just like a separated
 /// endpoint in the network", §II-A2), the ARM cores and the on-board memory
 /// budget. NIC-switch steering (paper Fig. 2) is a per-hop cost on the
-/// companion path (net::CompanionParams::steering), not a table: only
+/// companion path (net::Fabric's kSteering), not a table: only
 /// traffic addressed to the companion endpoint reaches the ARM cores.
 class SmartNic {
 public:

@@ -11,15 +11,6 @@ Counter Registry::counter_handle(const std::string& name) {
     return Counter(&counter_cells_[it->second]);
 }
 
-Timer Registry::timer_handle(const std::string& name) {
-    auto it = timer_index_.find(name);
-    if (it == timer_index_.end()) {
-        timer_cells_.emplace_back();
-        it = timer_index_.emplace(name, timer_cells_.size() - 1).first;
-    }
-    return Timer(&timer_cells_[it->second]);
-}
-
 void Registry::incr(const std::string& name, std::uint64_t delta) {
     counter_handle(name).incr(delta);
 }

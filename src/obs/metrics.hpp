@@ -5,9 +5,6 @@
 #include <map>
 #include <string>
 
-#include "sim/histogram.hpp"
-#include "sim/time.hpp"
-
 namespace skv::obs {
 
 class Registry;
@@ -34,29 +31,9 @@ private:
     std::uint64_t* cell_ = nullptr;
 };
 
-/// Pre-resolved latency-histogram handle. record() feeds the log-linear
-/// sim::LatencyHistogram owned by the Registry.
-class Timer {
-public:
-    Timer() = default;
-    void record(sim::Duration d) const {
-        if (hist_ != nullptr) hist_->record(d);
-    }
-    void record_ns(std::int64_t ns) const {
-        if (hist_ != nullptr) hist_->record_ns(ns);
-    }
-    [[nodiscard]] const sim::LatencyHistogram* histogram() const { return hist_; }
-    [[nodiscard]] explicit operator bool() const { return hist_ != nullptr; }
-
-private:
-    friend class Registry;
-    explicit Timer(sim::LatencyHistogram* hist) : hist_(hist) {}
-    sim::LatencyHistogram* hist_ = nullptr;
-};
-
 /// Per-node metric registry. Two faces:
 ///
-///  - Typed handles (counter_handle/timer_handle), resolved once at wiring
+///  - Typed counter handles (counter_handle), resolved once at wiring
 ///    time so hot paths pay an array index, not a
 ///    std::map<std::string,...> lookup per event.
 ///  - A string API (incr/counter/format) for cold paths that create a
@@ -74,22 +51,19 @@ public:
 
     // --- typed pre-resolved handles (resolve once, use on the hot path) ---
     Counter counter_handle(const std::string& name);
-    Timer timer_handle(const std::string& name);
 
     // --- string API (lazily created cells) ---
     void incr(const std::string& name, std::uint64_t delta = 1);
     [[nodiscard]] std::uint64_t counter(const std::string& name) const;
-    /// "name=value\n" lines, one per counter, sorted by name. Timers are
-    /// deliberately excluded: the chaos determinism fingerprint folds this
-    /// string in, so its layout is frozen.
+    /// "name=value\n" lines, one per counter, sorted by name. The chaos
+    /// determinism fingerprint folds this string in, so its layout is
+    /// frozen.
     [[nodiscard]] std::string format() const;
 
 private:
-    // Cells live in deques so handle pointers survive growth.
+    // Cells live in a deque so handle pointers survive growth.
     std::deque<std::uint64_t> counter_cells_;
-    std::deque<sim::LatencyHistogram> timer_cells_;
     std::map<std::string, std::size_t> counter_index_;
-    std::map<std::string, std::size_t> timer_index_;
 };
 
 } // namespace skv::obs

@@ -43,9 +43,13 @@ void RingChannel::attach(QueuePairPtr own_qp, std::uint32_t remote_rkey,
 }
 
 void RingChannel::replenish_recvs() {
+    // Posted-receive low/high water marks: once no more than kLowWater
+    // receives remain posted, top them back up to kBatch.
+    constexpr std::size_t kBatch = 64;
+    constexpr std::size_t kLowWater = 16;
     if (!qp_) return;
-    if (posted_recvs_ > params_.recv_low_water) return;
-    while (posted_recvs_ < params_.recv_batch) {
+    if (posted_recvs_ > kLowWater) return;
+    while (posted_recvs_ < kBatch) {
         // Receives for WRITE_WITH_IMM carry no buffer (the data already
         // landed in the ring); credit SENDs are small control frames.
         qp_->post_recv(next_wr_id_++, recv_mr_, 0, 0);

@@ -16,9 +16,6 @@ struct RingParams {
     std::size_t ring_bytes = 256 * 1024;
     /// Receiver returns credits once this many bytes have been consumed.
     std::size_t credit_threshold = 64 * 1024;
-    /// Posted-receive high/low water marks.
-    std::size_t recv_batch = 64;
-    std::size_t recv_low_water = 16;
 };
 
 /// The SKV RDMA messenger (paper §III-B): each peer registers a circular

@@ -83,8 +83,7 @@ KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
       c_writes_(stats_.counter_handle("writes")),
       c_repl_offload_(stats_.counter_handle("repl_offload_requests")),
       c_repl_sends_(stats_.counter_handle("repl_sends")),
-      c_repl_applied_(stats_.counter_handle("repl_applied")),
-      t_cmd_all_(stats_.timer_handle("cmd.service")) {
+      c_repl_applied_(stats_.counter_handle("repl_applied")) {
     SKV_CHECK(self_.valid());
     repl_->s_ = this;
 }
@@ -128,7 +127,6 @@ void KvServer::on_client_accept(net::ChannelPtr ch) {
 void KvServer::adopt_node_link(net::ChannelPtr ch) {
     auto conn = std::make_shared<ClientConn>();
     conn->channel = std::move(ch);
-    conn->node_link = true;
     clients_.push_back(conn);
     std::weak_ptr<ClientConn> wconn = conn;
     conn->channel->set_on_message([this, wconn](std::string payload) {
@@ -489,7 +487,7 @@ void KvServer::attach_dup_waiter(const WriteTag& tag, const ClientPtr& conn,
 void KvServer::record_command_latency(const std::vector<std::string>& argv,
                                       bool is_write, sim::SimTime t0) {
     const sim::Duration dur = sim_.now() - t0;
-    t_cmd_all_.record(dur);
+    cmd_service_.record(dur);
     if (cfg_.slowlog_threshold.ns() >= 0 &&
         dur.ns() >= cfg_.slowlog_threshold.ns()) {
         SlowlogEntry e;
@@ -1197,11 +1195,11 @@ std::string KvServer::info_sections() const {
     out += "total_writes:" + kv::ll2string(static_cast<long long>(stats_.counter("writes"))) + "\r\n";
     out += "slowlog_len:" + kv::ll2string(static_cast<long long>(slowlog_.size())) + "\r\n";
     out += "# Latencystats\r\n";
-    if (const auto* h = t_cmd_all_.histogram(); h != nullptr && h->count() > 0) {
-        out += "cmd_service_count:" + kv::ll2string(static_cast<long long>(h->count())) + "\r\n";
-        out += "cmd_service_p50_usec:" + kv::ll2string(h->p50_ns() / 1'000) + "\r\n";
-        out += "cmd_service_p99_usec:" + kv::ll2string(h->p99_ns() / 1'000) + "\r\n";
-        out += "cmd_service_max_usec:" + kv::ll2string(h->max_ns() / 1'000) + "\r\n";
+    if (cmd_service_.count() > 0) {
+        out += "cmd_service_count:" + kv::ll2string(static_cast<long long>(cmd_service_.count())) + "\r\n";
+        out += "cmd_service_p50_usec:" + kv::ll2string(cmd_service_.p50_ns() / 1'000) + "\r\n";
+        out += "cmd_service_p99_usec:" + kv::ll2string(cmd_service_.p99_ns() / 1'000) + "\r\n";
+        out += "cmd_service_max_usec:" + kv::ll2string(cmd_service_.max_ns() / 1'000) + "\r\n";
     }
     return out;
 }

@@ -19,6 +19,7 @@
 #include "obs/tracer.hpp"
 #include "server/config.hpp"
 #include "server/protocol.hpp"
+#include "sim/histogram.hpp"
 #include "sim/simulation.hpp"
 
 namespace skv::server {
@@ -135,7 +136,6 @@ private:
     struct ClientConn {
         net::ChannelPtr channel;
         kv::resp::RequestParser parser;
-        bool node_link = false;
     };
     using ClientPtr = std::shared_ptr<ClientConn>;
 
@@ -321,14 +321,15 @@ private:
     std::uint64_t commands_ = 0;
     std::int64_t cron_ticks_ = 0;
     obs::Registry stats_;
-    // Hot-path counters/timers pre-resolved against stats_ in the
-    // constructor (same cells the string API addresses).
+    // Hot-path counters pre-resolved against stats_ in the constructor
+    // (same cells the string API addresses).
     obs::Counter c_reads_;
     obs::Counter c_writes_;
     obs::Counter c_repl_offload_;
     obs::Counter c_repl_sends_;
     obs::Counter c_repl_applied_;
-    obs::Timer t_cmd_all_;
+    /// Service time of every command, entry to reply; INFO's Latencystats.
+    sim::LatencyHistogram cmd_service_;
 
     obs::Tracer* tracer_ = nullptr;
     std::uint32_t obs_track_ = UINT32_MAX;

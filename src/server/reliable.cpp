@@ -51,6 +51,14 @@ constexpr char kAck = 'A';
 constexpr std::size_t kDataHeader = 1 + 8 + 4;
 constexpr std::size_t kAckFrame = 1 + 8;
 
+/// First retransmission timeout. It doubles on each consecutive unanswered
+/// retransmission up to kMaxRto, and fresh ack progress resets it.
+constexpr sim::Duration kInitialRto = sim::milliseconds(5);
+constexpr sim::Duration kMaxRto = sim::milliseconds(160);
+/// Acks are cumulative and delayed by this much to amortize their cost;
+/// duplicates and out-of-order arrivals are acked at once instead.
+constexpr sim::Duration kAckDelay = sim::microseconds(200);
+
 } // namespace
 
 std::uint32_t ReliableChannel::checksum(std::string_view bytes) {
@@ -84,7 +92,7 @@ std::shared_ptr<ReliableChannel> ReliableChannel::wrap(sim::Simulation& sim,
     SKV_CHECK(inner);
     auto ch = std::shared_ptr<ReliableChannel>(
         new ReliableChannel(sim, std::move(inner), params));
-    ch->rto_ = params.initial_rto;
+    ch->rto_ = kInitialRto;
     if (reg != nullptr) {
         ch->c_retransmits_ = reg->counter_handle("rel.retransmits");
         ch->c_dups_ = reg->counter_handle("rel.dups_suppressed");
@@ -142,10 +150,7 @@ void ReliableChannel::on_rto(std::uint64_t epoch) {
     ++retransmits_;
     c_retransmits_.incr();
     inner_->send(oldest.wire);
-    rto_ = std::min(
-        sim::Duration(static_cast<std::int64_t>(
-            static_cast<double>(rto_.ns()) * params_.backoff)),
-        params_.max_rto);
+    rto_ = std::min(sim::Duration(rto_.ns() * 2), kMaxRto);
     arm_rto();
 }
 
@@ -160,7 +165,7 @@ void ReliableChannel::on_inner_message(std::string payload) {
         }
         if (progressed) {
             // Fresh progress: restart backoff and re-time from now.
-            rto_ = params_.initial_rto;
+            rto_ = kInitialRto;
             ++rto_epoch_; // cancel the outstanding timer logically
             rto_armed_ = false;
             arm_rto();
@@ -242,7 +247,7 @@ void ReliableChannel::schedule_ack(bool immediate) {
     ack_scheduled_ = true;
     const std::uint64_t epoch = ++ack_epoch_;
     auto self = shared_from_this();
-    sim_.after(params_.ack_delay, [self, epoch]() {
+    sim_.after(kAckDelay, [self, epoch]() {
         if (epoch != self->ack_epoch_ || !self->ack_scheduled_) return;
         self->ack_scheduled_ = false;
         self->send_ack_now();

@@ -13,20 +13,13 @@
 
 namespace skv::server {
 
-/// Retransmission knobs for one reliable node link.
+/// Retransmission knobs for one reliable node link. The timing (RTO,
+/// backoff, ack delay) is fixed in reliable.cpp.
 struct ReliableParams {
-    /// First retransmission timeout; doubles (times `backoff`) on each
-    /// consecutive unanswered retransmission up to `max_rto`.
-    sim::Duration initial_rto{sim::milliseconds(5)};
-    sim::Duration max_rto{sim::milliseconds(160)};
-    double backoff = 2.0;
     /// After this many retransmissions of the same message the link is
     /// declared broken and `on_broken` fires (the failure detector / owner
     /// decides what to do — the channel itself stops trying).
     int max_retries = 8;
-    /// Acks are cumulative and delayed to amortize their cost; duplicates
-    /// and out-of-order arrivals trigger an immediate ack instead.
-    sim::Duration ack_delay{sim::microseconds(200)};
     /// Out-of-order messages buffered while a hole is outstanding; anything
     /// beyond the window is dropped and recovered by retransmission.
     std::size_t reorder_window = 64;
@@ -44,7 +37,7 @@ struct ReliableParams {
 ///   'A' cum_ack(8)                   cumulative: every seq <= cum_ack arrived
 /// checksum() covers the payload only: a 32-bit hash over 8-byte lanes.
 ///
-/// The layer is deterministic: no RNG, all timing from ReliableParams.
+/// The layer is deterministic: no RNG, all timing fixed.
 class ReliableChannel final
     : public net::Channel,
       public std::enable_shared_from_this<ReliableChannel> {

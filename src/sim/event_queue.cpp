@@ -9,7 +9,8 @@ namespace skv::sim {
 namespace {
 
 // Every hop in the model is scheduled at most ~10 us ahead and every timer at
-// least 200 us ahead (ack_delay), so this horizon splits the two cleanly.
+// least 200 us ahead (the reliable layer's ack delay), so this horizon splits
+// the two cleanly.
 constexpr Duration kNearHorizon = microseconds(100);
 
 SimTime near_limit_after(SimTime t) {

@@ -76,7 +76,7 @@ void Cluster::start() {
                                                "master/bf2", cfg_.nic_params);
         nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_, cfg_.nic_cfg,
                                          std::move(protocol.nic));
-        nickv_->set_tracer(&tracer_, "nic/" + cfg_.nic_cfg.name);
+        nickv_->set_tracer(&tracer_, "nic/nic-kv");
     }
 
     // Slave hosts.
@@ -123,22 +123,17 @@ net::NodeRef Cluster::add_client_host(const std::string& name) {
     return net::NodeRef{ep, cores_.back().get()};
 }
 
-void Cluster::connect_client(net::NodeRef from,
-                             std::function<void(net::ChannelPtr)> cb) {
-    transport_.connect(from, master_->node().ep, master_->config().port,
-                       std::move(cb));
-}
-
 // --- node crash/restart fault model ------------------------------------------
 
-void Cluster::crash_node(int idx) {
+server::KvServer& Cluster::server(int idx) {
     SKV_CHECK(idx >= -1 && idx < slave_count());
-    (idx < 0 ? *master_ : *slaves_[static_cast<std::size_t>(idx)]).crash();
+    return idx < 0 ? *master_ : *slaves_[static_cast<std::size_t>(idx)];
 }
 
+void Cluster::crash_node(int idx) { server(idx).crash(); }
+
 void Cluster::restart_node(int idx, server::KvServer::RecoveryMode mode) {
-    SKV_CHECK(idx >= -1 && idx < slave_count());
-    (idx < 0 ? *master_ : *slaves_[static_cast<std::size_t>(idx)]).recover(mode);
+    server(idx).recover(mode);
 }
 
 bool Cluster::node_crashed(int idx) const {

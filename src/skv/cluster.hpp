@@ -61,6 +61,8 @@ public:
         return *slaves_.at(static_cast<std::size_t>(i));
     }
     [[nodiscard]] int slave_count() const { return static_cast<int>(slaves_.size()); }
+    /// Server by cluster node index: -1 = master, 0..n_slaves-1 = slaves.
+    [[nodiscard]] server::KvServer& server(int idx);
     [[nodiscard]] NicKv* nic_kv() { return nickv_.get(); }
     [[nodiscard]] nic::SmartNic* smartnic() { return nic_.get(); }
 
@@ -73,11 +75,6 @@ public:
 
     /// Create an additional host (with its own core) for load generators.
     net::NodeRef add_client_host(const std::string& name);
-
-    /// Open a client connection to the master over transport(); `cb`
-    /// receives the channel when established.
-    void connect_client(net::NodeRef from,
-                        std::function<void(net::ChannelPtr)> cb);
 
     /// True once every slave has applied the full master stream.
     [[nodiscard]] bool converged() const;

@@ -24,7 +24,6 @@ class HostReplication;
 namespace skv::offload {
 
 struct NicKvConfig {
-    std::string name = "nic-kv";
     std::uint16_t port = 7000;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
     /// Replication threads on the SmartNIC (paper §III-C). Clamped at run
     /// time to min(ARM cores, slave count); 1 disables multi-threading,

@@ -88,7 +88,7 @@ void act(const ChaosStep& step, ChaosRun& r) {
         node = r.read_tail;
     }
     const auto ep = [&c, node] {
-        return node < 0 ? c.master().node().ep : c.slave(node).node().ep;
+        return c.server(node).node().ep;
     };
     net::FaultSpec cut;
     cut.blocked = true;

@@ -63,6 +63,7 @@ void BenchClient::on_reply(std::string payload) {
         if (v.is_error()) ++errors_;
         if (recording_) {
             ++recorded_;
+            if (v.is_error()) ++recorded_errors_;
             hist_.record(latency);
             if (hook_) hook_(latency);
         }

@@ -43,6 +43,8 @@ public:
 
     [[nodiscard]] std::uint64_t recorded_ops() const { return recorded_; }
     [[nodiscard]] std::uint64_t errors() const { return errors_; }
+    /// Error replies among the recorded ops.
+    [[nodiscard]] std::uint64_t recorded_errors() const { return recorded_errors_; }
     [[nodiscard]] const sim::LatencyHistogram& latencies() const { return hist_; }
 
 private:
@@ -64,6 +66,7 @@ private:
 
     std::uint64_t recorded_ = 0;
     std::uint64_t errors_ = 0;
+    std::uint64_t recorded_errors_ = 0;
     sim::LatencyHistogram hist_;
     CompletionHook hook_;
     obs::Tracer* tracer_ = nullptr;

@@ -10,8 +10,10 @@ Generator::Generator(WorkloadSpec spec, sim::Rng rng)
         spec_.key_dist == KeyDist::kLatest) {
         // kLatest draws zipfian over recency; the generator's item count
         // then grows with the frontier (ZipfianGenerator::next(rng, n)).
+        // The exponent is YCSB's default.
+        constexpr double kZipfTheta = 0.99;
         zipf_ = std::make_unique<sim::ZipfianGenerator>(spec_.key_count,
-                                                        spec_.zipf_theta);
+                                                        kZipfTheta);
     }
 }
 

@@ -41,7 +41,6 @@ struct WorkloadSpec {
     double set_ratio = 1.0;
     std::uint64_t key_count = 10'000;
     KeyDist key_dist = KeyDist::kUniform;
-    double zipf_theta = 0.99;
     std::size_t value_bytes = 64;
     std::string key_prefix = "key:";
 };

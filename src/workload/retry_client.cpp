@@ -34,49 +34,46 @@ void RetryClient::start(std::uint64_t ops) {
 }
 
 void RetryClient::issue(DrivenOp op, DoneFn done) {
-    // Driver-paced mode: one op at a time, never alongside start()'s own
-    // generated stream or another driven op still in flight.
-    SKV_CHECK(!op_active_ && !running_);
-    SKV_CHECK(done != nullptr);
-    ++op_seq_;
-    op_type_ = op.type;
-    op_key_ = std::move(op.key);
-    op_value_ = std::move(op.value);
-    op_scan_keys_ = std::move(op.scan_keys);
-    op_done_ = std::move(done);
-    if (op_type_ == check::OpType::kRead && read_first_ < targets_.size()) {
-        cur_ = read_first_;
-    }
-    op_invoke_ns_ = sim_.now().ns();
-    op_deadline_at_ = sim_.now() + policy_.op_deadline;
-    op_attempts_ = 0;
-    maybe_applied_ = false;
-    op_active_ = true;
-    attempt();
+    // Driver-paced mode: never alongside start()'s own generated stream.
+    SKV_CHECK(!running_);
+    begin(std::move(op), std::move(done));
 }
 
 void RetryClient::next_op() {
     if (!running_ || remaining_ == 0) return;
     --remaining_;
-    auto argv = gen_.next();
-    ++op_seq_;
-    op_scan_keys_.clear();
-    op_key_ = argv.at(1);
+    const auto argv = gen_.next();
+    DrivenOp op;
+    op.key = argv.at(1);
     if (argv[0] == "SET") {
-        op_type_ = check::OpType::kWrite;
+        op.type = check::OpType::kWrite;
         // Unique per-(client, op) value so the checker can attribute every
         // observed read to exactly one write. Appended in place: operator+
         // on a literal and a temporary trips GCC 12's -Wrestrict at -O3.
-        op_value_.clear();
-        op_value_.push_back('c');
-        op_value_.append(std::to_string(client_id_)).append("#").append(
-            std::to_string(op_seq_));
-    } else {
-        op_type_ = check::OpType::kRead;
-        op_value_.clear();
-        // Protocol-aware routing: aim the first read attempt at the
-        // configured target (chain tail); retries rotate as usual.
-        if (read_first_ < targets_.size()) cur_ = read_first_;
+        op.value.push_back('c');
+        op.value.append(std::to_string(client_id_)).append("#").append(
+            std::to_string(op_seq_ + 1));
+    }
+    // Self-paced: the next draw waits out the client's turnaround after
+    // this op completes.
+    begin(std::move(op), [this](check::Outcome) {
+        auto self = shared_from_this();
+        sim_.after(costs_.jittered(rng_, policy_.turnaround),
+                   [self]() { self->next_op(); });
+    });
+}
+
+void RetryClient::begin(DrivenOp op, DoneFn done) {
+    // One op at a time: the connection must be idle.
+    SKV_CHECK(!op_active_);
+    SKV_CHECK(done != nullptr);
+    ++op_seq_;
+    op_ = std::move(op);
+    op_done_ = std::move(done);
+    // Protocol-aware routing: aim the first read attempt at the configured
+    // target (chain tail); retries rotate as usual.
+    if (op_.type == check::OpType::kRead && read_first_ < targets_.size()) {
+        cur_ = read_first_;
     }
     op_invoke_ns_ = sim_.now().ns();
     op_deadline_at_ = sim_.now() + policy_.op_deadline;
@@ -137,16 +134,16 @@ void RetryClient::attempt() {
 
 void RetryClient::send_on(std::size_t tidx) {
     std::vector<std::string> argv;
-    if (op_type_ == check::OpType::kWrite) {
+    if (op_.type == check::OpType::kWrite) {
         argv = {"WSEQ",  std::to_string(client_id_), std::to_string(op_seq_),
-                "SET",   op_key_,                    op_value_};
-    } else if (!op_scan_keys_.empty()) {
+                "SET",   op_.key,                    op_.value};
+    } else if (!op_.scan_keys.empty()) {
         // Range scan: one MGET over the precomputed key window.
-        argv.reserve(op_scan_keys_.size() + 1);
+        argv.reserve(op_.scan_keys.size() + 1);
         argv.emplace_back("MGET");
-        for (const auto& k : op_scan_keys_) argv.push_back(k);
+        for (const auto& k : op_.scan_keys) argv.push_back(k);
     } else {
-        argv = {"GET", op_key_};
+        argv = {"GET", op_.key};
     }
     node_.core->consume(costs_.jittered(rng_, costs_.reply_build));
     attempt_sent_ = true;
@@ -184,7 +181,7 @@ void RetryClient::handle_reply(const kv::resp::Value& v) {
         tracer_->flow_complete(channels_[cur_]->flow_id());
     }
 
-    if (op_type_ == check::OpType::kRead) {
+    if (op_.type == check::OpType::kRead) {
         if (v.is_error()) {
             if (has_prefix(v.str, "READONLY")) {
                 retry(/*rotate=*/true);
@@ -209,7 +206,7 @@ void RetryClient::handle_reply(const kv::resp::Value& v) {
 
     // Write.
     if (v.is_ok()) {
-        finalize(check::Outcome::kOk, true, op_value_);
+        finalize(check::Outcome::kOk, true, op_.value);
         return;
     }
     if (v.is_error()) {
@@ -235,14 +232,14 @@ void RetryClient::handle_reply(const kv::resp::Value& v) {
     // definitely did not apply, but an earlier timed-out one still might
     // have.
     finalize(maybe_applied_ ? check::Outcome::kTimeout : check::Outcome::kFail,
-             true, op_value_);
+             true, op_.value);
 }
 
 void RetryClient::on_attempt_timeout(std::uint64_t epoch) {
     if (epoch != attempt_epoch_ || !waiting_) return;
     waiting_ = false;
     ++attempt_epoch_;
-    if (op_type_ == check::OpType::kWrite && attempt_sent_) {
+    if (op_.type == check::OpType::kWrite && attempt_sent_) {
         maybe_applied_ = true;
     }
     // Close the silent target's channel so its (possibly still parked)
@@ -259,10 +256,10 @@ void RetryClient::retry(bool rotate) {
     const sim::Duration delay = next_backoff();
     if (sim_.now() + delay >= op_deadline_at_) {
         // Deadline: explicit completion, never a hang.
-        if (op_type_ == check::OpType::kWrite) {
+        if (op_.type == check::OpType::kWrite) {
             finalize(maybe_applied_ ? check::Outcome::kTimeout
                                     : check::Outcome::kFail,
-                     true, op_value_);
+                     true, op_.value);
         } else {
             finalize(check::Outcome::kTimeout, false, "");
         }
@@ -296,8 +293,8 @@ void RetryClient::finalize(check::Outcome outcome, bool found,
         check::Op op;
         op.client = client_id_;
         op.seq = op_seq_;
-        op.type = op_type_;
-        op.key = op_key_;
+        op.type = op_.type;
+        op.key = op_.key;
         op.value = std::move(value);
         op.found = found;
         op.outcome = outcome;
@@ -305,17 +302,11 @@ void RetryClient::finalize(check::Outcome outcome, bool found,
         op.complete_ns = sim_.now().ns();
         history_->record(std::move(op));
     }
-    if (op_done_) {
-        // Driven mode: hand the connection back to the driver, which owns
-        // pacing (open-loop arrivals, not client turnaround).
-        DoneFn done = std::move(op_done_);
-        op_done_ = nullptr;
-        done(outcome);
-        return;
-    }
-    auto self = shared_from_this();
-    sim_.after(costs_.jittered(rng_, policy_.turnaround),
-               [self]() { self->next_op(); });
+    // Hand the connection back to whoever paces the next op: the driver
+    // (open-loop arrivals) or next_op (the client's own turnaround).
+    DoneFn done = std::move(op_done_);
+    op_done_ = nullptr;
+    done(outcome);
 }
 
 sim::Duration RetryClient::next_backoff() {

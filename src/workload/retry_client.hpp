@@ -67,9 +67,9 @@ public:
     /// Stop issuing new ops; an in-flight op still runs to completion.
     void stop() { running_ = false; }
 
-    /// One externally-supplied operation for the driver-paced (open-loop)
-    /// mode: the client does not draw from its own Generator or pace
-    /// itself — the driver hands it ops one at a time via issue().
+    /// One operation. start() draws them from the client's Generator and
+    /// paces them itself; in the driver-paced (open-loop) mode the driver
+    /// hands them over one at a time via issue().
     struct DrivenOp {
         check::OpType type = check::OpType::kRead;
         std::string key;
@@ -112,7 +112,10 @@ public:
     void set_read_first(std::size_t idx) { read_first_ = idx; }
 
 private:
+    /// Draw the next op from the Generator and begin() it.
     void next_op();
+    /// Start `op`; `done` runs when it completes.
+    void begin(DrivenOp op, DoneFn done);
     void attempt();
     void send_on(std::size_t tidx);
     void on_channel_message(std::size_t tidx, const std::string& payload);
@@ -144,11 +147,8 @@ private:
     // Current operation.
     bool op_active_ = false;
     bool waiting_ = false; // an attempt is outstanding
-    check::OpType op_type_ = check::OpType::kRead;
-    std::string op_key_;
-    std::string op_value_;
-    std::vector<std::string> op_scan_keys_;
-    DoneFn op_done_; // driven mode: completion callback instead of next_op
+    DrivenOp op_;
+    DoneFn op_done_; // paces the next op (the driver's, or next_op's)
     std::uint64_t op_seq_ = 0;
     std::int64_t op_invoke_ns_ = 0;
     sim::SimTime op_deadline_at_ = sim::SimTime::zero();

@@ -165,9 +165,11 @@ RunResult run_workload(offload::Cluster& cluster, const RunOptions& opts) {
                 });
         }
         clients.push_back(client);
-        cluster.connect_client(client_host, [client](net::ChannelPtr ch) {
-            if (ch) client->attach(std::move(ch));
-        });
+        cluster.transport().connect(
+            client_host, cluster.master().node().ep,
+            cluster.master().config().port, [client](net::ChannelPtr ch) {
+                if (ch) client->attach(std::move(ch));
+            });
     }
 
     // Warmup, then flip every client to recording.
@@ -204,6 +206,7 @@ RunResult run_workload(offload::Cluster& cluster, const RunOptions& opts) {
         merged.merge(c->latencies());
         res.ops += c->recorded_ops();
         res.errors += c->errors();
+        res.failed_ops += c->recorded_errors();
     }
     finalize_latency(res, merged, opts.measure);
     res.master_cpu_util =

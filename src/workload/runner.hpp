@@ -66,7 +66,11 @@ struct RunResult {
     double p999_us = 0;
     double max_us = 0;
     std::uint64_t ops = 0;
+    /// Errors over the whole run, warm-up included.
     std::uint64_t errors = 0;
+    /// run_workload only: the recorded ops (measurement window) answered
+    /// by an error.
+    std::uint64_t failed_ops = 0;
     double master_cpu_util = 0;
     /// ops/s per timeline bin (empty unless timeline_bin was set).
     std::vector<double> timeline_kops;

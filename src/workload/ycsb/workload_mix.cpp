@@ -74,7 +74,6 @@ WorkloadSpec spec_from(const YcsbOptions& o) {
     WorkloadSpec s;
     s.key_count = o.record_count;
     s.key_dist = o.request_dist;
-    s.zipf_theta = o.zipf_theta;
     s.value_bytes = o.value_bytes;
     s.key_prefix = o.key_prefix;
     return s;

@@ -45,7 +45,6 @@ struct YcsbOptions {
     /// Key chooser for read/update/scan-start picks. standard() sets the
     /// canonical chooser per workload; sweeps may override (e.g. uniform A).
     KeyDist request_dist = KeyDist::kZipfian;
-    double zipf_theta = 0.99;
     std::size_t value_bytes = 64;
     /// Scan lengths are uniform in [1, scan_len_max] (workload E).
     int scan_len_max = 16;

@@ -16,9 +16,9 @@ namespace skv::offload {
 namespace {
 
 // The scenario runner lives in workload/chaos.hpp; the linearizability
-// gate and the raw shell in chaos_support.hpp, shared with the
+// gate and the traps' bounded call in chaos_support.hpp, shared with the
 // protocol-matrix suite.
-using chaos::RawConn;
+using chaos::call;
 using chaos::gate_linearizable;
 using chaos::record;
 using workload::ChaosScenario;
@@ -117,10 +117,10 @@ TEST(ChaosCrash, CheckerRejectsInjectedStaleRead) {
     auto c = workload::start_traced(cfg);
     check::History hist;
 
-    RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
+    workload::Session master(*c, "w");
     ASSERT_TRUE(master.connected());
     std::int64_t t0 = c->sim().now().ns();
-    EXPECT_TRUE(master.call({"SET", "sk", "v1"}).is_ok());
+    EXPECT_TRUE(call(master, {"SET", "sk", "v1"}).is_ok());
     record(hist, check::OpType::kWrite, "sk", "v1", t0, c->sim().now().ns());
     c->sim().run_until(c->sim().now() + sim::seconds(1));
     ASSERT_TRUE(c->converged());
@@ -134,14 +134,14 @@ TEST(ChaosCrash, CheckerRejectsInjectedStaleRead) {
     c->fabric().faults().set_pair(c->master().node().ep,
                                   c->slave(0).node().ep, cut);
     t0 = c->sim().now().ns();
-    EXPECT_TRUE(master.call({"SET", "sk", "v2"}).is_ok());
+    EXPECT_TRUE(call(master, {"SET", "sk", "v2"}).is_ok());
     record(hist, check::OpType::kWrite, "sk", "v2", t0, c->sim().now().ns());
     c->sim().run_until(c->sim().now() + sim::milliseconds(100));
 
-    RawConn stale(*c, c->slave(0).node().ep, c->slave(0).config().port, "r");
+    workload::Session stale(*c, "r", 0);
     ASSERT_TRUE(stale.connected());
     t0 = c->sim().now().ns();
-    const auto v = stale.call({"GET", "sk"});
+    const auto v = call(stale, {"GET", "sk"});
     ASSERT_EQ(v.kind, kv::resp::Value::Kind::kBulk);
     EXPECT_EQ(v.str, "v1") << "expected the injected stale read";
     record(hist, check::OpType::kRead, "sk", v.str, t0, c->sim().now().ns());
@@ -158,28 +158,28 @@ TEST(ChaosCrash, DuplicateWriteRetryNeverDoubleApplies) {
     auto cfg = crash_cluster_config(4242);
     cfg.server_tmpl.wait_for_slaves = 0;
     auto c = workload::start_traced(cfg);
-    RawConn conn(*c, c->master().node().ep, c->master().config().port, "dup");
+    workload::Session conn(*c, "dup");
     ASSERT_TRUE(conn.connected());
 
-    auto v1 = conn.call({"WSEQ", "7", "1", "APPEND", "dk", "x"});
+    auto v1 = call(conn, {"WSEQ", "7", "1", "APPEND", "dk", "x"});
     ASSERT_EQ(v1.kind, kv::resp::Value::Kind::kInteger);
     EXPECT_EQ(v1.num, 1);
     // The "retry": same client, same sequence. The cached reply comes
     // back; the command must NOT run again.
-    auto v2 = conn.call({"WSEQ", "7", "1", "APPEND", "dk", "x"});
+    auto v2 = call(conn, {"WSEQ", "7", "1", "APPEND", "dk", "x"});
     ASSERT_EQ(v2.kind, kv::resp::Value::Kind::kInteger);
     EXPECT_EQ(v2.num, 1);
     EXPECT_GE(c->master().stats().counter("dup_suppressed"), 1u);
 
-    auto v3 = conn.call({"WSEQ", "7", "2", "APPEND", "dk", "y"});
+    auto v3 = call(conn, {"WSEQ", "7", "2", "APPEND", "dk", "y"});
     ASSERT_EQ(v3.kind, kv::resp::Value::Kind::kInteger);
     EXPECT_EQ(v3.num, 2);
     // A stale (superseded) sequence is refused outright.
-    auto v4 = conn.call({"WSEQ", "7", "1", "APPEND", "dk", "z"});
+    auto v4 = call(conn, {"WSEQ", "7", "1", "APPEND", "dk", "z"});
     EXPECT_TRUE(v4.is_error());
     EXPECT_EQ(v4.str.find("DUPSEQ"), 0u);
 
-    auto got = conn.call({"GET", "dk"});
+    auto got = call(conn, {"GET", "dk"});
     ASSERT_EQ(got.kind, kv::resp::Value::Kind::kBulk);
     EXPECT_EQ(got.str, "xy");
 
@@ -210,12 +210,12 @@ TEST(ChaosCrash, RetransmitExhaustionBreaksLinkAndInvalidates) {
 
     // Traffic to retransmit: fan-out frames pile up unacked on the cut
     // link while the healthy replica keeps the writes committing.
-    RawConn conn(*c, c->master().node().ep, c->master().config().port, "rt");
+    workload::Session conn(*c, "rt");
     ASSERT_TRUE(conn.connected());
     for (int i = 0; i < 20; ++i) {
-        conn.call({"SET", "rk" + std::to_string(i), "v"});
+        call(conn, {"SET", "rk" + std::to_string(i), "v"});
     }
-    // Default ReliableParams: 8 retries, RTO 5ms doubling to 160ms —
+    // The reliable layer: 8 retries, RTO 5ms doubling to 160ms —
     // terminal broken well under 3 seconds.
     c->sim().run_until(c->sim().now() + sim::seconds(3));
 

@@ -22,7 +22,7 @@
 namespace skv::offload {
 namespace {
 
-using chaos::RawConn;
+using chaos::call;
 using chaos::fnv1a;
 using chaos::gate_linearizable;
 using chaos::record;
@@ -223,10 +223,10 @@ TEST(ChaosReplChain, CheckerRejectsInjectedStaleTailRead) {
     ASSERT_GE(tail, 0);
 
     check::History hist;
-    RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
+    workload::Session master(*c, "w");
     ASSERT_TRUE(master.connected());
     std::int64_t t0 = c->sim().now().ns();
-    EXPECT_TRUE(master.call({"SET", "tk", "v1"}).is_ok());
+    EXPECT_TRUE(call(master, {"SET", "tk", "v1"}).is_ok());
     record(hist, check::OpType::kWrite, "tk", "v1", t0, c->sim().now().ns());
     c->sim().run_until(c->sim().now() + sim::seconds(1));
     ASSERT_TRUE(c->converged());
@@ -241,7 +241,7 @@ TEST(ChaosReplChain, CheckerRejectsInjectedStaleTailRead) {
     t0 = c->sim().now().ns();
     bool v2_ok = false;
     for (int i = 0; i < 20 && !v2_ok; ++i) {
-        v2_ok = master.call({"SET", "tk", "v2"}).is_ok();
+        v2_ok = call(master, {"SET", "tk", "v2"}).is_ok();
     }
     ASSERT_TRUE(v2_ok) << "re-spliced chain never committed the overwrite";
     record(hist, check::OpType::kWrite, "tk", "v2", t0, c->sim().now().ns());
@@ -249,11 +249,10 @@ TEST(ChaosReplChain, CheckerRejectsInjectedStaleTailRead) {
 
     // The isolated tail still thinks its lease is fresh (60s bug) and
     // serves the stale value.
-    RawConn stale(*c, c->slave(tail).node().ep, c->slave(tail).config().port,
-                  "r");
+    workload::Session stale(*c, "r", tail);
     ASSERT_TRUE(stale.connected());
     t0 = c->sim().now().ns();
-    const auto v = stale.call({"GET", "tk"});
+    const auto v = call(stale, {"GET", "tk"});
     ASSERT_EQ(v.kind, kv::resp::Value::Kind::kBulk);
     EXPECT_EQ(v.str, "v1") << "expected the injected stale tail read";
     record(hist, check::OpType::kRead, "tk", v.str, t0, c->sim().now().ns());
@@ -271,9 +270,9 @@ TEST(ChaosReplChain, DefaultLeaseRefusesIsolatedTailReads) {
         crash_cluster_config(61091, ReplicationMode::kChain));
     const int tail = workload::chain_tail(*c);
     ASSERT_GE(tail, 0);
-    RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
+    workload::Session master(*c, "w");
     ASSERT_TRUE(master.connected());
-    EXPECT_TRUE(master.call({"SET", "tk", "v1"}).is_ok());
+    EXPECT_TRUE(call(master, {"SET", "tk", "v1"}).is_ok());
     c->sim().run_until(c->sim().now() + sim::seconds(1));
     ASSERT_TRUE(c->converged());
 
@@ -281,10 +280,9 @@ TEST(ChaosReplChain, DefaultLeaseRefusesIsolatedTailReads) {
     // Past the lease (400ms) but with the isolation still in place.
     c->sim().run_until(c->sim().now() + sim::seconds(2));
 
-    RawConn reader(*c, c->slave(tail).node().ep, c->slave(tail).config().port,
-                   "r");
+    workload::Session reader(*c, "r", tail);
     ASSERT_TRUE(reader.connected());
-    const auto v = reader.call({"GET", "tk"});
+    const auto v = call(reader, {"GET", "tk"});
     EXPECT_TRUE(v.is_error()) << "isolated tail served a read past its lease";
     EXPECT_EQ(v.str.find("READONLY"), 0u);
 }
@@ -334,10 +332,10 @@ TEST(ChaosReplQuorum, DeterministicDoubleRun) {
 TEST(ChaosReplQuorum, WatermarkReleasesCommits) {
     auto c = workload::start_traced(
         crash_cluster_config(62071, ReplicationMode::kQuorum));
-    RawConn conn(*c, c->master().node().ep, c->master().config().port, "q");
+    workload::Session conn(*c, "q");
     ASSERT_TRUE(conn.connected());
     for (int i = 0; i < 10; ++i) {
-        EXPECT_TRUE(conn.call({"SET", "qk" + std::to_string(i), "v"}).is_ok());
+        EXPECT_TRUE(call(conn, {"SET", "qk" + std::to_string(i), "v"}).is_ok());
     }
     c->sim().run_until(c->sim().now() + sim::seconds(1));
     EXPECT_GT(c->nic_kv()->stats().counter("quorum_acks"), 0u);
@@ -358,10 +356,10 @@ TEST(ChaosReplQuorum, CheckerRejectsInjectedSplitBrainAck) {
     auto c = workload::start_traced(cfg);
     check::History hist;
 
-    RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
+    workload::Session master(*c, "w");
     ASSERT_TRUE(master.connected());
     std::int64_t t0 = c->sim().now().ns();
-    EXPECT_TRUE(master.call({"SET", "qk", "v1"}).is_ok());
+    EXPECT_TRUE(call(master, {"SET", "qk", "v1"}).is_ok());
     record(hist, check::OpType::kWrite, "qk", "v1", t0, c->sim().now().ns());
     c->sim().run_until(c->sim().now() + sim::seconds(1));
     ASSERT_TRUE(c->converged());
@@ -372,7 +370,7 @@ TEST(ChaosReplQuorum, CheckerRejectsInjectedSplitBrainAck) {
     c->crash_node(1);
     c->sim().run_until(c->sim().now() + sim::milliseconds(50));
     t0 = c->sim().now().ns();
-    const auto v2 = master.call({"SET", "qk", "v2"});
+    const auto v2 = call(master, {"SET", "qk", "v2"});
     ASSERT_TRUE(v2.is_ok()) << "split-brain override failed to commit solo";
     record(hist, check::OpType::kWrite, "qk", "v2", t0, c->sim().now().ns());
 
@@ -390,11 +388,10 @@ TEST(ChaosReplQuorum, CheckerRejectsInjectedSplitBrainAck) {
     }
     ASSERT_GE(promoted, 0) << "no stand-in was promoted";
 
-    RawConn stale(*c, c->slave(promoted).node().ep,
-                  c->slave(promoted).config().port, "r");
+    workload::Session stale(*c, "r", promoted);
     ASSERT_TRUE(stale.connected());
     t0 = c->sim().now().ns();
-    const auto v = stale.call({"GET", "qk"});
+    const auto v = call(stale, {"GET", "qk"});
     ASSERT_EQ(v.kind, kv::resp::Value::Kind::kBulk);
     EXPECT_EQ(v.str, "v1") << "expected the acked-write loss to surface";
     record(hist, check::OpType::kRead, "qk", v.str, t0, c->sim().now().ns());

@@ -3,11 +3,12 @@
 // Shared chaos-test scaffolding around the scenario runner
 // (workload/chaos.hpp): the linearizability gate (with minimal-artifact
 // dumps and a per-scenario budget-exhaustion summary), the scenario bodies
-// both crash suites run, the double-run determinism fingerprint, and a
-// synchronous raw-connection shell with the history recorder and tail
-// isolation of the hand-driven consistency traps. Used by
+// both crash suites run, the double-run determinism fingerprint, the
+// determinism audits' SET/GET loop, and the bounded call, history recorder
+// and tail isolation of the hand-driven consistency traps. Used by
 // chaos_crash_test.cpp (fan-out protocol), chaos_repl_test.cpp (protocol
-// menu matrix) and behaviour_pin_test.cpp.
+// menu matrix), behaviour_pin_test.cpp, trace_audit_test.cpp and
+// obs_determinism_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "kv/resp.hpp"
 #include "skv/cluster.hpp"
 #include "workload/chaos.hpp"
+#include "workload/session.hpp"
 
 namespace skv::offload::chaos {
 
@@ -255,45 +257,37 @@ inline void isolate_tail(Cluster& c, int tail) {
     }
 }
 
-/// Minimal synchronous command shell over a raw channel, for tests that
-/// need precise control over which node serves which request.
-class RawConn {
-public:
-    RawConn(Cluster& c, net::EndpointId ep, std::uint16_t port,
-            const std::string& name)
-        : cluster_(c) {
-        node_ = c.add_client_host(name);
-        c.cm().connect(node_, ep, port, [this](net::ChannelPtr ch) {
-            ch_ = std::move(ch);
-            ch_->set_on_message([this](std::string payload) {
-                parser_.feed(payload);
-            });
-        });
-        c.sim().run_until(c.sim().now() + sim::milliseconds(20));
-    }
+/// The determinism audits' workload: `ops` commands closed-loop over a
+/// fresh session `s`, SET k<i> v then GET k<i>, each sent when the previous
+/// reply lands (none may be an error), in 20 ms slices for at most 10 s.
+/// Returns how many replies arrived.
+inline int set_get_loop(workload::Session& s, int ops) {
+    int sent = 0;
+    const auto send_next = [&] {
+        const std::string key = std::string("k").append(std::to_string(sent / 2));
+        s.send(sent % 2 == 0 ? std::vector<std::string>{"SET", key, "v"}
+                             : std::vector<std::string>{"GET", key});
+        ++sent;
+    };
+    s.on_reply([&](const kv::resp::Value& v) {
+        EXPECT_FALSE(v.is_error());
+        if (sent < ops) send_next();
+    });
+    send_next();
+    const auto replies = [&] { return static_cast<int>(s.replies().size()); };
+    s.run_until([&] { return replies() >= sent; }, sim::seconds(10),
+                sim::milliseconds(20));
+    s.on_reply(nullptr);
+    return replies();
+}
 
-    [[nodiscard]] bool connected() const { return ch_ != nullptr; }
-
-    /// Send and wait (bounded) for the reply.
-    kv::resp::Value call(const std::vector<std::string>& argv,
-                         sim::Duration timeout = sim::seconds(2)) {
-        ch_->send(kv::resp::command(argv));
-        const auto stop = cluster_.sim().now() + timeout;
-        kv::resp::Value v;
-        while (cluster_.sim().now() < stop) {
-            if (parser_.next(&v) == kv::resp::Status::kOk) return v;
-            cluster_.sim().run_until(cluster_.sim().now() +
-                                     sim::milliseconds(1));
-        }
-        ADD_FAILURE() << "no reply to " << argv[0] << " within timeout";
-        return v;
-    }
-
-private:
-    Cluster& cluster_;
-    net::NodeRef node_;
-    net::ChannelPtr ch_;
-    kv::resp::ReplyParser parser_;
-};
+/// Session::call for the hand-driven traps: a reply that does not land
+/// within the bound fails the test and reads as a null value.
+inline kv::resp::Value call(workload::Session& s,
+                            const std::vector<std::string>& argv) {
+    auto v = s.call(argv);
+    if (!v) ADD_FAILURE() << "no reply to " << argv[0] << " within timeout";
+    return v.value_or(kv::resp::Value{});
+}
 
 } // namespace skv::offload::chaos

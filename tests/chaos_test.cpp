@@ -10,72 +10,36 @@
 #include "obs/export.hpp"
 #include "skv/cluster.hpp"
 #include "workload/chaos.hpp"
+#include "workload/session.hpp"
 
 namespace skv::offload {
 namespace {
 
-// A closed-loop SET client over the (clean) client link: the next SET goes
-// out only after the previous reply arrived, so "acknowledged" is exact —
-// key i was acked iff reply i started with '+'.
-class SetDriver {
-public:
-    SetDriver(Cluster& c, std::string prefix)
-        : cluster_(c), prefix_(std::move(prefix)) {
-        auto node = c.add_client_host("driver-" + prefix_);
-        c.connect_client(node, [this](net::ChannelPtr ch) {
-            ch_ = std::move(ch);
-        });
-        c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    }
-
-    /// Run `n` SETs to completion (bounded by `deadline` of simulated time).
-    void run(int n, sim::Duration deadline = sim::seconds(30)) {
-        if (!ch_) return;
-        total_ = n;
-        sent_ = 0;
-        ch_->set_on_message([this](std::string reply) {
-            if (!reply.empty() && reply[0] == '+') {
-                acked_.push_back(current_key_);
-            } else {
-                ++rejected_;
-            }
-            send_next();
-        });
-        const auto stop_at = cluster_.sim().now() + deadline;
+/// `n` SETs of prefix0, prefix1, ... over a fresh session `s` on the (clean)
+/// client link, run to completion (bounded by `deadline` of simulated
+/// time). The next SET goes out only after the previous reply arrived, so
+/// "acknowledged" is exact: key i was acked iff reply i is a simple string.
+/// Returns the acked keys; every other reply in s.replies() is a rejection.
+std::vector<std::string> run_sets(workload::Session& s, const std::string& prefix,
+                                  int n, sim::Duration deadline = sim::seconds(30)) {
+    std::vector<std::string> acked;
+    if (!s.connected()) return acked;
+    int sent = 0;
+    const auto send_next = [&] {
+        if (sent < n) s.send({"SET", prefix + std::to_string(sent++), "v"});
+    };
+    s.on_reply([&](const kv::resp::Value& v) {
+        if (v.kind == kv::resp::Value::Kind::kSimple) {
+            acked.push_back(prefix + std::to_string(sent - 1));
+        }
         send_next();
-        while (sent_ <= total_ && cluster_.sim().now() < stop_at && !done_) {
-            if (cluster_.sim().run_until(cluster_.sim().now() +
-                                         sim::milliseconds(50)) == 0 &&
-                cluster_.sim().events_pending() == 0) {
-                break;
-            }
-        }
-    }
-
-    [[nodiscard]] const std::vector<std::string>& acked() const { return acked_; }
-    [[nodiscard]] int rejected() const { return rejected_; }
-    [[nodiscard]] bool connected() const { return ch_ != nullptr; }
-
-private:
-    void send_next() {
-        if (sent_ >= total_) {
-            done_ = true;
-            return;
-        }
-        current_key_ = prefix_ + std::to_string(sent_++);
-        ch_->send(kv::resp::command({"SET", current_key_, "v"}));
-    }
-
-    Cluster& cluster_;
-    std::string prefix_;
-    net::ChannelPtr ch_;
-    std::string current_key_;
-    std::vector<std::string> acked_;
-    int total_ = 0;
-    int sent_ = 0;
-    int rejected_ = 0;
-    bool done_ = false;
-};
+    });
+    send_next();
+    s.run_until([&] { return std::ssize(s.replies()) == n; }, deadline,
+                sim::milliseconds(50));
+    s.on_reply(nullptr);
+    return acked;
+}
 
 /// Determinism-audit hook: when a chaos test fails, print the run's seed and
 /// the rolling trace digest (see sim::Trace::note), and dump the run's
@@ -143,16 +107,16 @@ TEST(Chaos, DropLossConvergesAcrossSeeds) {
         loss.drop_prob = 0.01;
         workload::fault_replication_links(*c, loss);
 
-        SetDriver driver(*c, "k");
+        workload::Session driver(*c, "driver-k");
         ASSERT_TRUE(driver.connected()) << "seed " << seed;
-        driver.run(200);
-        EXPECT_EQ(driver.acked().size(), 200u) << "seed " << seed;
+        const auto acked = run_sets(driver, "k", 200);
+        EXPECT_EQ(acked.size(), 200u) << "seed " << seed;
 
         // Drain with the faults still active: retransmission must finish
         // the job on its own.
         c->sim().run_until(c->sim().now() + sim::seconds(10));
         EXPECT_TRUE(c->converged()) << "seed " << seed;
-        expect_acked_everywhere(*c, driver.acked());
+        expect_acked_everywhere(*c, acked);
         // Loss really was injected, and nobody was declared dead over it.
         EXPECT_GT(c->fabric().faults().stats().counter("drops"), 0u);
         EXPECT_EQ(c->nic_kv()->stats().counter("failures_detected"), 0u)
@@ -170,14 +134,14 @@ TEST(Chaos, DeterministicUnderChaos) {
         mess.jitter_prob = 0.2;
         mess.jitter_mean = sim::microseconds(200);
         workload::fault_replication_links(*c, mess);
-        SetDriver driver(*c, "d");
-        driver.run(100);
+        workload::Session driver(*c, "driver-d");
+        const auto acked = run_sets(driver, "d", 100);
         c->sim().run_until(c->sim().now() + sim::seconds(5));
         std::string fingerprint;
         fingerprint += std::to_string(c->sim().events_executed()) + "|";
         fingerprint += std::to_string(c->sim().trace_digest()) + "|";
         fingerprint += std::to_string(c->master().master_offset()) + "|";
-        fingerprint += std::to_string(driver.acked().size()) + "|";
+        fingerprint += std::to_string(acked.size()) + "|";
         fingerprint += c->fabric().faults().stats().format() + "|";
         fingerprint += c->nic_kv()->stats().format() + "|";
         fingerprint += c->master().stats().format();
@@ -198,9 +162,9 @@ TEST(Chaos, DuplicationAndJitterAreHarmless) {
     mess.jitter_mean = sim::microseconds(500);
     workload::fault_replication_links(*c, mess);
 
-    SetDriver driver(*c, "j");
-    driver.run(150);
-    EXPECT_EQ(driver.acked().size(), 150u);
+    workload::Session driver(*c, "driver-j");
+    const auto acked = run_sets(driver, "j", 150);
+    EXPECT_EQ(acked.size(), 150u);
     c->sim().run_until(c->sim().now() + sim::seconds(10));
 
     EXPECT_GT(c->fabric().faults().stats().counter("dups"), 0u);
@@ -221,8 +185,8 @@ TEST(Chaos, NoFalseFailoverUnderJitterBelowWaitingTime) {
     jitter.jitter_mean = sim::milliseconds(50);
     workload::fault_replication_links(*c, jitter);
 
-    SetDriver driver(*c, "n");
-    driver.run(100);
+    workload::Session driver(*c, "driver-n");
+    run_sets(driver, "n", 100);
     c->sim().run_until(c->sim().now() + sim::seconds(12));
 
     EXPECT_EQ(c->nic_kv()->stats().counter("failures_detected"), 0u);
@@ -254,9 +218,9 @@ TEST(Chaos, AsymmetricPartitionDetectedAndHealed) {
     EXPECT_GT(c->fabric().faults().stats().counter("partition_drops"), 0u);
 
     // Writes continue against the surviving replica set.
-    SetDriver driver(*c, "p");
-    driver.run(50);
-    EXPECT_EQ(driver.acked().size(), 50u);
+    workload::Session driver(*c, "driver-p");
+    const auto acked = run_sets(driver, "p", 50);
+    EXPECT_EQ(acked.size(), 50u);
 
     // Heal: the cut slave re-registers on probe silence and is resynced via
     // the backlog partial-resync path.
@@ -266,7 +230,7 @@ TEST(Chaos, AsymmetricPartitionDetectedAndHealed) {
     EXPECT_EQ(c->nic_kv()->valid_slaves(), 2);
     EXPECT_GE(c->slave(0).stats().counter("reregistrations"), 1u);
     EXPECT_TRUE(c->converged());
-    expect_acked_everywhere(*c, driver.acked());
+    expect_acked_everywhere(*c, acked);
 }
 
 TEST(Chaos, MinSlavesGatingUnderPartitionAndRecovery) {
@@ -274,9 +238,9 @@ TEST(Chaos, MinSlavesGatingUnderPartitionAndRecovery) {
     DigestReporter audit(*c);
     c->sim().run_until(c->sim().now() + sim::seconds(2));
 
-    SetDriver before(*c, "a");
-    before.run(20);
-    EXPECT_EQ(before.acked().size(), 20u);
+    workload::Session before(*c, "driver-a");
+    const auto before_acked = run_sets(before, "a", 20);
+    EXPECT_EQ(before_acked.size(), 20u);
 
     // Fully partition one slave; once detected, the write gate closes.
     auto& faults = c->fabric().faults();
@@ -287,19 +251,19 @@ TEST(Chaos, MinSlavesGatingUnderPartitionAndRecovery) {
     c->sim().run_until(c->sim().now() + sim::seconds(4));
     EXPECT_EQ(c->master().available_slaves(), 2);
 
-    SetDriver gated(*c, "g");
-    gated.run(10);
-    EXPECT_EQ(gated.acked().size(), 0u);
-    EXPECT_EQ(gated.rejected(), 10);
+    workload::Session gated(*c, "driver-g");
+    const auto gated_acked = run_sets(gated, "g", 10);
+    EXPECT_EQ(gated_acked.size(), 0u);
+    EXPECT_EQ(gated.replies().size() - gated_acked.size(), 10u); // rejected
     EXPECT_GE(c->master().stats().counter("writes_rejected_min_slaves"), 10u);
 
     // Heal; the slave re-registers, the gate reopens, writes flow again.
     faults.clear_endpoint(s2);
     c->sim().run_until(c->sim().now() + sim::seconds(12));
     EXPECT_EQ(c->master().available_slaves(), 3);
-    SetDriver after(*c, "z");
-    after.run(10);
-    EXPECT_EQ(after.acked().size(), 10u);
+    workload::Session after(*c, "driver-z");
+    const auto after_acked = run_sets(after, "z", 10);
+    EXPECT_EQ(after_acked.size(), 10u);
     c->sim().run_until(c->sim().now() + sim::seconds(5));
     EXPECT_TRUE(c->converged());
 }
@@ -316,15 +280,15 @@ TEST(Chaos, LinkFlapsLoseNoAcknowledgedWrites) {
     flap.flap_phase = sim::milliseconds(250);
     workload::fault_replication_links(*c, flap);
 
-    SetDriver driver(*c, "f");
-    driver.run(200, sim::seconds(60));
-    EXPECT_EQ(driver.acked().size(), 200u);
+    workload::Session driver(*c, "driver-f");
+    const auto acked = run_sets(driver, "f", 200, sim::seconds(60));
+    EXPECT_EQ(acked.size(), 200u);
 
     c->sim().run_until(c->sim().now() + sim::seconds(10));
     EXPECT_GT(c->fabric().faults().stats().counter("flap_drops"), 0u);
     EXPECT_EQ(c->nic_kv()->stats().counter("failovers"), 0u);
     EXPECT_TRUE(c->converged());
-    expect_acked_everywhere(*c, driver.acked());
+    expect_acked_everywhere(*c, acked);
 }
 
 TEST(Chaos, MasterCrashFailoverStillWorksUnderLoss) {
@@ -334,8 +298,8 @@ TEST(Chaos, MasterCrashFailoverStillWorksUnderLoss) {
     loss.drop_prob = 0.01;
     workload::fault_replication_links(*c, loss);
 
-    SetDriver driver(*c, "m");
-    driver.run(50);
+    workload::Session driver(*c, "driver-m");
+    const auto acked = run_sets(driver, "m", 50);
     c->sim().run_until(c->sim().now() + sim::seconds(5));
     ASSERT_TRUE(c->converged());
 
@@ -360,7 +324,7 @@ TEST(Chaos, MasterCrashFailoverStillWorksUnderLoss) {
         if (c->slave(i).role() == server::Role::kMaster) ++masters;
     }
     EXPECT_EQ(masters, 0);
-    expect_acked_everywhere(*c, driver.acked());
+    expect_acked_everywhere(*c, acked);
 }
 
 } // namespace

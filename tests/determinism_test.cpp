@@ -27,26 +27,11 @@ workload::RunResult run_full(std::uint64_t seed, bool offload,
     return workload::run_workload(c, opts);
 }
 
-void expect_identical(const workload::RunResult& a,
-                      const workload::RunResult& b) {
-    EXPECT_EQ(a.ops, b.ops);
-    EXPECT_EQ(a.errors, b.errors);
-    EXPECT_DOUBLE_EQ(a.throughput_kops, b.throughput_kops);
-    EXPECT_DOUBLE_EQ(a.mean_us, b.mean_us);
-    EXPECT_DOUBLE_EQ(a.p99_us, b.p99_us);
-    EXPECT_DOUBLE_EQ(a.max_us, b.max_us);
-    EXPECT_DOUBLE_EQ(a.master_cpu_util, b.master_cpu_util);
-}
-
+// Same seed, same result: BehaviourPin.ClosedLoop{TcpRedis,RdmaRedis,Skv}
+// run this scenario (seed 1234) and pin its event count, digest, result
+// fields and counters to constants recorded from an earlier commit.
 class DeterminismTest
     : public ::testing::TestWithParam<std::tuple<bool, server::Transport>> {};
-
-TEST_P(DeterminismTest, IdenticalResultsForIdenticalSeeds) {
-    const auto [offload, transport] = GetParam();
-    const auto a = run_full(1234, offload, transport);
-    const auto b = run_full(1234, offload, transport);
-    expect_identical(a, b);
-}
 
 TEST_P(DeterminismTest, DifferentSeedsDiverge) {
     const auto [offload, transport] = GetParam();

@@ -45,7 +45,8 @@ TEST(LifetimeTest, TcpClientCloseReclaimsBothSides) {
 
     auto node = c.add_client_host("probe");
     net::ChannelPtr ch;
-    c.connect_client(node, [&](net::ChannelPtr got) { ch = std::move(got); });
+    c.transport().connect(node, c.master().node().ep, c.master().config().port,
+                          [&](net::ChannelPtr got) { ch = std::move(got); });
     settle(c, sim::milliseconds(50));
     ASSERT_NE(ch, nullptr);
     EXPECT_GT(net::Channel::live_count(), channels_before);
@@ -92,7 +93,8 @@ TEST(LifetimeTest, OffloadSlaveCrashReleasesRdmaState) {
     const auto offset_before = c.master().master_offset();
     auto node = c.add_client_host("writer");
     net::ChannelPtr ch;
-    c.connect_client(node, [&](net::ChannelPtr got) { ch = std::move(got); });
+    c.transport().connect(node, c.master().node().ep, c.master().config().port,
+                          [&](net::ChannelPtr got) { ch = std::move(got); });
     settle(c, sim::milliseconds(50));
     ASSERT_NE(ch, nullptr);
     ch->send(kv::resp::command({"SET", "after-crash", "1"}));

@@ -7,6 +7,7 @@
 #include "kv/resp.hpp"
 #include "obs/export.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 namespace skv {
 namespace {
@@ -36,44 +37,16 @@ ObsRun run_scenario(std::uint64_t seed, bool tracing, int ops) {
     c.tracer().set_enabled(tracing);
     c.start();
 
-    auto node = c.add_client_host("obs-client");
-    net::ChannelPtr ch;
-    c.connect_client(node, [&ch](net::ChannelPtr got) { ch = std::move(got); });
-    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    EXPECT_TRUE(ch) << "client connect failed";
+    workload::Session s(c, "obs-client");
+    EXPECT_TRUE(s.connected()) << "client connect failed";
     ObsRun out;
-    if (!ch) return out;
+    if (!s.connected()) return out;
 
-    // Stamp the request flow by hand (what BenchClient does internally), so
+    // Stamp the request flow (the Session does what BenchClient does), so
     // the critical-path stages are exercised without the workload runner.
-    const std::uint32_t client_track = c.tracer().track("client/0");
-    int sent = 0;
-    int replies = 0;
-    std::string last_reply;
-    const auto issue = [&](std::vector<std::string> argv) {
-        c.tracer().flow_issue(ch->flow_id(), client_track);
-        ch->send(kv::resp::command(argv));
-        ++sent;
-    };
-    ch->set_on_message([&](std::string reply) {
-        EXPECT_FALSE(reply.empty());
-        c.tracer().flow_complete(ch->flow_id());
-        last_reply = reply;
-        ++replies;
-        if (sent >= ops) return;
-        const std::string key = std::string("k").append(std::to_string(sent / 2));
-        issue(sent % 2 == 0 ? std::vector<std::string>{"SET", key, "v"}
-                            : std::vector<std::string>{"GET", key});
-    });
-    issue({"SET", "k0", "v"});
-    const auto deadline = c.sim().now() + sim::seconds(10);
-    while (replies < sent && c.sim().now() < deadline) {
-        if (c.sim().run_until(c.sim().now() + sim::milliseconds(20)) == 0 &&
-            c.sim().events_pending() == 0) {
-            break;
-        }
-    }
-    EXPECT_EQ(replies, ops) << "workload did not complete";
+    s.set_tracer(&c.tracer(), "client/0");
+    EXPECT_EQ(offload::chaos::set_get_loop(s, ops), ops)
+        << "workload did not complete";
 
     // Failover leg: crash a slave mid-run, let the NIC failure detector
     // react, recover, and drain replication.
@@ -85,17 +58,16 @@ ObsRun run_scenario(std::uint64_t seed, bool tracing, int ops) {
 
     // One INFO over the live connection: the reply must be deterministic
     // too (it folds command counts, offsets and latency stats together).
-    const int replies_before_info = replies;
-    sent = ops + 1; // stop the SET/GET alternation
-    c.tracer().flow_issue(ch->flow_id(), client_track);
-    ch->send(kv::resp::command({"INFO"}));
+    const std::size_t replies_before_info = s.replies().size();
+    s.send({"INFO"});
     c.sim().run_until(c.sim().now() + sim::milliseconds(50));
-    EXPECT_GT(replies, replies_before_info) << "INFO got no reply";
+    EXPECT_GT(s.replies().size(), replies_before_info) << "INFO got no reply";
 
     out.digest = c.sim().trace_digest();
     out.events = c.sim().events_executed();
     out.chrome_json = obs::chrome_trace_json(c.tracer());
-    out.info_reply = last_reply;
+    // The reply's wire bytes: INFO answers with one bulk string.
+    out.info_reply = kv::resp::bulk(s.replies().back().str);
     out.master_stats = c.master().stats().format();
     out.spans = c.tracer().spans().size();
     return out;
@@ -161,46 +133,36 @@ TEST(ObsDeterminism, SlowlogAndLatencyCommandsWork) {
     offload::Cluster c(cfg);
     c.start();
 
-    auto node = c.add_client_host("shell");
-    net::ChannelPtr ch;
-    c.connect_client(node, [&ch](net::ChannelPtr got) { ch = std::move(got); });
-    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    ASSERT_TRUE(ch);
+    workload::Session s(c, "shell");
+    ASSERT_TRUE(s.connected());
 
-    std::string last;
-    int replies = 0;
-    ch->set_on_message([&](std::string reply) {
-        last = std::move(reply);
-        ++replies;
-    });
-    const auto roundtrip = [&](std::vector<std::string> argv) {
-        const int before = replies;
-        ch->send(kv::resp::command(argv));
+    using Kind = kv::resp::Value::Kind;
+    const auto roundtrip = [&](const std::vector<std::string>& argv) {
+        const std::size_t before = s.replies().size();
+        s.send(argv);
         c.sim().run_until(c.sim().now() + sim::milliseconds(20));
-        EXPECT_GT(replies, before) << "no reply to " << argv[0];
-        return last;
+        EXPECT_GT(s.replies().size(), before) << "no reply to " << argv[0];
+        return s.replies().empty() ? kv::resp::Value{} : s.replies().back();
     };
 
     roundtrip({"SET", "a", "1"});
     roundtrip({"GET", "a"});
-    const std::string len = roundtrip({"SLOWLOG", "LEN"});
-    EXPECT_EQ(len.substr(0, 1), ":");
-    EXPECT_NE(len, ":0\r\n") << "zero threshold should log every command";
-    const std::string got = roundtrip({"SLOWLOG", "GET"});
-    EXPECT_EQ(got.substr(0, 1), "*");
-    EXPECT_NE(got.find("SET"), std::string::npos);
-    const std::string latest = roundtrip({"LATENCY", "LATEST"});
+    const auto len = roundtrip({"SLOWLOG", "LEN"});
+    EXPECT_EQ(len.kind, Kind::kInteger);
+    EXPECT_NE(len.num, 0) << "zero threshold should log every command";
+    const auto got = roundtrip({"SLOWLOG", "GET"});
+    EXPECT_EQ(got.kind, Kind::kArray);
+    EXPECT_NE(got.to_debug_string().find("SET"), std::string::npos);
+    const std::string latest = roundtrip({"LATENCY", "LATEST"}).to_debug_string();
     EXPECT_NE(latest.find("command-write"), std::string::npos);
     EXPECT_NE(latest.find("command-read"), std::string::npos);
-    const std::string hist = roundtrip({"LATENCY", "HISTORY", "command-write"});
-    EXPECT_EQ(hist.substr(0, 1), "*");
-    const std::string reset = roundtrip({"SLOWLOG", "RESET"});
-    EXPECT_EQ(reset, "+OK\r\n");
-    const std::string len2 = roundtrip({"SLOWLOG", "LEN"});
+    EXPECT_EQ(roundtrip({"LATENCY", "HISTORY", "command-write"}).kind, Kind::kArray);
+    EXPECT_TRUE(roundtrip({"SLOWLOG", "RESET"}).is_ok());
+    const auto len2 = roundtrip({"SLOWLOG", "LEN"});
     // Only the RESET itself (logged after clearing) can be present.
-    EXPECT_TRUE(len2 == ":1\r\n" || len2 == ":0\r\n") << len2;
-    const std::string lreset = roundtrip({"LATENCY", "RESET"});
-    EXPECT_EQ(lreset.substr(0, 1), ":");
+    EXPECT_TRUE(len2.kind == Kind::kInteger && (len2.num == 1 || len2.num == 0))
+        << len2.to_debug_string();
+    EXPECT_EQ(roundtrip({"LATENCY", "RESET"}).kind, Kind::kInteger);
 }
 
 } // namespace

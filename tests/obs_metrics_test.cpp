@@ -24,21 +24,17 @@ TEST(ObsRegistry, HandleAndStringApiShareCells) {
 
 TEST(ObsRegistry, DefaultHandlesAreInert) {
     Counter c;
-    Timer t;
     c.incr();
-    t.record_ns(100);
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(t.histogram(), nullptr);
     EXPECT_FALSE(static_cast<bool>(c));
 }
 
 TEST(ObsRegistry, FormatMatchesStatsRegistryLayout) {
-    // Byte-compatibility contract: "k=v\n", counters sorted by name, timers
-    // excluded (the chaos fingerprint folds this in).
+    // Byte-compatibility contract: "k=v\n", counters sorted by name (the
+    // chaos fingerprint folds this in).
     Registry r;
     r.incr("b", 2);
     r.incr("a");
-    r.timer_handle("t").record_ns(5);
     EXPECT_EQ(r.format(), "a=1\nb=2\n");
 }
 

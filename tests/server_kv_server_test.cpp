@@ -4,37 +4,10 @@
 #include "net/tcp.hpp"
 #include "rdma/cm.hpp"
 #include "server/kv_server.hpp"
+#include "workload/session.hpp"
 
 namespace skv::server {
 namespace {
-
-/// A scriptable test client speaking RESP over any channel.
-class TestClient {
-public:
-    void attach(net::ChannelPtr ch) {
-        channel_ = std::move(ch);
-        channel_->set_on_message([this](std::string payload) {
-            parser_.feed(payload);
-            kv::resp::Value v;
-            while (parser_.next(&v) == kv::resp::Status::kOk) {
-                replies.push_back(v);
-            }
-        });
-    }
-
-    void send(const std::vector<std::string>& argv) {
-        channel_->send(kv::resp::command(argv));
-    }
-    void send_raw(std::string bytes) { channel_->send(std::move(bytes)); }
-
-    [[nodiscard]] bool connected() const { return channel_ != nullptr; }
-
-    std::vector<kv::resp::Value> replies;
-
-private:
-    net::ChannelPtr channel_;
-    kv::resp::ReplyParser parser_;
-};
 
 class ServerTest : public ::testing::TestWithParam<Transport> {
 protected:
@@ -56,14 +29,8 @@ protected:
         return cm;
     }
 
-    TestClient connect() {
-        TestClient c;
-        net::ChannelPtr got;
-        transport().connect({client_ep, &client_core}, server_ep, 6379,
-                            [&](net::ChannelPtr ch) { got = std::move(ch); });
-        sim.run_until(sim.now() + sim::milliseconds(5));
-        c.attach(got);
-        return c;
+    workload::Session connect() {
+        return {sim, transport(), {client_ep, &client_core}, server_ep, 6379};
     }
 
     void settle() { sim.run_until(sim.now() + sim::milliseconds(10)); }
@@ -87,9 +54,9 @@ TEST_P(ServerTest, SetGetRoundTrip) {
     c.send({"SET", "k", "v"});
     c.send({"GET", "k"});
     settle();
-    ASSERT_EQ(c.replies.size(), 2u);
-    EXPECT_TRUE(c.replies[0].is_ok());
-    EXPECT_EQ(c.replies[1].str, "v");
+    ASSERT_EQ(c.replies().size(), 2u);
+    EXPECT_TRUE(c.replies()[0].is_ok());
+    EXPECT_EQ(c.replies()[1].str, "v");
     EXPECT_EQ(server->db().lookup("k")->string_value(), "v");
 }
 
@@ -99,18 +66,18 @@ TEST_P(ServerTest, PipelinedCommandsInOneMessage) {
                kv::resp::command({"INCR", "a"}) +
                kv::resp::command({"GET", "a"}));
     settle();
-    ASSERT_EQ(c.replies.size(), 3u);
-    EXPECT_TRUE(c.replies[0].is_ok());
-    EXPECT_EQ(c.replies[1].num, 2);
-    EXPECT_EQ(c.replies[2].str, "2");
+    ASSERT_EQ(c.replies().size(), 3u);
+    EXPECT_TRUE(c.replies()[0].is_ok());
+    EXPECT_EQ(c.replies()[1].num, 2);
+    EXPECT_EQ(c.replies()[2].str, "2");
 }
 
 TEST_P(ServerTest, UnknownCommandGetsError) {
     auto c = connect();
     c.send({"NOSUCH", "x"});
     settle();
-    ASSERT_EQ(c.replies.size(), 1u);
-    EXPECT_TRUE(c.replies[0].is_error());
+    ASSERT_EQ(c.replies().size(), 1u);
+    EXPECT_TRUE(c.replies()[0].is_error());
 }
 
 TEST_P(ServerTest, MultipleClientsIsolatedParsers) {
@@ -120,22 +87,22 @@ TEST_P(ServerTest, MultipleClientsIsolatedParsers) {
     c2.send({"SET", "from2", "b"});
     c1.send({"GET", "from2"});
     settle();
-    ASSERT_EQ(c1.replies.size(), 2u);
-    EXPECT_EQ(c1.replies[1].str, "b"); // shared keyspace, separate parsers
+    ASSERT_EQ(c1.replies().size(), 2u);
+    EXPECT_EQ(c1.replies()[1].str, "b"); // shared keyspace, separate parsers
 }
 
 TEST_P(ServerTest, ProtocolErrorClosesConnection) {
     auto c = connect();
     c.send_raw("*zzz\r\n");
     settle();
-    ASSERT_GE(c.replies.size(), 1u);
-    EXPECT_TRUE(c.replies[0].is_error());
+    ASSERT_GE(c.replies().size(), 1u);
+    EXPECT_TRUE(c.replies()[0].is_error());
     EXPECT_EQ(server->stats().counter("protocol_errors"), 1u);
     // Further commands are ignored: the server closed the channel.
-    const auto replies_before = c.replies.size();
+    const auto replies_before = c.replies().size();
     c.send({"PING"});
     settle();
-    EXPECT_EQ(c.replies.size(), replies_before);
+    EXPECT_EQ(c.replies().size(), replies_before);
 }
 
 TEST_P(ServerTest, ExpiryIntegratedWithSimClock) {
@@ -147,9 +114,9 @@ TEST_P(ServerTest, ExpiryIntegratedWithSimClock) {
     sim.run_until(sim.now() + sim::milliseconds(60));
     c.send({"GET", "k"});
     settle();
-    ASSERT_EQ(c.replies.size(), 3u);
-    EXPECT_EQ(c.replies[1].str, "v");
-    EXPECT_EQ(c.replies[2].kind, kv::resp::Value::Kind::kNull);
+    ASSERT_EQ(c.replies().size(), 3u);
+    EXPECT_EQ(c.replies()[1].str, "v");
+    EXPECT_EQ(c.replies()[2].kind, kv::resp::Value::Kind::kNull);
 }
 
 TEST_P(ServerTest, ActiveExpireEvictsWithoutAccess) {
@@ -177,11 +144,11 @@ TEST_P(ServerTest, CrashedServerStopsResponding) {
     auto c = connect();
     c.send({"PING"});
     settle();
-    ASSERT_EQ(c.replies.size(), 1u);
+    ASSERT_EQ(c.replies().size(), 1u);
     server->crash();
     c.send({"PING"});
     settle();
-    EXPECT_EQ(c.replies.size(), 1u);
+    EXPECT_EQ(c.replies().size(), 1u);
     EXPECT_TRUE(server->crashed());
 }
 
@@ -189,9 +156,9 @@ TEST_P(ServerTest, InfoCommandReportsSections) {
     auto c = connect();
     c.send({"INFO"});
     settle();
-    ASSERT_EQ(c.replies.size(), 1u);
-    ASSERT_EQ(c.replies[0].kind, kv::resp::Value::Kind::kBulk);
-    const std::string& body = c.replies[0].str;
+    ASSERT_EQ(c.replies().size(), 1u);
+    ASSERT_EQ(c.replies()[0].kind, kv::resp::Value::Kind::kBulk);
+    const std::string& body = c.replies()[0].str;
     EXPECT_NE(body.find("# Replication"), std::string::npos);
     EXPECT_NE(body.find("role:standalone"), std::string::npos);
     EXPECT_NE(body.find("server_name:test-server"), std::string::npos);
@@ -204,8 +171,8 @@ TEST_P(ServerTest, InfoTracksKeyspaceAndOffsets) {
     c.send({"SET", "k", "v"});
     c.send({"INFO"});
     settle();
-    ASSERT_EQ(c.replies.size(), 2u);
-    const std::string& body = c.replies[1].str;
+    ASSERT_EQ(c.replies().size(), 2u);
+    const std::string& body = c.replies()[1].str;
     EXPECT_NE(body.find("db0:keys=1"), std::string::npos);
     EXPECT_NE(body.find("total_commands_processed:2"), std::string::npos);
 }

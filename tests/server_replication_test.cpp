@@ -2,6 +2,7 @@
 
 #include "kv/resp.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 namespace skv::server {
 namespace {
@@ -27,13 +28,9 @@ protected:
     /// Issue commands through a real client connection and wait.
     void run_commands(Cluster& c,
                       const std::vector<std::vector<std::string>>& cmds) {
-        auto node = c.add_client_host("tester");
-        net::ChannelPtr ch;
-        c.connect_client(node, [&](net::ChannelPtr x) { ch = std::move(x); });
-        c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-        ASSERT_TRUE(ch);
-        ch->set_on_message([](std::string) {});
-        for (const auto& cmd : cmds) ch->send(kv::resp::command(cmd));
+        workload::Session s(c, "tester");
+        ASSERT_TRUE(s.connected());
+        for (const auto& cmd : cmds) s.send(cmd);
         c.sim().run_until(c.sim().now() + sim::milliseconds(100));
     }
 };
@@ -111,19 +108,14 @@ TEST_F(BaselineReplTest, LateSlaveFullSyncsExistingData) {
 TEST_F(BaselineReplTest, SlaveRejectsDirectWrites) {
     auto c = make(1);
     // Connect a client to the slave directly.
-    auto node = c->add_client_host("writer");
-    net::ChannelPtr ch;
-    c->cm().connect(node, c->slave(0).node().ep, 6379,
-                    [&](net::ChannelPtr x) { ch = x; });
-    c->sim().run_until(c->sim().now() + sim::milliseconds(5));
-    ASSERT_TRUE(ch);
-    std::string reply;
-    ch->set_on_message([&](std::string m) { reply += m; });
-    ch->send(kv::resp::command({"SET", "k", "v"}));
-    ch->send(kv::resp::command({"GET", "k"}));
+    workload::Session s(*c, "writer", 0);
+    ASSERT_TRUE(s.connected());
+    s.send({"SET", "k", "v"});
+    s.send({"GET", "k"});
     c->sim().run_until(c->sim().now() + sim::milliseconds(10));
-    EXPECT_NE(reply.find("-READONLY"), std::string::npos);
-    EXPECT_NE(reply.find("$-1"), std::string::npos); // GET is served
+    EXPECT_TRUE(s.replies().at(0).is_error());
+    EXPECT_EQ(s.replies().at(0).str.find("READONLY"), 0u);
+    EXPECT_EQ(s.replies().at(1).kind, kv::resp::Value::Kind::kNull); // GET is served
 }
 
 TEST_F(BaselineReplTest, NonDeterministicCommandsConverge) {
@@ -175,12 +167,8 @@ TEST_P(ReplConvergenceTest, RandomStreamConverges) {
     Cluster c(cfg);
     c.start();
 
-    auto node = c.add_client_host("fuzzer");
-    net::ChannelPtr ch;
-    c.connect_client(node, [&](net::ChannelPtr x) { ch = std::move(x); });
-    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    ASSERT_TRUE(ch);
-    ch->set_on_message([](std::string) {});
+    workload::Session s(c, "fuzzer");
+    ASSERT_TRUE(s.connected());
 
     sim::Rng rng(GetParam() ^ 0xABCD);
     auto key = [&] { return "k" + std::to_string(rng.next_below(20)); };
@@ -205,7 +193,7 @@ TEST_P(ReplConvergenceTest, RandomStreamConverges) {
                            std::to_string(10'000 + rng.next_below(90'000))}; break;
             case 9: cmd = {"APPEND", key(), "x"}; break;
         }
-        ch->send(kv::resp::command(cmd));
+        s.send(cmd);
     }
     c.sim().run_until(c.sim().now() + sim::milliseconds(500));
 
@@ -238,13 +226,9 @@ protected:
     /// Send commands in order on one connection and let them all land.
     void run_commands(Cluster& c,
                       const std::vector<std::vector<std::string>>& cmds) {
-        auto node = c.add_client_host("dup-tester");
-        net::ChannelPtr ch;
-        c.connect_client(node, [&](net::ChannelPtr x) { ch = std::move(x); });
-        c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-        ASSERT_TRUE(ch);
-        ch->set_on_message([](std::string) {});
-        for (const auto& cmd : cmds) ch->send(kv::resp::command(cmd));
+        workload::Session s(c, "dup-tester");
+        ASSERT_TRUE(s.connected());
+        for (const auto& cmd : cmds) s.send(cmd);
         c.sim().run_until(c.sim().now() + sim::milliseconds(200));
     }
 

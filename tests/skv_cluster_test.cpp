@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "kv/resp.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 namespace skv::offload {
 namespace {
@@ -33,16 +33,11 @@ TEST(Cluster, TcpTransportWorksEndToEnd) {
     cfg.offload = false;
     Cluster c(cfg);
     c.start();
-    auto node = c.add_client_host("cli");
-    net::ChannelPtr ch;
-    c.connect_client(node, [&](net::ChannelPtr x) { ch = std::move(x); });
-    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    ASSERT_TRUE(ch);
-    std::string reply;
-    ch->set_on_message([&](std::string m) { reply += m; });
-    ch->send(kv::resp::command({"SET", "k", "v"}));
+    workload::Session s(c, "cli");
+    ASSERT_TRUE(s.connected());
+    s.send({"SET", "k", "v"});
     c.sim().run_until(c.sim().now() + sim::milliseconds(100));
-    EXPECT_NE(reply.find("+OK"), std::string::npos);
+    EXPECT_TRUE(s.replies().at(0).is_ok());
     EXPECT_TRUE(c.converged());
 }
 
@@ -55,12 +50,8 @@ TEST(Cluster, ConvergedReflectsOffsets) {
     EXPECT_TRUE(c.converged()); // nothing written yet
     // Write directly through the master's db? No: converged() compares
     // replication offsets, which only move via the command path.
-    auto node = c.add_client_host("cli");
-    net::ChannelPtr ch;
-    c.connect_client(node, [&](net::ChannelPtr x) { ch = std::move(x); });
-    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    ch->set_on_message([](std::string) {});
-    ch->send(kv::resp::command({"SET", "a", "b"}));
+    workload::Session s(c, "cli");
+    s.send({"SET", "a", "b"});
     c.sim().run_until(c.sim().now() + sim::milliseconds(100));
     EXPECT_TRUE(c.converged());
     EXPECT_GT(c.master().master_offset(), 0);
@@ -76,15 +67,10 @@ TEST(Cluster, DeterministicAcrossRuns) {
         cfg.offload = true;
         Cluster c(cfg);
         c.start();
-        auto node = c.add_client_host("cli");
-        net::ChannelPtr ch;
-        c.connect_client(node, [&](net::ChannelPtr x) { ch = std::move(x); });
-        c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-        ch->set_on_message([](std::string) {});
+        workload::Session s(c, "cli");
         for (int i = 0; i < 100; ++i) {
-            ch->send(kv::resp::command(
-                {"SET", std::string("k").append(std::to_string(i % 10)),
-                 std::string("v").append(std::to_string(i))}));
+            s.send({"SET", std::string("k").append(std::to_string(i % 10)),
+                    std::string("v").append(std::to_string(i))});
         }
         c.sim().run_until(c.sim().now() + sim::milliseconds(200));
         return std::tuple{c.sim().events_executed(),

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kv/resp.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 namespace skv::offload {
 namespace {
@@ -11,23 +14,6 @@ namespace {
 
 class LagTest : public ::testing::Test {
 protected:
-    struct Client {
-        net::ChannelPtr ch;
-        std::string replies;
-        int oks = 0;
-        int errors = 0;
-        kv::resp::ReplyParser parser;
-
-        void pump() {
-            kv::resp::Value v;
-            while (parser.next(&v) == kv::resp::Status::kOk) {
-                (v.is_error() ? errors : oks)++;
-                if (v.is_error()) last_error = v.str;
-            }
-        }
-        std::string last_error;
-    };
-
     std::unique_ptr<Cluster> make(std::int64_t max_lag, int n_slaves) {
         ClusterConfig cfg;
         cfg.n_slaves = n_slaves;
@@ -38,32 +24,29 @@ protected:
         return c;
     }
 
-    Client connect(Cluster& c) {
-        Client cl;
-        auto node = c.add_client_host("lagtester" + std::to_string(++hosts_));
-        c.connect_client(node, [&](net::ChannelPtr x) { cl.ch = std::move(x); });
-        c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-        return cl;
+    static int errors(const workload::Session& s) {
+        return static_cast<int>(std::count_if(
+            s.replies().begin(), s.replies().end(),
+            [](const kv::resp::Value& v) { return v.is_error(); }));
     }
-
-    int hosts_ = 0;
+    static std::string last_error(const workload::Session& s) {
+        for (auto it = s.replies().rbegin(); it != s.replies().rend(); ++it) {
+            if (it->is_error()) return it->str;
+        }
+        return {};
+    }
 };
 
 TEST_F(LagTest, HealthySlavesNeverTripTheGate) {
     auto c = make(1 << 20, 2);
-    auto cl = connect(*c);
-    ASSERT_TRUE(cl.ch);
-    cl.ch->set_on_message([&](std::string m) {
-        cl.parser.feed(m);
-        cl.pump();
-    });
+    workload::Session cl(*c, "lagtester");
+    ASSERT_TRUE(cl.connected());
     for (int i = 0; i < 200; ++i) {
-        cl.ch->send(kv::resp::command(
-            {"SET", std::string("k").append(std::to_string(i)), "v"}));
+        cl.send({"SET", std::string("k").append(std::to_string(i)), "v"});
     }
     c->sim().run_until(c->sim().now() + sim::milliseconds(300));
-    EXPECT_EQ(cl.errors, 0);
-    EXPECT_EQ(cl.oks, 200);
+    EXPECT_EQ(errors(cl), 0);
+    EXPECT_EQ(static_cast<int>(cl.replies().size()) - errors(cl), 200); // oks
 }
 
 TEST_F(LagTest, DeadButUndetectedSlaveTripsTheGateEventually) {
@@ -72,31 +55,26 @@ TEST_F(LagTest, DeadButUndetectedSlaveTripsTheGateEventually) {
     // detector marks the slave invalid, after which writes flow again —
     // the interplay of the two §III-D mechanisms.
     auto c = make(2048, 2);
-    auto cl = connect(*c);
-    ASSERT_TRUE(cl.ch);
-    cl.ch->set_on_message([&](std::string m) {
-        cl.parser.feed(m);
-        cl.pump();
-    });
+    workload::Session cl(*c, "lagtester");
+    ASSERT_TRUE(cl.connected());
 
     c->slave(0).crash();
     // Immediately hammer writes, before the detector can react (its next
     // probe round is up to 1s + waiting-time away).
     for (int i = 0; i < 300; ++i) {
-        cl.ch->send(kv::resp::command({"SET",
-                                       std::string("k").append(std::to_string(i)),
-                                       std::string(32, 'v')}));
+        cl.send({"SET", std::string("k").append(std::to_string(i)),
+                 std::string(32, 'v')});
     }
     c->sim().run_until(c->sim().now() + sim::milliseconds(400));
-    EXPECT_GT(cl.errors, 0);
-    EXPECT_NE(cl.last_error.find("NOREPLPROGRESS"), std::string::npos);
+    EXPECT_GT(errors(cl), 0);
+    EXPECT_NE(last_error(cl).find("NOREPLPROGRESS"), std::string::npos);
 
     // After detection the invalid slave is exempt from the lag check.
     c->sim().run_until(c->sim().now() + sim::seconds(4));
-    const int errors_after_detection = cl.errors;
-    cl.ch->send(kv::resp::command({"SET", "recovered-write", "v"}));
+    const int errors_after_detection = errors(cl);
+    cl.send({"SET", "recovered-write", "v"});
     c->sim().run_until(c->sim().now() + sim::milliseconds(20));
-    EXPECT_EQ(cl.errors, errors_after_detection);
+    EXPECT_EQ(errors(cl), errors_after_detection);
     EXPECT_TRUE(c->master().db().exists("recovered-write"));
 }
 
@@ -113,51 +91,35 @@ TEST_F(LagTest, PromotedStandInAcceptsWrites) {
     }
     ASSERT_GE(promoted, 0);
 
-    auto node = c->add_client_host("writer");
-    net::ChannelPtr ch;
-    c->cm().connect(node, c->slave(promoted).node().ep, 6379,
-                    [&](net::ChannelPtr x) { ch = x; });
-    c->sim().run_until(c->sim().now() + sim::milliseconds(10));
-    ASSERT_TRUE(ch);
-    std::string replies;
-    ch->set_on_message([&](std::string m) { replies += m; });
-    ch->send(kv::resp::command({"SET", "on-standin", "v"}));
+    workload::Session writer(*c, "writer", promoted);
+    ASSERT_TRUE(writer.connected());
+    writer.send({"SET", "on-standin", "v"});
     c->sim().run_until(c->sim().now() + sim::milliseconds(20));
-    EXPECT_NE(replies.find("+OK"), std::string::npos);
+    EXPECT_TRUE(writer.replies().at(0).is_ok());
     EXPECT_TRUE(c->slave(promoted).db().exists("on-standin"));
 
     // After the real master returns, the stand-in refuses writes again.
     c->master().recover();
     c->sim().run_until(c->sim().now() + sim::seconds(4));
     ASSERT_EQ(c->slave(promoted).role(), server::Role::kSlave);
-    replies.clear();
-    ch->send(kv::resp::command({"SET", "late-write", "v"}));
+    writer.send({"SET", "late-write", "v"});
     c->sim().run_until(c->sim().now() + sim::milliseconds(20));
-    EXPECT_NE(replies.find("-READONLY"), std::string::npos);
+    EXPECT_TRUE(writer.replies().at(1).is_error());
+    EXPECT_EQ(writer.replies().at(1).str.find("READONLY"), 0u);
 }
 
 TEST_F(LagTest, SlaveServesReadsThroughout) {
     auto c = make(1 << 24, 1);
-    auto cl = connect(*c);
-    ASSERT_TRUE(cl.ch);
-    cl.ch->set_on_message([&](std::string m) {
-        cl.parser.feed(m);
-        cl.pump();
-    });
-    cl.ch->send(kv::resp::command({"SET", "shared", "value"}));
+    workload::Session cl(*c, "lagtester");
+    ASSERT_TRUE(cl.connected());
+    cl.send({"SET", "shared", "value"});
     c->sim().run_until(c->sim().now() + sim::milliseconds(100));
 
-    auto node = c->add_client_host("reader");
-    net::ChannelPtr ch;
-    c->cm().connect(node, c->slave(0).node().ep, 6379,
-                    [&](net::ChannelPtr x) { ch = x; });
-    c->sim().run_until(c->sim().now() + sim::milliseconds(10));
-    ASSERT_TRUE(ch);
-    std::string replies;
-    ch->set_on_message([&](std::string m) { replies += m; });
-    ch->send(kv::resp::command({"GET", "shared"}));
+    workload::Session reader(*c, "reader", 0);
+    ASSERT_TRUE(reader.connected());
+    reader.send({"GET", "shared"});
     c->sim().run_until(c->sim().now() + sim::milliseconds(20));
-    EXPECT_NE(replies.find("value"), std::string::npos);
+    EXPECT_EQ(reader.replies().at(0).str, "value");
 }
 
 } // namespace

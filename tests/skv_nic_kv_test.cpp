@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "kv/resp.hpp"
 #include "server/reliable.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 namespace skv::offload {
 namespace {
@@ -20,15 +20,10 @@ std::unique_ptr<Cluster> make_skv(int slaves, std::uint64_t seed = 9,
 }
 
 void drive_writes(Cluster& c, int n) {
-    auto node = c.add_client_host("driver");
-    net::ChannelPtr ch;
-    c.connect_client(node, [&](net::ChannelPtr x) { ch = std::move(x); });
-    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    ASSERT_TRUE(ch);
-    ch->set_on_message([](std::string) {});
+    workload::Session s(c, "driver");
+    ASSERT_TRUE(s.connected());
     for (int i = 0; i < n; ++i) {
-        ch->send(kv::resp::command(
-            {"SET", std::string("k").append(std::to_string(i)), "v"}));
+        s.send({"SET", std::string("k").append(std::to_string(i)), "v"});
     }
     c.sim().run_until(c.sim().now() + sim::milliseconds(100));
 }
@@ -142,23 +137,17 @@ TEST(NicKv, MinSlavesGatesWritesAfterFailures) {
     Cluster c(cfg);
     c.start();
 
-    auto node = c.add_client_host("w");
-    net::ChannelPtr ch;
-    c.connect_client(node, [&](net::ChannelPtr x) { ch = std::move(x); });
+    workload::Session s(c, "w");
+    s.send({"SET", "ok", "1"});
     c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    std::string replies;
-    ch->set_on_message([&](std::string m) { replies += m; });
-
-    ch->send(kv::resp::command({"SET", "ok", "1"}));
-    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    EXPECT_NE(replies.find("+OK"), std::string::npos);
+    EXPECT_TRUE(s.replies().at(0).is_ok());
 
     c.slave(0).crash();
     c.sim().run_until(c.sim().now() + sim::seconds(4)); // detect
-    replies.clear();
-    ch->send(kv::resp::command({"SET", "blocked", "1"}));
+    s.send({"SET", "blocked", "1"});
     c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    EXPECT_NE(replies.find("-NOREPLICAS"), std::string::npos);
+    EXPECT_TRUE(s.replies().at(1).is_error());
+    EXPECT_EQ(s.replies().at(1).str.find("NOREPLICAS"), 0u);
     EXPECT_FALSE(c.master().db().exists("blocked"));
 }
 

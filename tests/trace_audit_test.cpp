@@ -3,8 +3,9 @@
 #include <string>
 #include <tuple>
 
-#include "kv/resp.hpp"
+#include "chaos_support.hpp"
 #include "skv/cluster.hpp"
+#include "workload/session.hpp"
 
 namespace skv {
 namespace {
@@ -27,35 +28,13 @@ std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> run_set_get(
     offload::Cluster c(cfg);
     c.start();
 
-    auto node = c.add_client_host("audit-client");
-    net::ChannelPtr ch;
-    c.connect_client(node, [&ch](net::ChannelPtr got) { ch = std::move(got); });
-    c.sim().run_until(c.sim().now() + sim::milliseconds(10));
-    EXPECT_TRUE(ch) << "client connect failed";
-    if (!ch) return {0, 0, 0};
+    workload::Session s(c, "audit-client");
+    EXPECT_TRUE(s.connected()) << "client connect failed";
+    if (!s.connected()) return {0, 0, 0};
 
     // Closed loop: alternate SET k v / GET k, next command on reply.
-    int sent = 0;
-    int replies = 0;
-    ch->set_on_message([&](std::string reply) {
-        EXPECT_FALSE(reply.empty());
-        ++replies;
-        if (sent >= ops) return;
-        const std::string key = std::string("k").append(std::to_string(sent / 2));
-        ch->send(sent % 2 == 0 ? kv::resp::command({"SET", key, "v"})
-                               : kv::resp::command({"GET", key}));
-        ++sent;
-    });
-    ch->send(kv::resp::command({"SET", "k0", "v"}));
-    ++sent;
-    const auto deadline = c.sim().now() + sim::seconds(10);
-    while (replies < sent && c.sim().now() < deadline) {
-        if (c.sim().run_until(c.sim().now() + sim::milliseconds(20)) == 0 &&
-            c.sim().events_pending() == 0) {
-            break;
-        }
-    }
-    EXPECT_EQ(replies, ops) << "workload did not complete";
+    EXPECT_EQ(offload::chaos::set_get_loop(s, ops), ops)
+        << "workload did not complete";
     // Drain replication fan-out so slave-side events are audited too.
     c.sim().run_until(c.sim().now() + sim::milliseconds(200));
     EXPECT_TRUE(c.converged());

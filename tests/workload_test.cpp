@@ -2,6 +2,7 @@
 
 #include "skv/cluster.hpp"
 #include "workload/runner.hpp"
+#include "workload/session.hpp"
 
 namespace skv::workload {
 namespace {
@@ -66,7 +67,6 @@ TEST(Generator, ValueSizeExact) {
 TEST(Generator, ZipfianConcentratesOnHotKeys) {
     WorkloadSpec spec;
     spec.key_dist = KeyDist::kZipfian;
-    spec.zipf_theta = 0.99;
     spec.key_count = 1000;
     Generator g(spec, sim::Rng(5));
     std::map<std::string, int> counts;
@@ -152,6 +152,22 @@ TEST(Runner, FaultInjectionCrashesAndRecovers) {
     EXPECT_FALSE(c.slave(0).crashed());
     EXPECT_EQ(c.slave(0).stats().counter("crashes"), 1u);
     EXPECT_EQ(c.slave(0).stats().counter("recoveries"), 1u);
+}
+
+// call()'s other outcome, which no scripted test reaches: the server
+// crashed after the connection came up, so no reply lands and call() gives
+// up once its bound has passed, not before and not after.
+TEST(Session, CallToCrashedServerReturnsNoReplyWithinBound) {
+    offload::Cluster c(offload::ClusterConfig{.n_slaves = 1, .offload = true});
+    c.start();
+    Session s(c, "cli");
+    ASSERT_TRUE(s.connected());
+    EXPECT_TRUE(s.call({"SET", "k", "v"}).value().is_ok());
+    c.master().crash();
+    const sim::SimTime t0 = c.sim().now();
+    EXPECT_FALSE(s.call({"GET", "k"}, sim::milliseconds(300)).has_value());
+    EXPECT_EQ(c.sim().now() - t0, sim::milliseconds(300));
+    EXPECT_EQ(s.replies().size(), 1u);
 }
 
 TEST(RunResult, SummaryFormats) {
