@@ -145,16 +145,8 @@ CrashVariantResult run_master_crash_variant(server::ReplicationMode mode) {
     // rotating targets. Commit gating — one replica ack (fanout), the full
     // chain (chain), a replica majority released by the NIC's watermark
     // (quorum) — makes the failover lossless for acknowledged writes.
-    offload::ClusterConfig cfg;
-    cfg.n_slaves = 3;
-    cfg.offload = true;
-    cfg.server_tmpl.ack_interval = sim::milliseconds(20);
-    cfg.server_tmpl.ack_on_apply = true;
-    cfg.server_tmpl.wait_for_slaves = 1;
-    cfg.server_tmpl.wait_timeout = sim::milliseconds(150);
-    cfg.server_tmpl.serve_stale_reads = false;
-    cfg.server_tmpl.replication_mode = mode;
-    workload::ChaosScenario scenario{.cluster = cfg};
+    workload::ChaosScenario scenario{
+        .cluster = workload::gated_cluster_config(42, mode)};
     // Eight SET-only clients (recovery == first accepted write), bounded by
     // time: they stop when the schedule ends, at t=12s.
     workload::ChaosFleet& fleet = scenario.fleet;

@@ -3,16 +3,11 @@
 //
 // Open-loop methodology: arrivals follow a seeded Poisson process at the
 // offered rate, latency is measured from each op's intended start, so the
-// percentiles include queue wait (coordinated-omission-safe). Achieved
-// throughput tracking the offered rate while the tail stays bounded is the
-// pass criterion the bench gate enforces (tools/bench_gate/).
+// percentiles include queue wait (coordinated-omission-safe). The sweep is
+// pinned by seed, so reruns of the same commit are byte-identical, and
+// tools/bench_gate/ checks its JSON against BENCH_ycsb.json exactly.
 //
-// Profiles: the default "full" profile is the recorded trajectory's unit of
-// comparison; "--smoke" is the downscaled profile CI runs on every push.
-// Both are pinned by seed, so reruns of the same commit are byte-identical.
-//
-// Usage: bench_ycsb [--smoke] [--workloads ABC] [--modes fanout,chain,quorum]
-//                   [--seed N] [--trace <path>]
+// Usage: bench_ycsb [--workloads ABC] [--modes fanout,chain,quorum] [--seed N]
 
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +16,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "workload/chaos.hpp"
 #include "workload/ycsb/open_loop.hpp"
 
 using namespace skv;
@@ -32,47 +28,9 @@ using workload::ycsb::YcsbOp;
 
 namespace {
 
-struct SweepProfile {
-    const char* name = "full";
-    std::uint64_t record_count = 10'000;
-    double offered_kops = 40.0;
-    int connections = 256;
-    sim::Duration warmup{sim::milliseconds(300)};
-    sim::Duration measure{sim::seconds(2)};
-};
-
-SweepProfile full_profile() { return {}; }
-
-SweepProfile smoke_profile() {
-    SweepProfile p;
-    p.name = "smoke";
-    p.record_count = 2'000;
-    p.offered_kops = 20.0;
-    p.connections = 128;
-    p.warmup = sim::milliseconds(200);
-    p.measure = sim::milliseconds(500);
-    return p;
-}
-
-/// The fig14/chaos cluster idiom: commit gating on one replica ack, no
-/// stale reads — the configuration under which the three protocols
-/// genuinely differ on the write path.
-std::unique_ptr<offload::Cluster> make_ycsb_cluster(
-    server::ReplicationMode mode, std::uint64_t seed) {
-    offload::ClusterConfig cfg;
-    cfg.seed = seed;
-    cfg.n_slaves = 3;
-    cfg.offload = true;
-    cfg.server_tmpl.ack_interval = sim::milliseconds(20);
-    cfg.server_tmpl.ack_on_apply = true;
-    cfg.server_tmpl.wait_for_slaves = 1;
-    cfg.server_tmpl.wait_timeout = sim::milliseconds(150);
-    cfg.server_tmpl.serve_stale_reads = false;
-    cfg.server_tmpl.replication_mode = mode;
-    auto cluster = std::make_unique<offload::Cluster>(cfg);
-    cluster->start();
-    return cluster;
-}
+constexpr std::uint64_t kRecordCount = 10'000;
+constexpr double kOfferedKops = 40.0;
+constexpr int kConnections = 256;
 
 struct SweepRun {
     std::string series;
@@ -82,17 +40,20 @@ struct SweepRun {
     OpenLoopResult res;
 };
 
-SweepRun run_one(Workload w, server::ReplicationMode mode,
-                 const SweepProfile& prof, std::uint64_t seed) {
-    auto cluster = make_ycsb_cluster(mode, seed);
+SweepRun run_one(Workload w, server::ReplicationMode mode, std::uint64_t seed) {
+    // Commit gating on one replica ack and no stale reads: the
+    // configuration under which the three protocols differ on the write path.
+    auto cluster = std::make_unique<offload::Cluster>(
+        workload::gated_cluster_config(seed, mode));
+    cluster->start();
 
     OpenLoopOptions opts;
     opts.ycsb = workload::ycsb::YcsbOptions::standard(w);
-    opts.ycsb.record_count = prof.record_count;
-    opts.connections = prof.connections;
-    opts.offered_kops = prof.offered_kops;
-    opts.warmup = prof.warmup;
-    opts.measure = prof.measure;
+    opts.ycsb.record_count = kRecordCount;
+    opts.connections = kConnections;
+    opts.offered_kops = kOfferedKops;
+    opts.warmup = sim::milliseconds(300);
+    opts.measure = sim::seconds(2);
 
     SweepRun out;
     out.workload = w;
@@ -111,20 +72,20 @@ SweepRun run_one(Workload w, server::ReplicationMode mode,
     return out;
 }
 
-void print_json(const std::vector<SweepRun>& runs, const SweepProfile& prof,
-                std::uint64_t seed) {
+void print_json(const std::vector<SweepRun>& runs, std::uint64_t seed) {
     FigureJson j("ycsb");
     for (const auto& r : runs) {
         auto& w = j.begin_series(r.series);
         w.kv("workload", workload::ycsb::to_string(r.workload))
             .kv("dist", r.dist)
             .kv("protocol", r.mode)
-            .kv("profile", prof.name)
+            // The recorded runs name the sweep's profile; there is one.
+            .kv("profile", "full")
             .kv("seed", seed)
             .kv("offered_kops", r.res.offered_kops)
             .kv("achieved_kops", r.res.achieved_kops)
-            .kv("connections", prof.connections)
-            .kv("record_count", prof.record_count)
+            .kv("connections", kConnections)
+            .kv("record_count", kRecordCount)
             .kv("arrivals", r.res.arrivals)
             .kv("completed", r.res.completed)
             .kv("failed", r.res.failed)
@@ -159,7 +120,6 @@ void print_json(const std::vector<SweepRun>& runs, const SweepProfile& prof,
 } // namespace
 
 int main(int argc, char** argv) {
-    SweepProfile prof = full_profile();
     std::string_view workloads = "ABC";
     std::vector<server::ReplicationMode> modes = {
         server::ReplicationMode::kFanout, server::ReplicationMode::kChain,
@@ -167,10 +127,7 @@ int main(int argc, char** argv) {
     std::uint64_t seed = 42;
 
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            prof = smoke_profile();
-            workloads = "A";
-        } else if (std::strcmp(argv[i], "--workloads") == 0 && i + 1 < argc) {
+        if (std::strcmp(argv[i], "--workloads") == 0 && i + 1 < argc) {
             workloads = argv[++i];
         } else if (std::strcmp(argv[i], "--modes") == 0 && i + 1 < argc) {
             modes.clear();
@@ -196,19 +153,16 @@ int main(int argc, char** argv) {
             }
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
             seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-            ++i; // handled per-run below (last run's cluster)
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--smoke] [--workloads ABC] "
+                         "usage: %s [--workloads ABC] "
                          "[--modes fanout,chain,quorum] [--seed N]\n",
                          argv[0]);
             return 2;
         }
     }
 
-    print_header("YCSB open-loop sweep (" + std::string(prof.name) + ")",
-                 {"series", "result"});
+    print_header("YCSB open-loop sweep (full)", {"series", "result"});
     std::vector<SweepRun> runs;
     for (const char wc : workloads) {
         Workload w;
@@ -217,9 +171,9 @@ int main(int argc, char** argv) {
             return 2;
         }
         for (const auto mode : modes) {
-            runs.push_back(run_one(w, mode, prof, seed));
+            runs.push_back(run_one(w, mode, seed));
         }
     }
-    print_json(runs, prof, seed);
+    print_json(runs, seed);
     return 0;
 }

@@ -13,12 +13,11 @@
 
 namespace skv::kv {
 
-/// Command attribute flags (subset of Redis's).
-enum CommandFlags : unsigned {
-    kCmdWrite = 1u << 0,    // may mutate the keyspace: replicated to slaves
-    kCmdReadOnly = 1u << 1, // never mutates
-    kCmdFast = 1u << 2,     // O(1)-ish
-    kCmdAdmin = 1u << 3,    // server administration
+/// Whether a command may mutate the keyspace. Writes are replicated to
+/// slaves and refused by a read-only slave.
+enum CommandAccess : std::uint8_t {
+    kCmdRead,
+    kCmdWrite,
 };
 
 /// Execution context handed to a command handler.
@@ -65,10 +64,10 @@ struct CommandSpec {
     /// Positive: exact argc (including the command name). Negative: at
     /// least |arity| arguments.
     int arity;
-    unsigned flags;
+    CommandAccess access;
     std::function<void(CommandContext&)> handler;
 
-    [[nodiscard]] bool is_write() const { return (flags & kCmdWrite) != 0; }
+    [[nodiscard]] bool is_write() const { return access == kCmdWrite; }
     [[nodiscard]] bool arity_ok(std::size_t argc) const {
         if (arity >= 0) return argc == static_cast<std::size_t>(arity);
         return argc >= static_cast<std::size_t>(-arity);

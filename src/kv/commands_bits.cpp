@@ -215,9 +215,9 @@ void cmd_bitop(CommandContext& ctx) {
 
 void register_bit_commands(CommandTable& t) {
     t.add({"SETBIT", 4, kCmdWrite, cmd_setbit});
-    t.add({"GETBIT", 3, kCmdReadOnly | kCmdFast, cmd_getbit});
-    t.add({"BITCOUNT", -2, kCmdReadOnly, cmd_bitcount});
-    t.add({"BITPOS", -3, kCmdReadOnly, cmd_bitpos});
+    t.add({"GETBIT", 3, kCmdRead, cmd_getbit});
+    t.add({"BITCOUNT", -2, kCmdRead, cmd_bitcount});
+    t.add({"BITPOS", -3, kCmdRead, cmd_bitpos});
     t.add({"BITOP", -4, kCmdWrite, cmd_bitop});
 }
 

@@ -213,26 +213,26 @@ void cmd_object(CommandContext& ctx) {
 
 void register_key_commands(CommandTable& t) {
     t.add({"DEL", -2, kCmdWrite, cmd_del});
-    t.add({"EXISTS", -2, kCmdReadOnly | kCmdFast, cmd_exists});
-    t.add({"EXPIRE", 3, kCmdWrite | kCmdFast,
+    t.add({"EXISTS", -2, kCmdRead, cmd_exists});
+    t.add({"EXPIRE", 3, kCmdWrite,
            [](CommandContext& ctx) { generic_expire(ctx, 1000, false); }});
-    t.add({"PEXPIRE", 3, kCmdWrite | kCmdFast,
+    t.add({"PEXPIRE", 3, kCmdWrite,
            [](CommandContext& ctx) { generic_expire(ctx, 1, false); }});
-    t.add({"EXPIREAT", 3, kCmdWrite | kCmdFast,
+    t.add({"EXPIREAT", 3, kCmdWrite,
            [](CommandContext& ctx) { generic_expire(ctx, 1000, true); }});
-    t.add({"PEXPIREAT", 3, kCmdWrite | kCmdFast,
+    t.add({"PEXPIREAT", 3, kCmdWrite,
            [](CommandContext& ctx) { generic_expire(ctx, 1, true); }});
-    t.add({"TTL", 2, kCmdReadOnly | kCmdFast,
+    t.add({"TTL", 2, kCmdRead,
            [](CommandContext& ctx) { cmd_ttl(ctx, false); }});
-    t.add({"PTTL", 2, kCmdReadOnly | kCmdFast,
+    t.add({"PTTL", 2, kCmdRead,
            [](CommandContext& ctx) { cmd_ttl(ctx, true); }});
-    t.add({"PERSIST", 2, kCmdWrite | kCmdFast, cmd_persist});
-    t.add({"TYPE", 2, kCmdReadOnly | kCmdFast, cmd_type});
-    t.add({"KEYS", 2, kCmdReadOnly, cmd_keys});
-    t.add({"RANDOMKEY", 1, kCmdReadOnly, cmd_randomkey});
+    t.add({"PERSIST", 2, kCmdWrite, cmd_persist});
+    t.add({"TYPE", 2, kCmdRead, cmd_type});
+    t.add({"KEYS", 2, kCmdRead, cmd_keys});
+    t.add({"RANDOMKEY", 1, kCmdRead, cmd_randomkey});
     t.add({"RENAME", 3, kCmdWrite, cmd_rename});
-    t.add({"RENAMENX", 3, kCmdWrite | kCmdFast, cmd_renamenx});
-    t.add({"OBJECT", -2, kCmdReadOnly, cmd_object});
+    t.add({"RENAMENX", 3, kCmdWrite, cmd_renamenx});
+    t.add({"OBJECT", -2, kCmdRead, cmd_object});
 }
 
 } // namespace skv::kv

@@ -120,9 +120,9 @@ void cmd_getex(CommandContext& ctx) {
 } // namespace
 
 void register_scan_commands(CommandTable& t) {
-    t.add({"SCAN", -2, kCmdReadOnly, cmd_scan});
-    t.add({"GETDEL", 2, kCmdWrite | kCmdFast, cmd_getdel});
-    t.add({"GETEX", -2, kCmdWrite | kCmdFast, cmd_getex});
+    t.add({"SCAN", -2, kCmdRead, cmd_scan});
+    t.add({"GETDEL", 2, kCmdWrite, cmd_getdel});
+    t.add({"GETEX", -2, kCmdWrite, cmd_getex});
 }
 
 } // namespace skv::kv

@@ -55,14 +55,14 @@ void cmd_command(CommandContext& ctx) {
 } // namespace
 
 void register_server_commands(CommandTable& t) {
-    t.add({"PING", -1, kCmdReadOnly | kCmdFast, cmd_ping});
-    t.add({"ECHO", 2, kCmdReadOnly | kCmdFast, cmd_echo});
-    t.add({"DBSIZE", 1, kCmdReadOnly | kCmdFast, cmd_dbsize});
+    t.add({"PING", -1, kCmdRead, cmd_ping});
+    t.add({"ECHO", 2, kCmdRead, cmd_echo});
+    t.add({"DBSIZE", 1, kCmdRead, cmd_dbsize});
     t.add({"FLUSHDB", 1, kCmdWrite, cmd_flushdb});
     t.add({"FLUSHALL", 1, kCmdWrite, cmd_flushdb});
-    t.add({"SELECT", 2, kCmdReadOnly | kCmdFast, cmd_select});
-    t.add({"TIME", 1, kCmdReadOnly | kCmdFast, cmd_time});
-    t.add({"COMMAND", -1, kCmdReadOnly, cmd_command});
+    t.add({"SELECT", 2, kCmdRead, cmd_select});
+    t.add({"TIME", 1, kCmdRead, cmd_time});
+    t.add({"COMMAND", -1, kCmdRead, cmd_command});
 }
 
 } // namespace skv::kv

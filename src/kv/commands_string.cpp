@@ -332,26 +332,26 @@ void cmd_setrange(CommandContext& ctx) {
 void register_string_commands(CommandTable& t) {
     t.add({"SET", -3, kCmdWrite, cmd_set});
     t.add({"SETPXAT", 4, kCmdWrite, cmd_setpxat});
-    t.add({"SETNX", 3, kCmdWrite | kCmdFast, cmd_setnx});
+    t.add({"SETNX", 3, kCmdWrite, cmd_setnx});
     t.add({"SETEX", 4, kCmdWrite,
            [](CommandContext& ctx) { cmd_setex_ms(ctx, 1000); }});
     t.add({"PSETEX", 4, kCmdWrite,
            [](CommandContext& ctx) { cmd_setex_ms(ctx, 1); }});
-    t.add({"GET", 2, kCmdReadOnly | kCmdFast, cmd_get});
-    t.add({"GETSET", 3, kCmdWrite | kCmdFast, cmd_getset});
-    t.add({"APPEND", 3, kCmdWrite | kCmdFast, cmd_append});
-    t.add({"STRLEN", 2, kCmdReadOnly | kCmdFast, cmd_strlen});
-    t.add({"INCR", 2, kCmdWrite | kCmdFast,
+    t.add({"GET", 2, kCmdRead, cmd_get});
+    t.add({"GETSET", 3, kCmdWrite, cmd_getset});
+    t.add({"APPEND", 3, kCmdWrite, cmd_append});
+    t.add({"STRLEN", 2, kCmdRead, cmd_strlen});
+    t.add({"INCR", 2, kCmdWrite,
            [](CommandContext& ctx) { generic_incr(ctx, 1); }});
-    t.add({"DECR", 2, kCmdWrite | kCmdFast,
+    t.add({"DECR", 2, kCmdWrite,
            [](CommandContext& ctx) { generic_incr(ctx, -1); }});
-    t.add({"INCRBY", 3, kCmdWrite | kCmdFast, cmd_incrby});
-    t.add({"DECRBY", 3, kCmdWrite | kCmdFast, cmd_decrby});
-    t.add({"INCRBYFLOAT", 3, kCmdWrite | kCmdFast, cmd_incrbyfloat});
+    t.add({"INCRBY", 3, kCmdWrite, cmd_incrby});
+    t.add({"DECRBY", 3, kCmdWrite, cmd_decrby});
+    t.add({"INCRBYFLOAT", 3, kCmdWrite, cmd_incrbyfloat});
     t.add({"MSET", -3, kCmdWrite, cmd_mset});
     t.add({"MSETNX", -3, kCmdWrite, cmd_msetnx});
-    t.add({"MGET", -2, kCmdReadOnly | kCmdFast, cmd_mget});
-    t.add({"GETRANGE", 4, kCmdReadOnly, cmd_getrange});
+    t.add({"MGET", -2, kCmdRead, cmd_mget});
+    t.add({"GETRANGE", 4, kCmdRead, cmd_getrange});
     t.add({"SETRANGE", 4, kCmdWrite, cmd_setrange});
 }
 

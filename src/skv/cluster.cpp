@@ -9,6 +9,9 @@ namespace skv::offload {
 
 namespace {
 
+/// Simulated time start() allows for connection setup and the initial sync.
+constexpr sim::Duration kSettle = sim::milliseconds(300);
+
 /// The one place that decides which replication protocol runs (DESIGN.md
 /// §13): each server gets the protocol's host half, Nic-KV its own half.
 /// Chain successor tables and quorum ack aggregation live on Nic-KV, so
@@ -46,7 +49,7 @@ net::Transport& choose_transport(const ClusterConfig& cfg, net::TcpNetwork& tcp,
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(std::move(cfg)), sim_(cfg_.seed), tracer_(sim_), fabric_(sim_),
-      tcp_(sim_, fabric_, cfg_.costs), rdma_(sim_, fabric_, cfg_.costs),
+      tcp_(sim_, fabric_, costs_), rdma_(sim_, fabric_, costs_),
       cm_(rdma_), transport_(choose_transport(cfg_, tcp_, cm_)) {
     // Observability wiring: every component shares the cluster tracer. It
     // starts disabled, so instrumented code paths are no-ops by default.
@@ -65,7 +68,7 @@ void Cluster::start() {
     const net::NodeRef master_node{master_ep, cores_.back().get()};
     server::ServerConfig mcfg = cfg_.server_tmpl;
     mcfg.name = "master";
-    master_ = std::make_unique<server::KvServer>(sim_, cfg_.costs, transport_,
+    master_ = std::make_unique<server::KvServer>(sim_, costs_, transport_,
                                                  master_node, mcfg, protocol.make_host());
     master_->set_tracer(&tracer_, "server/master");
 
@@ -74,7 +77,7 @@ void Cluster::start() {
     if (cfg_.offload) {
         nic_ = std::make_unique<nic::SmartNic>(sim_, fabric_, master_ep,
                                                "master/bf2", cfg_.nic_params);
-        nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_, cfg_.nic_cfg,
+        nickv_ = std::make_unique<NicKv>(sim_, costs_, cm_, *nic_, cfg_.nic_cfg,
                                          std::move(protocol.nic));
         nickv_->set_tracer(&tracer_, "nic/nic-kv");
     }
@@ -88,7 +91,7 @@ void Cluster::start() {
         server::ServerConfig scfg = cfg_.server_tmpl;
         scfg.name = name;
         slaves_.push_back(std::make_unique<server::KvServer>(
-            sim_, cfg_.costs, transport_, node, scfg, protocol.make_host()));
+            sim_, costs_, transport_, node, scfg, protocol.make_host()));
         slaves_.back()->set_tracer(&tracer_, "server/" + name);
     }
 
@@ -114,7 +117,7 @@ void Cluster::start() {
         }
     });
 
-    sim_.run_until(sim_.now() + cfg_.settle);
+    sim_.run_until(sim_.now() + kSettle);
 }
 
 net::NodeRef Cluster::add_client_host(const std::string& name) {

@@ -30,13 +30,9 @@ struct ClusterConfig {
     /// true = SKV (replication offloaded to Nic-KV); false = the baseline
     /// where the master fans out itself (RDMA-Redis or TCP Redis).
     bool offload = false;
-    cpu::CostModel costs{};
     nic::SmartNicParams nic_params{};
     NicKvConfig nic_cfg{};
     server::ServerConfig server_tmpl{};
-    /// Simulated time allowed for connection setup + initial sync before
-    /// start() returns.
-    sim::Duration settle{sim::milliseconds(300)};
 };
 
 class Cluster {
@@ -53,7 +49,8 @@ public:
     /// `tracer().set_enabled(true)` before the workload to collect spans.
     /// Enabling it never changes simulation behavior or the trace digest.
     [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
-    [[nodiscard]] const cpu::CostModel& costs() const { return cfg_.costs; }
+    /// The calibrated cost model every component of the cluster charges.
+    [[nodiscard]] const cpu::CostModel& costs() const { return costs_; }
     [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
 
     [[nodiscard]] server::KvServer& master() { return *master_; }
@@ -115,6 +112,7 @@ public:
 
 private:
     ClusterConfig cfg_;
+    cpu::CostModel costs_{};
     sim::Simulation sim_;
     obs::Tracer tracer_;
     net::Fabric fabric_;

@@ -7,22 +7,29 @@
 
 namespace skv::workload {
 
-offload::ClusterConfig crash_cluster_config(std::uint64_t seed,
+offload::ClusterConfig gated_cluster_config(std::uint64_t seed,
                                             server::ReplicationMode mode,
                                             int n_slaves) {
     offload::ClusterConfig cfg;
     cfg.seed = seed;
     cfg.n_slaves = n_slaves;
     cfg.offload = true;
-    cfg.nic_cfg.probe_interval = sim::milliseconds(200);
-    cfg.nic_cfg.waiting_time = sim::milliseconds(450);
     cfg.server_tmpl.ack_interval = sim::milliseconds(20);
     cfg.server_tmpl.ack_on_apply = true;
     cfg.server_tmpl.wait_for_slaves = 1;
     cfg.server_tmpl.wait_timeout = sim::milliseconds(150);
     cfg.server_tmpl.serve_stale_reads = false;
-    cfg.server_tmpl.probe_silence_timeout = sim::seconds(1);
     cfg.server_tmpl.replication_mode = mode;
+    return cfg;
+}
+
+offload::ClusterConfig crash_cluster_config(std::uint64_t seed,
+                                            server::ReplicationMode mode,
+                                            int n_slaves) {
+    offload::ClusterConfig cfg = gated_cluster_config(seed, mode, n_slaves);
+    cfg.nic_cfg.probe_interval = sim::milliseconds(200);
+    cfg.nic_cfg.waiting_time = sim::milliseconds(450);
+    cfg.server_tmpl.probe_silence_timeout = sim::seconds(1);
     return cfg;
 }
 

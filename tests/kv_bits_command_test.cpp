@@ -1,33 +1,9 @@
-#include <gtest/gtest.h>
-
-#include "kv/command.hpp"
+#include "engine_fixture.hpp"
 
 namespace skv::kv {
 namespace {
 
-class BitsCommandTest : public ::testing::Test {
-protected:
-    BitsCommandTest() : rng_(21), db_([this] { return now_ms_; }) {}
-
-    void expect_reply(std::vector<std::string> argv, std::string_view want) {
-        run(std::move(argv));
-        EXPECT_EQ(last_reply_, want);
-    }
-
-    ExecResult run(std::vector<std::string> argv) {
-        last_reply_.clear();
-        return CommandTable::instance().execute(db_, rng_, argv, last_reply_);
-    }
-
-    [[nodiscard]] bool errored() const {
-        return !last_reply_.empty() && last_reply_.front() == '-';
-    }
-
-    std::int64_t now_ms_ = 1000;
-    sim::Rng rng_;
-    Database db_;
-    std::string last_reply_;
-};
+class BitsCommandTest : public EngineTest<21> {};
 
 TEST_F(BitsCommandTest, SetbitGetbitRoundTrip) {
     expect_reply({"SETBIT", "b", "7", "1"}, ":0\r\n"); // old value 0

@@ -1,35 +1,11 @@
-#include <gtest/gtest.h>
-
-#include "kv/command.hpp"
+#include "engine_fixture.hpp"
 
 namespace skv::kv {
 namespace {
 
 /// Second-wave conformance: boundary and error-path behaviour that the
 /// main suite does not touch.
-class CommandEdgeTest : public ::testing::Test {
-protected:
-    CommandEdgeTest() : rng_(7), db_([this] { return now_ms_; }) {}
-
-    ExecResult run(std::vector<std::string> argv) {
-        last_reply_.clear();
-        return CommandTable::instance().execute(db_, rng_, argv, last_reply_);
-    }
-
-    void expect_reply(std::vector<std::string> argv, std::string_view want) {
-        run(std::move(argv));
-        EXPECT_EQ(last_reply_, want);
-    }
-
-    [[nodiscard]] bool errored() const {
-        return !last_reply_.empty() && last_reply_.front() == '-';
-    }
-
-    std::int64_t now_ms_ = 1000;
-    sim::Rng rng_;
-    Database db_;
-    std::string last_reply_;
-};
+class CommandEdgeTest : public EngineTest<7> {};
 
 // --- strings -------------------------------------------------------------
 

@@ -1,34 +1,9 @@
-#include <gtest/gtest.h>
-
-#include "kv/command.hpp"
+#include "engine_fixture.hpp"
 
 namespace skv::kv {
 namespace {
 
-/// Conformance fixture: executes commands against a fresh database with a
-/// controllable clock and exposes the raw RESP replies.
-class CommandTest : public ::testing::Test {
-protected:
-    CommandTest() : rng_(99), db_([this] { return now_ms_; }) {}
-
-    ExecResult run(std::vector<std::string> argv, std::string* reply = nullptr) {
-        std::string out;
-        auto res = CommandTable::instance().execute(db_, rng_, argv, out);
-        if (reply) *reply = out;
-        last_reply_ = out;
-        return res;
-    }
-
-    void expect_reply(std::vector<std::string> argv, std::string_view want) {
-        run(std::move(argv));
-        EXPECT_EQ(last_reply_, want);
-    }
-
-    std::int64_t now_ms_ = 1000;
-    sim::Rng rng_;
-    Database db_;
-    std::string last_reply_;
-};
+class CommandTest : public EngineTest<99> {};
 
 // --- dispatch ----------------------------------------------------------------
 

@@ -1,21 +1,17 @@
-#include <gtest/gtest.h>
-
 #include <set>
 
-#include "kv/command.hpp"
+#include "engine_fixture.hpp"
 
 namespace skv::kv {
 namespace {
 
-class ScanCommandTest : public ::testing::Test {
+class ScanCommandTest : public EngineTest<13> {
 protected:
-    ScanCommandTest() : rng_(13), db_([this] { return now_ms_; }) {}
-
-    resp::Value run(std::vector<std::string> argv) {
-        std::string out;
-        CommandTable::instance().execute(db_, rng_, argv, out);
+    /// Run a command and parse its reply.
+    resp::Value run(const std::vector<std::string>& argv) {
+        EngineTest::run(argv);
         resp::ReplyParser p;
-        p.feed(out);
+        p.feed(last_reply_);
         resp::Value v;
         EXPECT_EQ(p.next(&v), resp::Status::kOk);
         return v;
@@ -37,10 +33,6 @@ protected:
         } while (cursor != "0" && guard++ < 10'000);
         return seen;
     }
-
-    std::int64_t now_ms_ = 1000;
-    sim::Rng rng_;
-    Database db_;
 };
 
 TEST_F(ScanCommandTest, ScanEmptyKeyspace) {

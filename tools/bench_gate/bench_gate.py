@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""bench_gate: perf-trajectory recorder and regression gate.
+"""bench_gate: perf-trajectory recorder and exact regression gate.
 
 Reads one of two kinds of output and maintains a trajectory database — a
 checked-in JSON file holding the recorded runs, newest last:
 
 - a bench binary's schema-v1 ``JSON: {...}`` line (see EXPERIMENTS.md,
-  "Bench JSON schema"), kept in e.g. BENCH_ycsb.json:
+  "Bench JSON schema"), a run keyed by its figure. BENCH_figures.json
+  holds every simulated figure, BENCH_ycsb.json the YCSB sweep:
 
-    {"schema_version": 1, "figure": "ycsb",
-     "runs": [{"recorded_at_commit": "<sha>", "profile": "full",
+    {"schema_version": 1, "figure": "figures",
+     "runs": [{"recorded_at_commit": "<sha>", "figure": "fig11_skv_set",
                "series": [...]}, ...]}
 
 - perfbench/run.py output, recognised by its ``fingerprint:`` line: that
@@ -21,28 +22,22 @@ checked-in JSON file holding the recorded runs, newest last:
                "fingerprint": {"digest": "...", ...},
                "metrics": {"ops_per_ref_s": {"value": ..., "unit": ...}}}]}
 
+A database holds one kind of run: its own "figure" names the trajectory,
+and only the one named "perfbench" takes perfbench runs.
+
 Commands:
 
-  record   Append the output as a new run (of its profile, or of its
-           workload and seed). The working-tree commit is stamped for
-           provenance.
-  check    Diff the output against the *latest recorded run of the same
-           profile* (bench JSON) or *the same workload and seed*
-           (perfbench). Exits 1 on a regression, printing what moved.
+  record   Append the output as a new run. The working-tree commit is
+           stamped for provenance.
+  check    Compare the output with the newest recorded run of the same
+           key. Exits 1, printing each differing field, unless the output
+           equals that run field for field; a missing baseline fails too.
 
-Bench JSON gates (per series):
-  achieved_kops     lower is a regression
-  p99_us / p999_us  of the "all" point: higher is a regression
-  failed+timed_out  any increase is a regression (no tolerance)
-
-Series present only on one side are reported but do not fail the gate
-(sweep membership is allowed to evolve); use --require-same-series to make
-that fatal too.
-
-perfbench gate: every fingerprint field (trace digest, modeled latency and
-throughput, event/message/byte counts, failures) must equal the recorded
-one exactly, since the modeled run is a pure function of the seed. The
-wall-clock metrics are recorded with commit and machine but not gated.
+One rule for both kinds: the modeled run is a pure function of its seed, so
+the compared part — a bench output's series, a perfbench fingerprint (trace
+digest, modeled latency and throughput, event/message/byte counts,
+failures) — must not move at all, faster or slower. perfbench's wall-clock
+metrics are recorded with commit and machine but not compared.
 """
 
 import argparse
@@ -53,15 +48,13 @@ import subprocess
 import sys
 
 FINGERPRINT = "fingerprint: "
+ABSENT = object()
+MAX_PRINTED = 20
 
 
 def read_text(path):
     """A captured output file ('-' = stdin)."""
     return sys.stdin.read() if path == "-" else open(path).read()
-
-
-def is_perfbench(text):
-    return any(line.startswith(FINGERPRINT) for line in text.splitlines())
 
 
 def read_perfbench(text, path):
@@ -92,8 +85,8 @@ def read_perfbench(text, path):
     }
 
 
-def read_bench_doc(text, path):
-    """The last `JSON: {...}` line of a bench output."""
+def read_bench(text, path):
+    """The last `JSON: {...}` line of a bench output as a run record."""
     doc_line = None
     for line in text.splitlines():
         if line.startswith("JSON: "):
@@ -104,24 +97,43 @@ def read_bench_doc(text, path):
     if doc.get("schema_version") != 1:
         raise SystemExit("bench_gate: unsupported schema_version %r"
                          % doc.get("schema_version"))
-    return doc
+    return {"figure": doc["figure"], "series": doc["series"]}
 
 
-def load_db(path):
+def read_run(path):
+    text = read_text(path)
+    if any(line.startswith(FINGERPRINT) for line in text.splitlines()):
+        return read_perfbench(text, path)
+    return read_bench(text, path)
+
+
+def is_perfbench(run):
+    return "fingerprint" in run
+
+
+def key_of(run):
+    """What a run is compared by: workload and seed, or figure."""
+    if is_perfbench(run):
+        return "%s seed %d" % (run["workload"], run["seed"])
+    return "figure %s" % run["figure"]
+
+
+def compared_field(run):
+    """The field of a run that must not move."""
+    return "fingerprint" if is_perfbench(run) else "series"
+
+
+def load_db(path, run):
+    """The trajectory db at `path` (new if absent); it must hold `run`'s kind."""
     try:
         with open(path) as f:
-            return json.load(f)
+            db = json.load(f)
     except FileNotFoundError:
-        return None
-
-
-def profile_of(doc):
-    """The run's profile, taken from its series scalars (must agree)."""
-    profiles = {s.get("profile", "default") for s in doc.get("series", [])}
-    if len(profiles) != 1:
-        raise SystemExit("bench_gate: bench output mixes profiles %s"
-                         % sorted(profiles))
-    return profiles.pop()
+        name = "perfbench" if is_perfbench(run) else "figures"
+        return {"schema_version": 1, "figure": name, "runs": []}
+    if (db.get("figure") == "perfbench") != is_perfbench(run):
+        raise SystemExit("bench_gate: %s holds the other kind of run" % path)
+    return db
 
 
 def head_commit():
@@ -133,195 +145,81 @@ def head_commit():
         return "unknown"
 
 
-def open_db(path, figure):
-    """The trajectory db at `path` (new if absent); it must hold `figure`."""
-    db = load_db(path)
-    if db is None:
-        db = {"schema_version": 1, "figure": figure, "runs": []}
-    if db.get("figure") != figure:
-        raise SystemExit("bench_gate: db is for figure %r, output is %r"
-                         % (db.get("figure"), figure))
-    return db
-
-
-def append_run(path, db, run):
-    db["runs"].append(run)
-    with open(path, "w") as f:
+def cmd_record(args):
+    run = read_run(args.bench_output)
+    db = load_db(args.db, run)
+    provenance = {"recorded_at_commit": args.commit or head_commit()}
+    if is_perfbench(run):
+        provenance["machine"] = "%s, %d cpus" % (platform.machine(),
+                                                 os.cpu_count() or 0)
+    db["runs"].append({**provenance, **run})
+    with open(args.db, "w") as f:
         json.dump(db, f, indent=1)
         f.write("\n")
-
-
-def cmd_record(args):
-    text = read_text(args.bench_output)
-    commit = args.commit or head_commit()
-    if is_perfbench(text):
-        run = read_perfbench(text, args.bench_output)
-        db = open_db(args.db, "perfbench")
-        run = {"recorded_at_commit": commit,
-               "machine": "%s, %d cpus" % (platform.machine(), os.cpu_count() or 0),
-               **run}
-        append_run(args.db, db, run)
-        print("bench_gate: recorded run #%d (%s seed %d, %d reps) into %s"
-              % (len(db["runs"]), run["workload"], run["seed"], run["reps"],
-                 args.db))
-        return 0
-    doc = read_bench_doc(text, args.bench_output)
-    db = open_db(args.db, doc["figure"])
-    run = {
-        "recorded_at_commit": commit,
-        "profile": profile_of(doc),
-        "series": doc["series"],
-    }
-    append_run(args.db, db, run)
-    print("bench_gate: recorded run #%d (profile '%s', %d series) into %s"
-          % (len(db["runs"]), run["profile"], len(run["series"]), args.db))
+    print("bench_gate: recorded run #%d (%s) into %s"
+          % (len(db["runs"]), key_of(run), args.db))
     return 0
 
 
-def all_point(series):
-    for p in series.get("points", []):
-        if p.get("op", "all") == "all":
-            return p
-    return {}
+def diffs(base, cur, path):
+    """(path, base, cur) for every field where `cur` differs from `base`."""
+    if isinstance(base, dict) and isinstance(cur, dict):
+        for k in sorted(set(base) | set(cur)):
+            yield from diffs(base.get(k, ABSENT), cur.get(k, ABSENT),
+                             "%s.%s" % (path, k))
+    elif isinstance(base, list) and isinstance(cur, list):
+        for i in range(max(len(base), len(cur))):
+            yield from diffs(base[i] if i < len(base) else ABSENT,
+                             cur[i] if i < len(cur) else ABSENT,
+                             "%s[%d]" % (path, i))
+    elif type(base) is not type(cur) or base != cur:
+        yield path, base, cur
 
 
-def check_series(base, cur, tol, failures):
-    """Append '(series, metric, base, cur, delta%)' rows for regressions."""
-    name = cur["name"]
-
-    def rel(b, c):
-        return (c - b) / b if b else 0.0
-
-    b_kops, c_kops = base.get("achieved_kops"), cur.get("achieved_kops")
-    if b_kops and c_kops is not None and rel(b_kops, c_kops) < -tol:
-        failures.append((name, "achieved_kops", b_kops, c_kops,
-                         100.0 * rel(b_kops, c_kops)))
-
-    bp, cp = all_point(base), all_point(cur)
-    for metric in ("p99_us", "p999_us"):
-        b, c = bp.get(metric), cp.get(metric)
-        if b and c is not None and rel(b, c) > tol:
-            failures.append((name, metric, b, c, 100.0 * rel(b, c)))
-
-    b_err = base.get("failed", 0) + base.get("timed_out", 0)
-    c_err = cur.get("failed", 0) + cur.get("timed_out", 0)
-    if c_err > b_err:
-        failures.append((name, "errors", b_err, c_err, float("inf")))
-
-
-def newest_run(db, figure, matches):
-    """The newest run of `db` (if it holds `figure`) that `matches`."""
-    baseline = None
-    if db is not None and db.get("figure") == figure:
-        for run in db.get("runs", []):
-            if matches(run):
-                baseline = run
-    return baseline
-
-
-def no_baseline(args, msg):
-    if args.require_baseline:
-        raise SystemExit(msg)
-    print(msg + " — nothing to gate against, passing")
-    return 0
-
-
-def check_perfbench(args, cur):
-    name = "%s seed %d" % (cur["workload"], cur["seed"])
-    baseline = newest_run(
-        load_db(args.db), "perfbench",
-        lambda r: r.get("workload") == cur["workload"] and r.get("seed") == cur["seed"])
-    if baseline is None:
-        return no_baseline(args, "bench_gate: no recorded baseline for %s" % name)
-    base_fp, cur_fp = baseline["fingerprint"], cur["fingerprint"]
-    diffs = [(k, base_fp.get(k), cur_fp.get(k))
-             for k in sorted(set(base_fp) | set(cur_fp))
-             if base_fp.get(k) != cur_fp.get(k)]
-    commit = baseline.get("recorded_at_commit", "?")
-    if diffs:
-        print("bench_gate: FAIL — %s fingerprint differs from the run @ %s "
-              "in %d field(s):" % (name, commit, len(diffs)))
-        for key, b, c in diffs:
-            print("  %-16s %s -> %s" % (key, b, c))
-        return 1
-    print("bench_gate: OK — %s fingerprint identical (%d fields) to the run @ %s"
-          % (name, len(cur_fp), commit))
-    return 0
+def show(value):
+    text = "(absent)" if value is ABSENT else json.dumps(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def cmd_check(args):
-    text = read_text(args.bench_output)
-    if is_perfbench(text):
-        return check_perfbench(args, read_perfbench(text, args.bench_output))
-    doc = read_bench_doc(text, args.bench_output)
-    profile = profile_of(doc)
-    baseline = newest_run(load_db(args.db), doc["figure"],
-                          lambda r: r.get("profile") == profile)
+    run = read_run(args.bench_output)
+    key = key_of(run)
+    baseline = None
+    for r in load_db(args.db, run)["runs"]:
+        if key_of(r) == key:
+            baseline = r
     if baseline is None:
-        return no_baseline(args, "bench_gate: no recorded baseline for figure "
-                           "%r profile %r" % (doc["figure"], profile))
-
-    base_by_name = {s["name"]: s for s in baseline["series"]}
-    cur_by_name = {s["name"]: s for s in doc["series"]}
-    failures = []
-    matched = 0
-    for name, cur in cur_by_name.items():
-        base = base_by_name.get(name)
-        if base is None:
-            print("bench_gate: series %r has no baseline (new?)" % name)
-            if args.require_same_series:
-                failures.append((name, "missing-baseline", 0, 0, 0.0))
-            continue
-        matched += 1
-        check_series(base, cur, args.tolerance, failures)
-    for name in base_by_name:
-        if name not in cur_by_name:
-            print("bench_gate: baseline series %r absent from output" % name)
-            if args.require_same_series:
-                failures.append((name, "missing-series", 0, 0, 0.0))
-
-    if failures:
-        print("bench_gate: FAIL — %d regression(s) vs baseline @ %s "
-              "(tolerance %.0f%%):"
-              % (len(failures), baseline.get("recorded_at_commit", "?"),
-                 100.0 * args.tolerance))
-        for name, metric, b, c, pct in failures:
-            print("  %-32s %-14s %10.3f -> %10.3f  (%+.1f%%)"
-                  % (name, metric, float(b), float(c), pct))
+        raise SystemExit("bench_gate: FAIL — no recorded run of %s in %s"
+                         % (key, args.db))
+    commit = baseline.get("recorded_at_commit", "?")
+    field = compared_field(run)
+    moved = list(diffs(baseline[field], run[field], field))
+    if moved:
+        print("bench_gate: FAIL — %s differs from the run @ %s in %d field(s):"
+              % (key, commit, len(moved)))
+        for path, b, c in moved[:MAX_PRINTED]:
+            print("  %s: %s -> %s" % (path, show(b), show(c)))
+        if len(moved) > MAX_PRINTED:
+            print("  ... and %d more" % (len(moved) - MAX_PRINTED))
         return 1
-    print("bench_gate: OK — %d series within %.0f%% of baseline @ %s"
-          % (matched, 100.0 * args.tolerance,
-             baseline.get("recorded_at_commit", "?")))
+    print("bench_gate: OK — %s identical to the run @ %s" % (key, commit))
     return 0
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="bench_gate")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
     rec = sub.add_parser("record", help="append a run to the trajectory db")
-    rec.add_argument("--bench-output", required=True,
-                     help="bench binary or perfbench/run.py stdout "
-                          "capture ('-' = stdin)")
-    rec.add_argument("--db", required=True, help="trajectory JSON file")
+    rec.set_defaults(func=cmd_record)
+    chk = sub.add_parser("check", help="compare a run with its baseline")
+    chk.set_defaults(func=cmd_check)
+    for p in (rec, chk):
+        p.add_argument("--bench-output", required=True,
+                       help="bench binary or perfbench/run.py stdout "
+                            "capture ('-' = stdin)")
+        p.add_argument("--db", required=True, help="trajectory JSON file")
     rec.add_argument("--commit", default=None,
                      help="override the recorded commit id")
-    rec.set_defaults(func=cmd_record)
-
-    chk = sub.add_parser("check", help="gate a run against the baseline")
-    chk.add_argument("--bench-output", required=True,
-                     help="bench binary or perfbench/run.py stdout "
-                          "capture ('-' = stdin)")
-    chk.add_argument("--db", required=True, help="trajectory JSON file")
-    chk.add_argument("--tolerance", type=float, default=0.10,
-                     help="allowed relative slack per gated bench JSON "
-                          "metric (default 0.10 = 10%%)")
-    chk.add_argument("--require-baseline", action="store_true",
-                     help="fail when the db has no run for this profile "
-                          "(or workload and seed)")
-    chk.add_argument("--require-same-series", action="store_true",
-                     help="fail on series present only on one side")
-    chk.set_defaults(func=cmd_check)
 
     args = ap.parse_args(argv)
     return args.func(args)

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Self-test for bench_gate: record/check round-trip, regression detection,
-tolerance behavior, profile isolation, and the perfbench fingerprint gate.
-Run by ctest as bench_gate_selftest."""
+"""Self-test for bench_gate: record/check round-trip and the one exact rule
+(an output equals the newest recorded run of its key, field for field, and a
+missing baseline fails) for bench JSON keyed by figure and for perfbench
+fingerprints keyed by workload and seed. Run by ctest as bench_gate_selftest."""
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -23,19 +26,19 @@ def check(name, cond):
         FAILED = 1
 
 
-def bench_output(profile, kops, p99, failed=0, name="ycsb-A/zipfian/fanout"):
+def bench_output(kops, p99, failed=0, names=("ycsb-A/zipfian/fanout",),
+                 points=1, figure="ycsb"):
     doc = {
         "schema_version": 1,
-        "figure": "ycsb",
+        "figure": figure,
         "series": [{
             "name": name,
-            "profile": profile,
             "achieved_kops": kops,
             "failed": failed,
             "timed_out": 0,
             "points": [{"op": "all", "kops": kops, "p99_us": p99,
-                        "p999_us": p99 * 1.5}],
-        }],
+                        "p999_us": p99 * 1.5}] * points,
+        } for name in names],
     }
     return "noise line\nJSON: %s\n" % json.dumps(doc)
 
@@ -68,6 +71,10 @@ def run(argv):
         return e.code if isinstance(e.code, int) else 1
 
 
+def passes(out, db):
+    return run(["check", "--bench-output", out, "--db", db]) == 0
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="bench_gate_selftest.")
     db = os.path.join(tmp, "BENCH_test.json")
@@ -75,71 +82,63 @@ def main():
 
     print("bench_gate selftest:")
 
-    # No baseline: check passes unless --require-baseline.
-    write(out, bench_output("smoke", 20.0, 15.0))
-    check("no-baseline passes",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
-    check("no-baseline fails with --require-baseline",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-baseline"]) != 0)
+    write(out, bench_output(20.0, 15.0))
+    check("a missing baseline fails", not passes(out, db))
 
-    # Record, then an identical run gates green.
+    # Record, then an identical output passes.
     check("record succeeds",
           run(["record", "--bench-output", out, "--db", db,
                "--commit", "c0ffee"]) == 0)
-    check("identical run passes",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-baseline"]) == 0)
+    with open(db) as f:
+        recorded = json.load(f)
+    check("the run is keyed by its figure",
+          recorded["runs"][0]["figure"] == "ycsb")
+    check("identical output passes", passes(out, db))
 
-    # Within tolerance: 5% slower throughput passes at 10%.
-    write(out, bench_output("smoke", 19.0, 15.0))
-    check("5% kops drop within 10% tolerance",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
+    # Any changed value fails, in either direction.
+    write(out, bench_output(19.0, 15.0))
+    check("a 5% kops drop fails", not passes(out, db))
+    write(out, bench_output(20.0, 18.0))
+    check("p99 growth fails", not passes(out, db))
+    write(out, bench_output(22.0, 12.0))
+    check("an improvement fails", not passes(out, db))
+    write(out, bench_output(20.0, 15.0, failed=3))
+    check("new errors fail", not passes(out, db))
+    write(out, bench_output(20, 15.0))
+    check("an int where a float was recorded fails", not passes(out, db))
+    write(out, bench_output(20.0, 18.0))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        run(["check", "--bench-output", out, "--db", db])
+    check("a failure prints the field that moved",
+          "series[0].points[0].p99_us: 15.0 -> 18.0" in printed.getvalue())
 
-    # Beyond tolerance: 20% slower throughput fails.
-    write(out, bench_output("smoke", 16.0, 15.0))
-    check("20% kops drop fails",
-          run(["check", "--bench-output", out, "--db", db]) == 1)
+    # Series and points must match one for one.
+    write(out, bench_output(20.0, 15.0, names=("ycsb-A/zipfian/fanout",
+                                               "ycsb-Z/zipfian/fanout")))
+    check("an added series fails", not passes(out, db))
+    write(out, bench_output(20.0, 15.0, names=()))
+    check("a missing series fails", not passes(out, db))
+    write(out, bench_output(20.0, 15.0, points=2))
+    check("an added point fails", not passes(out, db))
+    write(out, bench_output(20.0, 15.0, points=0))
+    check("a missing point fails", not passes(out, db))
 
-    # p99 regression fails; improvement passes.
-    write(out, bench_output("smoke", 20.0, 18.0))
-    check("20% p99 growth fails",
-          run(["check", "--bench-output", out, "--db", db]) == 1)
-    write(out, bench_output("smoke", 22.0, 12.0))
-    check("improvement passes",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
+    # Runs are keyed by figure: another figure has its own baseline.
+    write(out, bench_output(20.0, 15.0, figure="fig11_skv_set"))
+    check("another figure has no baseline", not passes(out, db))
+    run(["record", "--bench-output", out, "--db", db, "--commit", "c0ffee"])
+    check("a second figure gates on its own run", passes(out, db))
 
-    # Any new errors fail, tolerance or not.
-    write(out, bench_output("smoke", 20.0, 15.0, failed=3))
-    check("new errors fail",
-          run(["check", "--bench-output", out, "--db", db]) == 1)
-
-    # Profile isolation: a 'full' run has no 'smoke' baseline.
-    write(out, bench_output("full", 40.0, 15.0))
-    check("other profile has no baseline",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-baseline"]) != 0)
-
-    # Recording appends: the newest run of the profile is the baseline.
-    write(out, bench_output("smoke", 30.0, 10.0))
+    # Recording appends: the newest run of the figure is the baseline.
+    write(out, bench_output(30.0, 10.0))
     run(["record", "--bench-output", out, "--db", db, "--commit", "c0ffef"])
     with open(db) as f:
         trajectory = json.load(f)
-    check("trajectory keeps both runs", len(trajectory["runs"]) == 2)
-    write(out, bench_output("smoke", 29.0, 10.5))
-    check("gates against newest run",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
-    write(out, bench_output("smoke", 20.0, 15.0))
-    check("old-baseline numbers now fail",
-          run(["check", "--bench-output", out, "--db", db]) == 1)
-
-    # Unknown series is reported but passes by default, fails when strict.
-    write(out, bench_output("smoke", 30.0, 10.0, name="ycsb-Z/zipfian/fanout"))
-    check("new series passes by default",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
-    check("new series fails with --require-same-series",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-same-series"]) == 1)
+    check("trajectory keeps every run", len(trajectory["runs"]) == 3)
+    check("gates against the newest run", passes(out, db))
+    write(out, bench_output(20.0, 15.0))
+    check("the older run's numbers now fail", not passes(out, db))
 
     perfbench_checks(tmp)
 
@@ -156,11 +155,7 @@ def perfbench_checks(tmp):
     ycsb_db = os.path.join(tmp, "BENCH_test.json")  # a bench-JSON db
 
     write(out, perfbench_output())
-    check("perfbench: no-baseline passes",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
-    check("perfbench: no-baseline fails with --require-baseline",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-baseline"]) != 0)
+    check("perfbench: a missing baseline fails", not passes(out, db))
     check("perfbench: record succeeds",
           run(["record", "--bench-output", out, "--db", db,
                "--commit", "p0"]) == 0)
@@ -176,8 +171,7 @@ def perfbench_checks(tmp):
           and rec["metrics"]["ops_per_ref_s"]["value"] == 35000.0)
 
     check("perfbench: identical fingerprint passes",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-baseline"]) == 0)
+          run(["check", "--bench-output", out, "--db", db]) == 0)
     write(out, perfbench_output(ops_per_ref_s=9000.0, reps=30))
     check("perfbench: wall metrics are not gated",
           run(["check", "--bench-output", out, "--db", db]) == 0)
@@ -194,12 +188,10 @@ def perfbench_checks(tmp):
     # Baselines are per workload and seed.
     write(out, perfbench_output(seed=7, digest="0000000000000000"))
     check("perfbench: other seed has no baseline",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-baseline"]) != 0)
+          run(["check", "--bench-output", out, "--db", db]) != 0)
     write(out, perfbench_output(workload="chaos-sweep"))
     check("perfbench: other workload has no baseline",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-baseline"]) != 0)
+          run(["check", "--bench-output", out, "--db", db]) != 0)
 
     # The newest run of a workload and seed is the baseline.
     write(out, perfbench_output(digest="1111111111111111"))
