@@ -30,10 +30,8 @@ int main() {
     };
     std::vector<Point> points;
     for (const double slow : {1.0, 2.5, 5.0, 10.0, 20.0}) {
-        offload::ClusterConfig cfg;
+        offload::ClusterConfig cfg = offload::config_of(System::kSkv);
         cfg.n_slaves = 3;
-        cfg.transport = server::Transport::kRdma;
-        cfg.offload = true;
         cfg.nic_params.core_slowdown = slow;
         auto cluster = std::make_unique<offload::Cluster>(cfg);
         cluster->start();

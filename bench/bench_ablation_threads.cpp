@@ -38,10 +38,8 @@ struct Point {
 /// is reused instead of driven again.
 Point run_with_threads(int threads, std::size_t value_bytes, int n_slaves,
                        const std::vector<Point>& earlier) {
-    offload::ClusterConfig cfg;
+    offload::ClusterConfig cfg = offload::config_of(System::kSkv);
     cfg.n_slaves = n_slaves;
-    cfg.transport = server::Transport::kRdma;
-    cfg.offload = true;
     cfg.nic_cfg.thread_num = threads;
     auto cluster = std::make_unique<offload::Cluster>(cfg);
     cluster->start();

@@ -15,37 +15,14 @@
 
 namespace skv::bench {
 
-enum class System { kTcpRedis, kRdmaRedis, kSkv };
-
-inline const char* name_of(System s) {
-    switch (s) {
-        case System::kTcpRedis: return "Redis";
-        case System::kRdmaRedis: return "RDMA-Redis";
-        case System::kSkv: return "SKV";
-    }
-    return "?";
-}
+using offload::System;
 
 /// Build a started cluster of the given system with `n_slaves` replicas.
 inline std::unique_ptr<offload::Cluster> make_cluster(System sys, int n_slaves,
                                                       std::uint64_t seed = 42) {
-    offload::ClusterConfig cfg;
+    offload::ClusterConfig cfg = offload::config_of(sys);
     cfg.seed = seed;
     cfg.n_slaves = n_slaves;
-    switch (sys) {
-        case System::kTcpRedis:
-            cfg.transport = server::Transport::kTcp;
-            cfg.offload = false;
-            break;
-        case System::kRdmaRedis:
-            cfg.transport = server::Transport::kRdma;
-            cfg.offload = false;
-            break;
-        case System::kSkv:
-            cfg.transport = server::Transport::kRdma;
-            cfg.offload = true;
-            break;
-    }
     auto cluster = std::make_unique<offload::Cluster>(cfg);
     cluster->start();
     return cluster;

@@ -58,7 +58,7 @@ SweepRun run_one(Workload w, server::ReplicationMode mode, std::uint64_t seed) {
     SweepRun out;
     out.workload = w;
     out.mode = server::to_string(mode);
-    switch (opts.ycsb.request_dist) {
+    switch (workload::ycsb::standard_dist(w)) {
     case workload::KeyDist::kUniform: out.dist = "uniform"; break;
     case workload::KeyDist::kZipfian: out.dist = "zipfian"; break;
     case workload::KeyDist::kLatest: out.dist = "latest"; break;
@@ -79,8 +79,6 @@ void print_json(const std::vector<SweepRun>& runs, std::uint64_t seed) {
         w.kv("workload", workload::ycsb::to_string(r.workload))
             .kv("dist", r.dist)
             .kv("protocol", r.mode)
-            // The recorded runs name the sweep's profile; there is one.
-            .kv("profile", "full")
             .kv("seed", seed)
             .kv("offered_kops", r.res.offered_kops)
             .kv("achieved_kops", r.res.achieved_kops)
@@ -162,7 +160,7 @@ int main(int argc, char** argv) {
         }
     }
 
-    print_header("YCSB open-loop sweep (full)", {"series", "result"});
+    print_header("YCSB open-loop sweep", {"series", "result"});
     std::vector<SweepRun> runs;
     for (const char wc : workloads) {
         Workload w;

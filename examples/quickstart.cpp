@@ -12,10 +12,9 @@
 using namespace skv;
 
 int main() {
-    offload::ClusterConfig cfg;
+    // SKV mode: replication runs on the SmartNIC.
+    offload::ClusterConfig cfg = offload::config_of(offload::System::kSkv);
     cfg.n_slaves = 3;
-    cfg.offload = true; // SKV mode: replication runs on the SmartNIC
-    cfg.transport = server::Transport::kRdma;
 
     offload::Cluster cluster(cfg);
     cluster.start();

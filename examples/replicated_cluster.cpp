@@ -17,17 +17,9 @@ using namespace skv;
 
 namespace {
 
-struct SystemSpec {
-    const char* name;
-    server::Transport transport;
-    bool offload;
-};
-
-void run_system(const SystemSpec& spec, int clients, int seconds) {
-    offload::ClusterConfig cfg;
+void run_system(offload::System sys, int clients, int seconds) {
+    offload::ClusterConfig cfg = offload::config_of(sys);
     cfg.n_slaves = 3;
-    cfg.transport = spec.transport;
-    cfg.offload = spec.offload;
     offload::Cluster cluster(cfg);
     cluster.start();
 
@@ -39,9 +31,9 @@ void run_system(const SystemSpec& spec, int clients, int seconds) {
     const auto r = workload::run_workload(cluster, opts);
 
     std::printf("%-11s %10.1f %9.1f %9.1f %7.0f%%",
-                spec.name, r.throughput_kops, r.mean_us, r.p99_us,
+                offload::name_of(sys), r.throughput_kops, r.mean_us, r.p99_us,
                 r.master_cpu_util * 100.0);
-    if (spec.offload) {
+    if (cfg.offload) {
         std::printf("   (master posted %llu WRs for replication; Nic-KV fanned "
                     "out %llu)",
                     static_cast<unsigned long long>(
@@ -74,9 +66,10 @@ int main(int argc, char** argv) {
     std::printf("%-11s %10s %9s %9s %8s\n", "system", "kops/s", "avg us",
                 "p99 us", "cpu");
 
-    run_system({"Redis", server::Transport::kTcp, false}, clients, seconds);
-    run_system({"RDMA-Redis", server::Transport::kRdma, false}, clients, seconds);
-    run_system({"SKV", server::Transport::kRdma, true}, clients, seconds);
+    using offload::System;
+    for (const auto sys : {System::kTcpRedis, System::kRdmaRedis, System::kSkv}) {
+        run_system(sys, clients, seconds);
+    }
 
     std::printf("\nSKV's gain comes from the master posting one work request "
                 "per write\ninstead of one per slave; the SmartNIC's ARM "

@@ -3,14 +3,18 @@
 
 namespace skv::nic {
 
+namespace {
+/// ARM A72 cores available to offloaded services: BlueField-2 has 8.
+constexpr int kArmCores = 8;
+} // namespace
+
 SmartNic::SmartNic(sim::Simulation& sim, net::Fabric& fabric,
                    net::EndpointId host, const std::string& name,
                    SmartNicParams params)
     : host_(host), params_(params) {
-    SKV_CHECK(params_.arm_cores > 0);
     endpoint_ = fabric.add_companion(host, name);
-    cores_.reserve(static_cast<std::size_t>(params_.arm_cores));
-    for (int i = 0; i < params_.arm_cores; ++i) {
+    cores_.reserve(kArmCores);
+    for (int i = 0; i < kArmCores; ++i) {
         cores_.push_back(std::make_unique<cpu::Core>(
             sim, name + "/arm" + std::to_string(i), params_.core_slowdown));
     }

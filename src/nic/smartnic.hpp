@@ -14,8 +14,6 @@ namespace skv::nic {
 
 /// Physical parameters of the simulated BlueField-2 class device.
 struct SmartNicParams {
-    /// ARM A72 cores available to offloaded services.
-    int arm_cores = 8;
     /// Slowdown of one ARM core relative to the host Xeon (cost scaling;
     /// paper §II-C / [22]: "much weaker").
     double core_slowdown = 2.5;

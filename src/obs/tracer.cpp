@@ -2,21 +2,6 @@
 
 namespace skv::obs {
 
-namespace {
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xffU;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-} // namespace
-
 const char* stage_name(Stage s) {
     switch (s) {
     case Stage::kClientE2e: return "client_e2e";
@@ -46,10 +31,11 @@ std::uint32_t Tracer::track(const std::string& name) {
 }
 
 std::uint64_t Tracer::span_id(std::uint32_t track, Stage stage) {
-    std::uint64_t h = fnv_mix(kFnvBasis, sim_.seed());
-    h = fnv_mix(h, track);
-    h = fnv_mix(h, static_cast<std::uint64_t>(stage));
-    h = fnv_mix(h, seq_++);
+    std::uint64_t h = sim::kFnvBasis;
+    sim::fnv_mix(h, sim_.seed());
+    sim::fnv_mix(h, track);
+    sim::fnv_mix(h, static_cast<std::uint64_t>(stage));
+    sim::fnv_mix(h, seq_++);
     return h;
 }
 

@@ -10,7 +10,7 @@ void ConnectionManager::connect(net::NodeRef from, net::EndpointId to,
 
     // Client allocates its resources up front: CQs, completion channel and
     // the receive-ring MR whose information travels in the handshake.
-    auto client_ch = std::make_shared<RingChannel>(net_, from, to, params_);
+    auto client_ch = std::make_shared<RingChannel>(net_, from, to);
     client_ch->init_local();
     from.core->consume(net_.costs().event_dispatch);
 
@@ -34,8 +34,8 @@ void ConnectionManager::connect(net::NodeRef from, net::EndpointId to,
         const Listener listener = *bound;
 
         // Server allocates its side, then REPs with its MR info.
-        auto server_ch = std::make_shared<RingChannel>(net_, listener.node,
-                                                       from.ep, params_);
+        auto server_ch =
+            std::make_shared<RingChannel>(net_, listener.node, from.ep);
         server_ch->init_local();
         listener.node.core->consume(net_.costs().event_dispatch);
 

@@ -12,11 +12,11 @@ namespace skv::rdma {
 /// REQ/REP/RTU handshake that also performs the paper's MR-information
 /// exchange ("the client and the server exchange their Memory Region
 /// information using SEND/RECV primitives"), after which both sides hold a
-/// connected RingChannel built with this manager's RingParams.
+/// connected RingChannel.
 class ConnectionManager final : public net::Transport {
 public:
-    explicit ConnectionManager(RdmaNetwork& net, RingParams params = {})
-        : Transport(net.fabric()), net_(net), params_(params) {}
+    explicit ConnectionManager(RdmaNetwork& net)
+        : Transport(net.fabric()), net_(net) {}
 
     /// Initiate a connection. `on_connected` receives the client-side
     /// channel, or nullptr if the peer rejected (nobody listening).
@@ -29,7 +29,6 @@ private:
     static constexpr std::size_t kCtrlBytes = 96;
 
     RdmaNetwork& net_;
-    RingParams params_;
     // Deterministic flow-id source: handshakes complete in sim-event order,
     // so both ends of pair N get id N (see net::Channel::flow_id).
     std::uint64_t next_flow_ = 0;

@@ -3,27 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/wire.hpp"
 #include "sim/check.hpp"
 
 namespace skv::rdma {
 
 RingChannel::RingChannel(RdmaNetwork& net, net::NodeRef self,
-                         net::EndpointId peer, RingParams params)
-    : net_(net), self_(self), peer_(peer), params_(params),
-      rng_(net.simulation().fork_rng()) {
-    SKV_CHECK(params_.ring_bytes > 0);
-    SKV_CHECK(params_.credit_threshold > 0);
-    // A credit threshold above half the ring can deadlock: the sender's
-    // window empties before the receiver ever announces consumption.
-    params_.credit_threshold =
-        std::min(params_.credit_threshold, params_.ring_bytes / 2);
-}
+                         net::EndpointId peer)
+    : net_(net), self_(self), peer_(peer), rng_(net.simulation().fork_rng()) {}
 
 void RingChannel::init_local() {
     channel_ = std::make_shared<CompletionChannel>(net_.simulation());
     send_cq_ = std::make_shared<CompletionQueue>(channel_);
     recv_cq_ = std::make_shared<CompletionQueue>(channel_);
-    recv_mr_ = net_.register_mr(self_, params_.ring_bytes);
+    recv_mr_ = net_.register_mr(self_, kRingBytes);
     auto weak = weak_from_this();
     channel_->set_on_event([weak]() {
         if (auto self = weak.lock()) self->on_cq_event();
@@ -57,30 +50,13 @@ void RingChannel::replenish_recvs() {
     }
 }
 
-std::string RingChannel::encode_credit(std::uint64_t bytes) {
-    std::string s(8, '\0');
-    for (int i = 0; i < 8; ++i) s[static_cast<std::size_t>(i)] = static_cast<char>(bytes >> (i * 8));
-    return s;
-}
-
-std::uint64_t RingChannel::decode_credit(std::string_view payload) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8 && static_cast<std::size_t>(i) < payload.size(); ++i) {
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                 payload[static_cast<std::size_t>(i)]))
-             << (i * 8);
-    }
-    return v;
-}
-
 void RingChannel::send(std::string_view payload) {
     if (!open_) return;
     // Fragment large messages so a frame always fits the ring with room
     // for flow control to make progress.
-    const std::size_t limit = max_fragment();
     std::size_t off = 0;
     do {
-        const std::size_t n = std::min(limit, payload.size() - off);
+        const std::size_t n = std::min(kMaxFragment, payload.size() - off);
         const bool final = off + n == payload.size();
         std::string frame;
         frame.reserve(n + 1);
@@ -169,8 +145,7 @@ void RingChannel::on_cq_event() {
             // If one batch drained (almost) the sender's whole window, the
             // ring had filled: per the paper's protocol the receive MR is
             // re-registered before its information is announced again.
-            if (self->batch_data_bytes_ + self->params_.credit_threshold >=
-                self->params_.ring_bytes) {
+            if (self->batch_data_bytes_ + kCreditThreshold >= kRingBytes) {
                 self->self_.core->consume(self->net_.costs().mr_register);
                 ++self->reregs_;
             }
@@ -194,10 +169,11 @@ void RingChannel::handle_completion(const Completion& c) {
     if (c.has_imm) {
         handle_data(c);
     } else {
-        // Credit-return SEND carrying the peer's cumulative consumed total.
-        // Duplicates and reordered stale credits carry a lower total and are
-        // ignored; a lost credit is recovered by the next one.
-        const std::uint64_t total = decode_credit(c.inline_payload);
+        // Credit-return SEND carrying the peer's cumulative consumed total
+        // (8 bytes, little-endian; a short frame's missing high bytes read
+        // as zero). Duplicates and reordered stale credits carry a lower
+        // total and are ignored; a lost credit is recovered by the next one.
+        const std::uint64_t total = net::get_le(c.inline_payload, 0);
         if (total > credited_total_ && total <= sent_total_) {
             credited_total_ = total;
             const std::uint64_t outstanding = sent_total_ - credited_total_;
@@ -210,7 +186,7 @@ void RingChannel::handle_completion(const Completion& c) {
 
 void RingChannel::handle_data(const Completion& c) {
     const std::uint32_t len = c.imm;
-    const std::size_t cap = params_.ring_bytes;
+    const std::size_t cap = kRingBytes;
     const std::size_t off = static_cast<std::size_t>(c.remote_offset) % cap;
     if (off != read_cursor_) {
         // The sender wrote this frame somewhere other than our cursor. If
@@ -254,11 +230,11 @@ void RingChannel::handle_data(const Completion& c) {
 
 void RingChannel::maybe_return_credits() {
     if (!qp_) return; // torn down mid-batch
-    if (consumed_since_credit_ < params_.credit_threshold) return;
+    if (consumed_since_credit_ < kCreditThreshold) return;
     SendWr wr;
     wr.wr_id = next_wr_id_++;
     wr.op = Opcode::kSend;
-    wr.payload = encode_credit(total_consumed_);
+    net::put_le(wr.payload, total_consumed_);
     consumed_since_credit_ = 0;
     ++credit_msgs_;
     qp_->post_send(std::move(wr));

@@ -10,14 +10,6 @@
 
 namespace skv::rdma {
 
-/// Tuning knobs for one direction of a ring channel.
-struct RingParams {
-    /// Receive-ring capacity per side.
-    std::size_t ring_bytes = 256 * 1024;
-    /// Receiver returns credits once this many bytes have been consumed.
-    std::size_t credit_threshold = 64 * 1024;
-};
-
 /// The SKV RDMA messenger (paper §III-B): each peer registers a circular
 /// receive buffer; the sender pushes frames with WRITE_WITH_IMM (the
 /// immediate carries the frame length, notifying the receiver its memory
@@ -30,8 +22,15 @@ struct RingParams {
 class RingChannel final : public net::Channel,
                           public std::enable_shared_from_this<RingChannel> {
 public:
-    RingChannel(RdmaNetwork& net, net::NodeRef self, net::EndpointId peer,
-                RingParams params);
+    /// Receive-ring capacity per side.
+    static constexpr std::size_t kRingBytes = 256 * 1024;
+    /// The receiver returns credits once this many bytes have been
+    /// consumed. Above half the ring it could deadlock: the sender's window
+    /// would empty before the receiver ever announced consumption.
+    static constexpr std::size_t kCreditThreshold = 64 * 1024;
+    static_assert(kCreditThreshold <= kRingBytes / 2);
+
+    RingChannel(RdmaNetwork& net, net::NodeRef self, net::EndpointId peer);
 
     /// Allocate local resources (CQs, recv MR). Called by the CM before the
     /// remote ring information is known.
@@ -63,19 +62,13 @@ public:
     [[nodiscard]] const CompletionQueuePtr& recv_cq() const { return recv_cq_; }
 
 private:
-    /// Credit-return control frame: 8-byte little-endian byte count.
-    static std::string encode_credit(std::uint64_t bytes);
-    static std::uint64_t decode_credit(std::string_view payload);
-
     /// Payloads larger than a quarter of the ring are fragmented; each
     /// ring frame carries a 1-byte header: kFinal completes a message,
     /// kMore announces continuation (RDB snapshots during initial sync
     /// are far larger than the ring).
     static constexpr char kFinal = 'F';
     static constexpr char kMore = 'M';
-    [[nodiscard]] std::size_t max_fragment() const {
-        return params_.ring_bytes / 4;
-    }
+    static constexpr std::size_t kMaxFragment = kRingBytes / 4;
 
     void replenish_recvs();
     void pump_backlog();
@@ -88,7 +81,6 @@ private:
     RdmaNetwork& net_;
     net::NodeRef self_;
     net::EndpointId peer_;
-    RingParams params_;
     sim::Rng rng_;
 
     std::shared_ptr<CompletionChannel> channel_;

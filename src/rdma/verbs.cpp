@@ -111,9 +111,9 @@ void CompletionQueue::push(Completion c) {
     if (channel_) channel_->fire();
 }
 
-std::vector<Completion> CompletionQueue::poll(std::size_t max) {
+std::vector<Completion> CompletionQueue::poll() {
     std::vector<Completion> out;
-    drain([&out](const Completion& c) { out.push_back(c); }, max);
+    drain([&out](const Completion& c) { out.push_back(c); });
     return out;
 }
 

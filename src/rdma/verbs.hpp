@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -143,24 +142,20 @@ public:
 
     void push(Completion c);
 
-    /// Hand each completion queued when the call starts, oldest first and
-    /// up to `max` (0 = all), to fn(const Completion&) in place, then
-    /// remove it. Completions pushed while fn runs wait for the next drain,
-    /// as a poll sees only what had landed. Returns how many were handed.
+    /// Hand each completion queued when the call starts, oldest first, to
+    /// fn(const Completion&) in place, then remove it. Completions pushed
+    /// while fn runs wait for the next drain, as a poll sees only what had
+    /// landed.
     template <typename Fn>
-    std::size_t drain(Fn&& fn, std::size_t max = 0) {
-        const std::size_t n =
-            (max == 0) ? queue_.size() : std::min(max, queue_.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const Completion& c = queue_.front();
-            fn(c);
+    void drain(Fn&& fn) {
+        for (std::size_t n = queue_.size(); n > 0; --n) {
+            fn(queue_.front());
             queue_.pop_front();
         }
-        return n;
     }
 
-    /// Drain up to `max` completions (0 = all) into a vector.
-    std::vector<Completion> poll(std::size_t max = 0);
+    /// Drain every queued completion into a vector.
+    std::vector<Completion> poll();
 
     /// Discard every queued completion.
     void clear() { queue_.clear(); }

@@ -7,10 +7,6 @@
 
 namespace skv::server {
 
-/// Which transport a cluster runs on. Cluster turns it into the one
-/// net::Transport that every server listens and dials through.
-enum class Transport : std::uint8_t { kTcp, kRdma };
-
 /// Replication role of a Host-KV instance.
 enum class Role : std::uint8_t { kStandalone, kMaster, kSlave };
 
@@ -24,10 +20,8 @@ const char* to_string(ReplicationMode m);
 
 struct ServerConfig {
     std::string name = "kv";
-    std::uint16_t port = 6379;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
-
-    /// Replication backlog ring capacity.
-    std::size_t backlog_bytes = 1 << 20;
+    /// The RESP port clients dial; node links use port + 1.
+    static constexpr std::uint16_t port = 6379;
 
     /// Paper §III-D knobs: writes fail when fewer than `min_slaves` replicas
     /// are reachable, and replication progress lagging more than
@@ -65,11 +59,6 @@ struct ServerConfig {
     /// restart recovers from. Zero (default) disables persistence — a cold
     /// restart then comes back empty at offset 0 (full resync).
     sim::Duration persist_interval{};
-    /// Retained duplicate-suppression entries, one per writing client.
-    /// Beyond the cap the least-recently-active client is evicted (LRU),
-    /// and a master replicates each eviction through the stream so slave
-    /// tables stay bounded in lockstep.
-    std::size_t dup_table_max = 1024;
     /// Redis default: replicas serve reads from their (possibly lagging)
     /// copy. Set false for linearizable deployments: slaves answer reads
     /// with -READONLY so retrying clients route every operation to the
@@ -88,11 +77,6 @@ struct ServerConfig {
     /// tail could keep answering reads the surviving chain no longer
     /// includes in its commits.
     sim::Duration chain_read_lease{sim::milliseconds(400)};
-
-    /// Commands whose service time (queue wait + execution on the core)
-    /// meets this threshold are recorded in the SLOWLOG ring (Redis default:
-    /// 10ms). Zero records everything; negative disables recording.
-    sim::Duration slowlog_threshold{sim::milliseconds(10)};
 };
 
 } // namespace skv::server

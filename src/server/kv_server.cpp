@@ -18,6 +18,12 @@ constexpr std::size_t kExpireSamples = 20;
 /// Retry interval for node-link connection handshakes (the CM exchange
 /// itself rides unprotected fabric messages and can be lost).
 constexpr sim::Duration kConnectRetry = sim::milliseconds(500);
+/// Replication backlog ring capacity: a slave further behind than this
+/// gets a full resync instead of a partial one.
+constexpr std::size_t kBacklogBytes = 1 << 20;
+/// Commands whose service time (queue wait + execution on the core) meets
+/// this are recorded in the SLOWLOG ring (Redis's default).
+constexpr sim::Duration kSlowlogThreshold = sim::milliseconds(10);
 /// Retained SLOWLOG entries (oldest evicted first).
 constexpr std::size_t kSlowlogMaxLen = 128;
 /// LATENCY HISTORY ring depth per event class.
@@ -77,7 +83,7 @@ KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
       cfg_(std::move(cfg)), rng_(sim.fork_rng()),
       repl_(repl ? std::move(repl) : std::make_unique<HostFanout>()),
       db_([&sim]() { return sim.now().ns() / 1'000'000; }),
-      backlog_(cfg_.backlog_bytes),
+      backlog_(kBacklogBytes),
       commands_table_(kv::CommandTable::instance()),
       c_reads_(stats_.counter_handle("reads")),
       c_writes_(stats_.counter_handle("writes")),
@@ -151,7 +157,7 @@ void KvServer::release_conn(const net::Channel* raw) {
 
 net::ChannelPtr KvServer::wrap_node_link(net::ChannelPtr ch) {
     if (!ch) return ch;
-    auto rel = ReliableChannel::wrap(sim_, std::move(ch), {}, &stats_);
+    auto rel = ReliableChannel::wrap(sim_, std::move(ch), &stats_);
     const net::Channel* raw = rel.get();
     rel->set_on_broken([this, raw]() { on_node_link_broken(raw); });
     return rel;
@@ -403,7 +409,7 @@ void KvServer::dup_record(const WriteTag& tag, std::string reply, bool ready,
     // — a promoted stand-in would then re-execute a write the old master
     // still suppressed. A replica's table exceeds the cap only by the
     // evictions still in flight in the stream.
-    while (role_ != Role::kSlave && dup_table_.size() > cfg_.dup_table_max) {
+    while (role_ != Role::kSlave && dup_table_.size() > kDupTableMax) {
         // Evict the least-recently-active client: quiescent retriers go
         // first, live ones keep their entries. Deterministic linear scan —
         // eviction is rare and the table is capped.
@@ -488,8 +494,7 @@ void KvServer::record_command_latency(const std::vector<std::string>& argv,
                                       bool is_write, sim::SimTime t0) {
     const sim::Duration dur = sim_.now() - t0;
     cmd_service_.record(dur);
-    if (cfg_.slowlog_threshold.ns() >= 0 &&
-        dur.ns() >= cfg_.slowlog_threshold.ns()) {
+    if (dur >= kSlowlogThreshold) {
         SlowlogEntry e;
         e.id = next_slowlog_id_++;
         e.when_ns = sim_.now().ns();

@@ -82,6 +82,11 @@ public:
     /// the node was down; it resynchronizes via the NIC-driven resync.
     void recover(RecoveryMode mode = RecoveryMode::kWarm);
     [[nodiscard]] bool crashed() const { return crashed_; }
+    /// Cap on the duplicate-suppression table. Beyond it the
+    /// least-recently-active client is evicted (LRU), and a master
+    /// replicates each eviction through the stream so slave tables stay
+    /// bounded in lockstep.
+    static constexpr std::size_t kDupTableMax = 1024;
     /// Retained duplicate-suppression entries (one per writing client).
     [[nodiscard]] std::size_t dup_entries() const { return dup_table_.size(); }
     /// Whether a duplicate-suppression entry for `client` is retained.
@@ -289,7 +294,7 @@ private:
     // the cached reply. `ready` flips once the reply was actually released
     // to a client (commit gating can hold it back); `offset` is the stream
     // offset a retry must wait on while not ready. `last_used` orders LRU
-    // eviction beyond dup_table_max (see dup_record).
+    // eviction beyond kDupTableMax (see dup_record).
     struct DupState {
         std::uint64_t seq = 0;
         std::string reply;

@@ -3,15 +3,15 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "net/wire.hpp"
+
 namespace skv::server {
 
 std::string NodeMsg::encode() const {
     std::string out;
     out.reserve(9 + body.size());
     out.push_back(static_cast<char>(type));
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<char>(static_cast<std::uint64_t>(field) >> (i * 8)));
-    }
+    net::put_le(out, static_cast<std::uint64_t>(field));
     out += body;
     return out;
 }
@@ -28,13 +28,7 @@ std::optional<NodeMsg> NodeMsg::decode(std::string_view wire) {
         }
     }
     if (!known) return std::nullopt;
-    std::uint64_t f = 0;
-    for (int i = 0; i < 8; ++i) {
-        f |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(
-                 wire[1 + static_cast<std::size_t>(i)]))
-             << (i * 8);
-    }
-    m.field = static_cast<std::int64_t>(f);
+    m.field = static_cast<std::int64_t>(net::get_le(wire, 1));
     m.body = std::string(wire.substr(9));
     return m;
 }

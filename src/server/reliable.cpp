@@ -4,39 +4,12 @@
 #include <bit>
 #include <cstring>
 
+#include "net/wire.hpp"
 #include "sim/check.hpp"
 
 namespace skv::server {
 
 namespace {
-
-void put_u64(std::string& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (i * 8)));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (i * 8)));
-}
-
-std::uint64_t get_u64(std::string_view in, std::size_t at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(in[at + static_cast<std::size_t>(i)]))
-             << (i * 8);
-    }
-    return v;
-}
-
-std::uint32_t get_u32(std::string_view in, std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(in[at + static_cast<std::size_t>(i)]))
-             << (i * 8);
-    }
-    return v;
-}
 
 /// Up to 8 bytes as a little-endian integer, missing high bytes zero.
 std::uint64_t load_lane(const char* p, std::size_t n) {
@@ -55,6 +28,12 @@ constexpr std::size_t kAckFrame = 1 + 8;
 /// retransmission up to kMaxRto, and fresh ack progress resets it.
 constexpr sim::Duration kInitialRto = sim::milliseconds(5);
 constexpr sim::Duration kMaxRto = sim::milliseconds(160);
+/// After this many retransmissions of one message (about 0.8 s of silence
+/// at the backoff above) the link is declared broken and on_broken fires.
+constexpr int kMaxRetries = 8;
+/// Out-of-order messages buffered while a hole is outstanding; anything
+/// beyond the window is dropped and recovered by retransmission.
+constexpr std::size_t kReorderWindow = 64;
 /// Acks are cumulative and delayed by this much to amortize their cost;
 /// duplicates and out-of-order arrivals are acked at once instead.
 constexpr sim::Duration kAckDelay = sim::microseconds(200);
@@ -87,11 +66,10 @@ std::uint32_t ReliableChannel::checksum(std::string_view bytes) {
 
 std::shared_ptr<ReliableChannel> ReliableChannel::wrap(sim::Simulation& sim,
                                                        net::ChannelPtr inner,
-                                                       ReliableParams params,
                                                        obs::Registry* reg) {
     SKV_CHECK(inner);
     auto ch = std::shared_ptr<ReliableChannel>(
-        new ReliableChannel(sim, std::move(inner), params));
+        new ReliableChannel(sim, std::move(inner)));
     ch->rto_ = kInitialRto;
     if (reg != nullptr) {
         ch->c_retransmits_ = reg->counter_handle("rel.retransmits");
@@ -112,8 +90,8 @@ void ReliableChannel::send(std::string_view payload) {
     std::string& wire = unacked_.emplace_back(Unacked{next_seq_, {}, 0}).wire;
     wire.reserve(kDataHeader + payload.size());
     wire.push_back(kData);
-    put_u64(wire, next_seq_);
-    put_u32(wire, checksum(payload));
+    net::put_le(wire, next_seq_);
+    net::put_le(wire, checksum(payload), 4);
     wire.append(payload);
     ++next_seq_;
     inner_->send(wire);
@@ -141,7 +119,7 @@ void ReliableChannel::on_rto(std::uint64_t epoch) {
         return;
     }
     Unacked& oldest = unacked_.front();
-    if (oldest.retries >= params_.max_retries) {
+    if (oldest.retries >= kMaxRetries) {
         broken_ = true;
         if (on_broken_) on_broken_();
         return;
@@ -157,7 +135,7 @@ void ReliableChannel::on_rto(std::uint64_t epoch) {
 void ReliableChannel::on_inner_message(std::string payload) {
     if (closed_) return;
     if (payload.size() >= kAckFrame && payload[0] == kAck) {
-        const std::uint64_t cum = get_u64(payload, 1);
+        const std::uint64_t cum = net::get_le(payload, 1);
         bool progressed = false;
         while (!unacked_.empty() && unacked_.front().seq <= cum) {
             unacked_.pop_front();
@@ -173,8 +151,8 @@ void ReliableChannel::on_inner_message(std::string payload) {
         return;
     }
     if (payload.size() >= kDataHeader && payload[0] == kData) {
-        const std::uint64_t seq = get_u64(payload, 1);
-        const std::uint32_t sum = get_u32(payload, 9);
+        const std::uint64_t seq = net::get_le(payload, 1);
+        const auto sum = static_cast<std::uint32_t>(net::get_le(payload, 9, 4));
         payload.erase(0, kDataHeader);
         if (checksum(payload) != sum) {
             // Truncated/garbled reassembly under injected loss: drop and let
@@ -216,7 +194,7 @@ void ReliableChannel::handle_data(std::uint64_t seq, std::string payload) {
     }
     // A hole precedes this message: hold it and tell the sender where we
     // are so the missing one is retransmitted promptly.
-    if (reorder_.size() < params_.reorder_window) {
+    if (reorder_.size() < kReorderWindow) {
         reorder_.emplace(seq, std::move(payload));
     } else {
         // Dropped; retransmission will restore order.
@@ -231,7 +209,7 @@ void ReliableChannel::send_ack_now() {
     std::string wire;
     wire.reserve(kAckFrame);
     wire.push_back(kAck);
-    put_u64(wire, delivered_seq_);
+    net::put_le(wire, delivered_seq_);
     c_acks_.incr();
     inner_->send(wire);
 }

@@ -13,18 +13,6 @@
 
 namespace skv::server {
 
-/// Retransmission knobs for one reliable node link. The timing (RTO,
-/// backoff, ack delay) is fixed in reliable.cpp.
-struct ReliableParams {
-    /// After this many retransmissions of the same message the link is
-    /// declared broken and `on_broken` fires (the failure detector / owner
-    /// decides what to do — the channel itself stops trying).
-    int max_retries = 8;
-    /// Out-of-order messages buffered while a hole is outstanding; anything
-    /// beyond the window is dropped and recovered by retransmission.
-    std::size_t reorder_window = 64;
-};
-
 /// Sequence numbers + ack-driven retransmission + duplicate suppression on
 /// top of any net::Channel. The node-message path (master -> Nic-KV
 /// replication requests, Nic-KV -> slave fan-out, probes and acks) runs
@@ -37,7 +25,8 @@ struct ReliableParams {
 ///   'A' cum_ack(8)                   cumulative: every seq <= cum_ack arrived
 /// checksum() covers the payload only: a 32-bit hash over 8-byte lanes.
 ///
-/// The layer is deterministic: no RNG, all timing fixed.
+/// The layer is deterministic: no RNG, all timing and limits fixed in
+/// reliable.cpp.
 class ReliableChannel final
     : public net::Channel,
       public std::enable_shared_from_this<ReliableChannel> {
@@ -49,7 +38,6 @@ public:
     /// retransmit hot path pays a pointer bump instead of a map lookup.
     static std::shared_ptr<ReliableChannel> wrap(sim::Simulation& sim,
                                                  net::ChannelPtr inner,
-                                                 ReliableParams params = {},
                                                  obs::Registry* reg = nullptr);
 
     // --- net::Channel ----------------------------------------------------
@@ -68,7 +56,9 @@ public:
         return inner_->flow_id();
     }
 
-    /// Fires once, when max_retries is exhausted on some message.
+    /// Fires once, when some message has been retransmitted the maximum
+    /// number of times without an ack: the link is then broken (the owner
+    /// decides what to do; the channel itself stops trying).
     void set_on_broken(std::function<void()> fn) { on_broken_ = std::move(fn); }
     [[nodiscard]] bool broken() const { return broken_; }
     [[nodiscard]] const net::ChannelPtr& inner() const { return inner_; }
@@ -82,9 +72,8 @@ public:
     [[nodiscard]] std::size_t unacked_count() const { return unacked_.size(); }
 
 private:
-    ReliableChannel(sim::Simulation& sim, net::ChannelPtr inner,
-                    ReliableParams params)
-        : sim_(sim), inner_(std::move(inner)), params_(params) {}
+    ReliableChannel(sim::Simulation& sim, net::ChannelPtr inner)
+        : sim_(sim), inner_(std::move(inner)) {}
 
     static std::uint32_t checksum(std::string_view bytes);
 
@@ -97,7 +86,6 @@ private:
 
     sim::Simulation& sim_;
     net::ChannelPtr inner_;
-    ReliableParams params_;
 
     // Sender side.
     struct Unacked {

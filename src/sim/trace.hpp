@@ -23,6 +23,18 @@ enum class TraceEvent : std::uint16_t {
     kHandlerClear = 8,
 };
 
+/// FNV-1a offset basis: the hash of nothing.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// Fold the eight bytes of `v`, least significant first, into the 64-bit
+/// FNV-1a hash `h`.
+inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+        h ^= static_cast<unsigned char>(v >> (i * 8));
+        h *= 0x100000001b3ULL;
+    }
+}
+
 /// Rolling FNV-1a digest over fixed-width simulation events, so
 /// determinism can be asserted without retaining any history.
 ///
@@ -44,7 +56,7 @@ public:
     void clear();
 
 private:
-    std::uint64_t digest_ = 0xcbf29ce484222325ULL; // FNV offset basis
+    std::uint64_t digest_ = kFnvBasis;
     std::uint64_t noted_ = 0;
 };
 

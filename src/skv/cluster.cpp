@@ -18,7 +18,7 @@ constexpr sim::Duration kSettle = sim::milliseconds(300);
 /// neither protocol exists in the baseline topology.
 ReplicationProtocol choose_protocol(const ClusterConfig& cfg) {
     // Nic-KV listens on the RDMA connection manager alone.
-    SKV_CHECK(!cfg.offload || cfg.transport == server::Transport::kRdma,
+    SKV_CHECK(!cfg.offload || cfg.transport == Transport::kRdma,
               "SKV mode requires the RDMA transport");
     constexpr const char* kNeedsNic =
         "chain/quorum replication requires the SKV offload topology";
@@ -41,11 +41,27 @@ ReplicationProtocol choose_protocol(const ClusterConfig& cfg) {
 /// load generator of the cluster listens and dials on.
 net::Transport& choose_transport(const ClusterConfig& cfg, net::TcpNetwork& tcp,
                                  rdma::ConnectionManager& cm) {
-    if (cfg.transport == server::Transport::kTcp) return tcp;
+    if (cfg.transport == Transport::kTcp) return tcp;
     return cm;
 }
 
 } // namespace
+
+const char* name_of(System s) {
+    switch (s) {
+        case System::kTcpRedis: return "Redis";
+        case System::kRdmaRedis: return "RDMA-Redis";
+        case System::kSkv: return "SKV";
+    }
+    SKV_UNREACHABLE("bad System");
+}
+
+ClusterConfig config_of(System s) {
+    ClusterConfig cfg;
+    cfg.transport = s == System::kTcpRedis ? Transport::kTcp : Transport::kRdma;
+    cfg.offload = s == System::kSkv;
+    return cfg;
+}
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(std::move(cfg)), sim_(cfg_.seed), tracer_(sim_), fabric_(sim_),

@@ -19,6 +19,10 @@
 
 namespace skv::offload {
 
+/// Which transport a cluster runs on. Cluster turns it into the one
+/// net::Transport that every server listens and dials through.
+enum class Transport : std::uint8_t { kTcp, kRdma };
+
 /// Everything needed to stand up the paper's testbed in one call: a
 /// master host (optionally with a BlueField-class SmartNIC running
 /// Nic-KV), N slave hosts, the RoCE fabric, and the transport they share.
@@ -26,7 +30,7 @@ struct ClusterConfig {
     std::uint64_t seed = 42;
     int n_slaves = 3;
     /// TCP Redis or RDMA; SKV (offload) requires RDMA.
-    server::Transport transport = server::Transport::kRdma;
+    Transport transport = Transport::kRdma;
     /// true = SKV (replication offloaded to Nic-KV); false = the baseline
     /// where the master fans out itself (RDMA-Redis or TCP Redis).
     bool offload = false;
@@ -34,6 +38,17 @@ struct ClusterConfig {
     NicKvConfig nic_cfg{};
     server::ServerConfig server_tmpl{};
 };
+
+/// The paper's three systems: TCP Redis, RDMA-Redis (the master fans
+/// writes out to its slaves itself) and SKV (Nic-KV fans them out).
+enum class System : std::uint8_t { kTcpRedis, kRdmaRedis, kSkv };
+
+/// The name the paper's figures give `s`: "Redis", "RDMA-Redis" or "SKV".
+const char* name_of(System s);
+
+/// A cluster of system `s`: its transport and offload set, every other
+/// field at its default.
+ClusterConfig config_of(System s);
 
 class Cluster {
 public:

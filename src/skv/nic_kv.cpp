@@ -66,9 +66,9 @@ void NicKv::recover() {
 }
 
 void NicKv::on_accept(net::ChannelPtr ch) {
-    // Default parameters, like the KvServer end: both ends of a node link
-    // speak the same envelope.
-    auto rel = server::ReliableChannel::wrap(sim_, std::move(ch), {}, &stats_);
+    // The reliable envelope, as at the KvServer end: both ends of a node
+    // link speak it.
+    auto rel = server::ReliableChannel::wrap(sim_, std::move(ch), &stats_);
     const net::Channel* rel_raw = rel.get();
     rel->set_on_broken([this, rel_raw]() { on_link_broken(rel_raw); });
     ch = rel;

@@ -24,7 +24,8 @@ class HostReplication;
 namespace skv::offload {
 
 struct NicKvConfig {
-    std::uint16_t port = 7000;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
+    /// The port Nic-KV listens on for node registrations.
+    static constexpr std::uint16_t port = 7000;
     /// Replication threads on the SmartNIC (paper §III-C). Clamped at run
     /// time to min(ARM cores, slave count); 1 disables multi-threading,
     /// the paper's default.

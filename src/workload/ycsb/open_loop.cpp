@@ -8,6 +8,7 @@
 
 #include "sim/check.hpp"
 #include "workload/chaos.hpp"
+#include "workload/retry_client.hpp"
 
 namespace skv::workload::ycsb {
 
@@ -186,7 +187,6 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
                              const OpenLoopOptions& opts) {
     auto& sim = cluster.sim();
     SKV_CHECK(opts.connections >= 1);
-    SKV_CHECK(opts.connections_per_host >= 1);
     SKV_CHECK(opts.offered_kops > 0);
 
     if (opts.preload) {
@@ -194,7 +194,7 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
         pspec.key_count = opts.ycsb.record_count;
         pspec.key_dist = KeyDist::kUniform; // loader only draws values
         pspec.value_bytes = opts.ycsb.value_bytes;
-        pspec.key_prefix = opts.ycsb.key_prefix;
+        pspec.key_prefix = YcsbOptions::key_prefix;
         preload_keyspace(cluster, pspec);
     }
 
@@ -208,7 +208,9 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
     const auto targets = retry_targets(cluster);
     const auto dial = retry_dial(cluster);
 
-    const int cph = opts.connections_per_host;
+    // Connections are spread over client hosts this many per host (one
+    // simulated core per host, as redis-benchmark threads would be).
+    constexpr int cph = 64;
     std::vector<net::NodeRef> hosts;
     hosts.reserve(static_cast<std::size_t>((opts.connections + cph - 1) / cph));
     driver->conns.reserve(static_cast<std::size_t>(opts.connections));
@@ -225,7 +227,7 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
         auto conn = std::make_shared<RetryClient>(
             sim, cluster.costs(), hosts[static_cast<std::size_t>(i / cph)],
             1'000'000 + static_cast<std::uint64_t>(i),
-            Generator(unused, sim.fork_rng()), opts.policy, targets, dial,
+            Generator(unused, sim.fork_rng()), RetryPolicy{}, targets, dial,
             /*history=*/nullptr);
         if (opts.trace_stages) {
             conn->set_tracer(&tracer, "ycsb/" + std::to_string(i));

@@ -6,7 +6,6 @@
 
 #include "sim/time.hpp"
 #include "skv/cluster.hpp"
-#include "workload/retry_client.hpp"
 #include "workload/runner.hpp"
 #include "workload/ycsb/workload_mix.hpp"
 
@@ -24,18 +23,12 @@ struct OpenLoopOptions {
     /// Simulated connection pool: each arrival is dispatched to an idle
     /// connection, or queued FIFO until one frees up.
     int connections = 256;
-    /// Connections are spread over client hosts this many per host (one
-    /// simulated core per host, as redis-benchmark threads would be).
-    int connections_per_host = 64;
     /// Offered arrival rate (thousands of ops per second), as Poisson
     /// arrivals (exponential gaps).
     double offered_kops = 40.0;
     sim::Duration warmup{sim::milliseconds(300)};
     sim::Duration measure{sim::seconds(2)};
     bool preload = true;
-    /// Per-connection retry/timeout machinery (same semantics as the
-    /// closed-loop RetryClient fleet).
-    RetryPolicy policy{};
     /// Enable the cluster tracer and give every connection a track, so the
     /// tracer's per-stage accumulators cover the run.
     bool trace_stages = false;

@@ -54,7 +54,6 @@ KeyDist standard_dist(Workload w) {
 YcsbOptions YcsbOptions::standard(Workload w) {
     YcsbOptions o;
     o.workload = w;
-    o.request_dist = standard_dist(w);
     return o;
 }
 
@@ -70,12 +69,16 @@ const char* to_string(YcsbOp::Kind t) {
 }
 
 namespace {
+/// Scan lengths are uniform in [1, kScanLenMax] (workload E), clamped at
+/// the frontier.
+constexpr std::uint64_t kScanLenMax = 16;
+
 WorkloadSpec spec_from(const YcsbOptions& o) {
     WorkloadSpec s;
     s.key_count = o.record_count;
-    s.key_dist = o.request_dist;
+    s.key_dist = standard_dist(o.workload);
     s.value_bytes = o.value_bytes;
-    s.key_prefix = o.key_prefix;
+    s.key_prefix = YcsbOptions::key_prefix;
     return s;
 }
 } // namespace
@@ -86,7 +89,6 @@ MixGenerator::MixGenerator(YcsbOptions opts, sim::Rng rng,
       gen_(spec_from(opts_), rng_.fork()), frontier_(std::move(frontier)) {
     SKV_CHECK(frontier_ != nullptr);
     SKV_CHECK(frontier_->size() >= opts_.record_count);
-    SKV_CHECK(opts_.scan_len_max >= 1);
     gen_.set_frontier(frontier_);
 }
 
@@ -120,8 +122,7 @@ YcsbOp MixGenerator::next() {
     if (u < edge) {
         op.kind = YcsbOp::Kind::kScan;
         const std::uint64_t start = gen_.next_key_index();
-        const std::uint64_t want =
-            1 + rng_.next_below(static_cast<std::uint64_t>(opts_.scan_len_max));
+        const std::uint64_t want = 1 + rng_.next_below(kScanLenMax);
         const std::uint64_t len =
             std::min<std::uint64_t>(want, frontier_->size() - start);
         op.key = gen_.key_name(start);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -42,16 +43,12 @@ struct YcsbOptions {
     /// Preloaded keyspace size; inserts extend it through the shared
     /// KeyFrontier.
     std::uint64_t record_count = 10'000;
-    /// Key chooser for read/update/scan-start picks. standard() sets the
-    /// canonical chooser per workload; sweeps may override (e.g. uniform A).
-    KeyDist request_dist = KeyDist::kZipfian;
     std::size_t value_bytes = 64;
-    /// Scan lengths are uniform in [1, scan_len_max] (workload E).
-    int scan_len_max = 16;
-    std::string key_prefix = "key:";
+    /// Keys render as `key:<id>`.
+    static constexpr std::string_view key_prefix = "key:";
 
-    /// The canonical options for a standard workload (mix and chooser per
-    /// the YCSB core-workload definitions).
+    /// The options for a standard workload: its mix and key chooser
+    /// (standard_mix, standard_dist) follow from `workload`.
     static YcsbOptions standard(Workload w);
 };
 

@@ -65,13 +65,10 @@ void expect_pin(Cluster& c, std::string_view history, const Pin& want) {
 
 // --- closed-loop runs (DeterminismTest's workload at seed 1234) -------------
 
-void pin_closed_loop(bool offload, server::Transport transport,
-                     const Pin& want) {
-    ClusterConfig cfg;
+void pin_closed_loop(System sys, const Pin& want) {
+    ClusterConfig cfg = config_of(sys);
     cfg.seed = 1234;
     cfg.n_slaves = 3;
-    cfg.offload = offload;
-    cfg.transport = transport;
     Cluster c(cfg);
     c.start();
     workload::RunOptions opts;
@@ -88,15 +85,15 @@ void pin_closed_loop(bool offload, server::Transport transport,
 }
 
 TEST(BehaviourPin, ClosedLoopTcpRedis) {
-    pin_closed_loop(false, server::Transport::kTcp,
+    pin_closed_loop(System::kTcpRedis,
                     {567735u, 0xbb9778e20a743acfu, 0xa4fca2769bb84d06u, 0x147a5f178be3d774u});
 }
 TEST(BehaviourPin, ClosedLoopRdmaRedis) {
-    pin_closed_loop(false, server::Transport::kRdma,
+    pin_closed_loop(System::kRdmaRedis,
                     {2412888u, 0x262543bc6db219a8u, 0xa665072d43899bd4u, 0x666684315981dd76u});
 }
 TEST(BehaviourPin, ClosedLoopSkv) {
-    pin_closed_loop(true, server::Transport::kRdma,
+    pin_closed_loop(System::kSkv,
                     {3066363u, 0xb3d690aec3d33624u, 0xc4397b0678cc6adfu, 0xc4ad212e102dc092u});
 }
 

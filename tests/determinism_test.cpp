@@ -4,6 +4,17 @@
 #include "workload/runner.hpp"
 
 namespace skv {
+
+namespace offload {
+// gtest puts each parameter's print into its ctest name; a system prints as
+// its (offload, transport) pair, the form the recorded test lists name.
+static void PrintTo(System sys, std::ostream* os) {
+    const ClusterConfig cfg = config_of(sys);
+    *os << ::testing::PrintToString(
+        std::make_tuple(cfg.offload, cfg.transport));
+}
+} // namespace offload
+
 namespace {
 
 /// Whole-stack determinism: the property every experiment in this
@@ -11,13 +22,10 @@ namespace {
 /// handshakes, jittered costs, closed-loop clients — must be bit-for-bit
 /// reproducible from its seed.
 
-workload::RunResult run_full(std::uint64_t seed, bool offload,
-                             server::Transport transport) {
-    offload::ClusterConfig cfg;
+workload::RunResult run_full(std::uint64_t seed, offload::System sys) {
+    offload::ClusterConfig cfg = offload::config_of(sys);
     cfg.seed = seed;
     cfg.n_slaves = 3;
-    cfg.offload = offload;
-    cfg.transport = transport;
     offload::Cluster c(cfg);
     c.start();
     workload::RunOptions opts;
@@ -30,32 +38,26 @@ workload::RunResult run_full(std::uint64_t seed, bool offload,
 // Same seed, same result: BehaviourPin.ClosedLoop{TcpRedis,RdmaRedis,Skv}
 // run this scenario (seed 1234) and pin its event count, digest, result
 // fields and counters to constants recorded from an earlier commit.
-class DeterminismTest
-    : public ::testing::TestWithParam<std::tuple<bool, server::Transport>> {};
+class DeterminismTest : public ::testing::TestWithParam<offload::System> {};
 
 TEST_P(DeterminismTest, DifferentSeedsDiverge) {
-    const auto [offload, transport] = GetParam();
-    const auto a = run_full(1, offload, transport);
-    const auto b = run_full(2, offload, transport);
+    const auto a = run_full(1, GetParam());
+    const auto b = run_full(2, GetParam());
     // Throughput will be close, but the exact op count of a jittered run
     // differing by seed matching exactly would be a one-in-millions fluke.
     EXPECT_NE(a.ops, b.ops);
 }
 
-std::string system_name(
-    const ::testing::TestParamInfo<std::tuple<bool, server::Transport>>& info) {
-    if (std::get<0>(info.param)) return "Skv";
-    return std::get<1>(info.param) == server::Transport::kTcp ? "TcpRedis"
-                                                              : "RdmaRedis";
+std::string system_name(const ::testing::TestParamInfo<offload::System>& info) {
+    constexpr const char* kNames[] = {"TcpRedis", "RdmaRedis", "Skv"};
+    return kNames[static_cast<int>(info.param)];
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Systems, DeterminismTest,
-    ::testing::Values(
-        std::make_tuple(false, server::Transport::kTcp),
-        std::make_tuple(false, server::Transport::kRdma),
-        std::make_tuple(true, server::Transport::kRdma)),
-    system_name);
+INSTANTIATE_TEST_SUITE_P(Systems, DeterminismTest,
+                         ::testing::Values(offload::System::kTcpRedis,
+                                           offload::System::kRdmaRedis,
+                                           offload::System::kSkv),
+                         system_name);
 
 TEST(DeterminismFaults, CrashRecoveryRunsReproduce) {
     auto run = [](std::uint64_t seed) {

@@ -11,14 +11,13 @@ namespace {
 /// that silently breaks the reproduction fails ctest rather than only
 /// being visible in the bench output. (The full sweeps live in bench/.)
 
-workload::RunResult run(server::Transport transport, bool offload,
-                        int n_slaves, int clients, double set_ratio,
-                        std::size_t value_bytes = 64) {
-    offload::ClusterConfig cfg;
+using offload::System;
+
+workload::RunResult run(System sys, int n_slaves, int clients,
+                        double set_ratio, std::size_t value_bytes = 64) {
+    offload::ClusterConfig cfg = offload::config_of(sys);
     cfg.seed = 42;
     cfg.n_slaves = n_slaves;
-    cfg.transport = transport;
-    cfg.offload = offload;
     offload::Cluster c(cfg);
     c.start();
     workload::RunOptions opts;
@@ -32,8 +31,8 @@ workload::RunResult run(server::Transport transport, bool offload,
 }
 
 TEST(FigureRegression, Fig10_TcpCapsFarBelowRdma) {
-    const auto tcp = run(server::Transport::kTcp, false, 0, 16, 1.0);
-    const auto rdma = run(server::Transport::kRdma, false, 0, 16, 1.0);
+    const auto tcp = run(System::kTcpRedis, 0, 16, 1.0);
+    const auto rdma = run(System::kRdmaRedis, 0, 16, 1.0);
     // Paper: ~130 vs >330 kops/s.
     EXPECT_GT(tcp.throughput_kops, 100.0);
     EXPECT_LT(tcp.throughput_kops, 170.0);
@@ -44,15 +43,15 @@ TEST(FigureRegression, Fig10_TcpCapsFarBelowRdma) {
 }
 
 TEST(FigureRegression, Fig7_SlavesDegradeTheBaselineMaster) {
-    const auto none = run(server::Transport::kRdma, false, 0, 4, 1.0);
-    const auto three = run(server::Transport::kRdma, false, 3, 4, 1.0);
+    const auto none = run(System::kRdmaRedis, 0, 4, 1.0);
+    const auto three = run(System::kRdmaRedis, 3, 4, 1.0);
     EXPECT_LT(three.throughput_kops, none.throughput_kops * 0.92);
     EXPECT_GT(three.p99_us, none.p99_us * 1.25); // paper: tail > +25%
 }
 
 TEST(FigureRegression, Fig11_SkvBeatsBaselineOnWrites) {
-    const auto base = run(server::Transport::kRdma, false, 3, 8, 1.0);
-    const auto skv = run(server::Transport::kRdma, true, 3, 8, 1.0);
+    const auto base = run(System::kRdmaRedis, 3, 8, 1.0);
+    const auto skv = run(System::kSkv, 3, 8, 1.0);
     const double gain = skv.throughput_kops / base.throughput_kops - 1.0;
     // Paper: +14%. Accept a band around it.
     EXPECT_GT(gain, 0.08);
@@ -64,8 +63,8 @@ TEST(FigureRegression, Fig11_SkvBeatsBaselineOnWrites) {
 }
 
 TEST(FigureRegression, Fig13_GetIsAWash) {
-    const auto base = run(server::Transport::kRdma, false, 3, 8, 0.0);
-    const auto skv = run(server::Transport::kRdma, true, 3, 8, 0.0);
+    const auto base = run(System::kRdmaRedis, 3, 8, 0.0);
+    const auto skv = run(System::kSkv, 3, 8, 0.0);
     // Paper: no difference on the read path.
     EXPECT_NEAR(skv.throughput_kops, base.throughput_kops,
                 base.throughput_kops * 0.02);

@@ -19,13 +19,10 @@ namespace {
 // connection ever made alive forever; these tests pin the fix with the
 // live-object counters on Channel, QueuePair and MemoryRegion.
 
-ClusterConfig base_config(server::Transport transport, bool offload,
-                          int slaves) {
-    ClusterConfig cfg;
+ClusterConfig base_config(System sys, int slaves) {
+    ClusterConfig cfg = config_of(sys);
     cfg.seed = 0x11fe;
     cfg.n_slaves = slaves;
-    cfg.transport = transport;
-    cfg.offload = offload;
     return cfg;
 }
 
@@ -37,7 +34,7 @@ void settle(Cluster& c, sim::Duration d) {
 // the server's ClientConn record (pruned by cron once the FIN lands) and
 // the channel objects themselves, mid-simulation.
 TEST(LifetimeTest, TcpClientCloseReclaimsBothSides) {
-    Cluster c(base_config(server::Transport::kTcp, false, 1));
+    Cluster c(base_config(System::kTcpRedis, 1));
     c.start();
 
     const long channels_before = net::Channel::live_count();
@@ -73,7 +70,7 @@ TEST(LifetimeTest, TcpClientCloseReclaimsBothSides) {
 // crash time, Nic-KV closes its fan-out channel when the failure detector
 // declares death, and the master's direct sync channel breaks via RTO.
 TEST(LifetimeTest, OffloadSlaveCrashReleasesRdmaState) {
-    Cluster c(base_config(server::Transport::kRdma, true, 3));
+    Cluster c(base_config(System::kSkv, 3));
     c.start();
     ASSERT_TRUE(c.converged());
 
@@ -106,7 +103,7 @@ TEST(LifetimeTest, OffloadSlaveCrashReleasesRdmaState) {
 // accumulate connection state: each slaveof_baseline releases the previous
 // master link (slave side) and the superseded sync channel (master side).
 TEST(LifetimeTest, RepeatedSlaveofDoesNotAccumulateChannels) {
-    Cluster c(base_config(server::Transport::kRdma, false, 1));
+    Cluster c(base_config(System::kRdmaRedis, 1));
     c.start();
     ASSERT_TRUE(c.converged());
 
@@ -134,7 +131,7 @@ TEST(LifetimeTest, RepeatedSlaveofDoesNotAccumulateChannels) {
 // down the initiator's pre-allocated ring: CQs, QP-less channel, and the
 // receive MR that was registered for the handshake.
 TEST(LifetimeTest, ConnectionRejectReclaimsInitiatorRing) {
-    Cluster c(base_config(server::Transport::kRdma, false, 1));
+    Cluster c(base_config(System::kRdmaRedis, 1));
     c.start();
 
     const long channels_before = net::Channel::live_count();

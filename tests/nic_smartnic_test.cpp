@@ -27,12 +27,11 @@ TEST_F(SmartNicTest, CreatesCompanionEndpointAndCores) {
 
 TEST_F(SmartNicTest, CustomParams) {
     SmartNicParams p;
-    p.arm_cores = 4;
     p.core_slowdown = 5.0;
     p.dram_bytes = 1024;
     SmartNic nic(sim, fabric, host, "bf2", p);
-    EXPECT_EQ(nic.core_count(), 4);
-    EXPECT_DOUBLE_EQ(nic.core(3).speed_factor(), 5.0);
+    EXPECT_EQ(nic.core_count(), 8);
+    EXPECT_DOUBLE_EQ(nic.core(7).speed_factor(), 5.0);
     EXPECT_EQ(nic.memory_capacity(), 1024u);
 }
 

@@ -15,10 +15,10 @@ protected:
         ep_b = fabric.add_host("b");
     }
 
-    /// CM-establish a channel pair with the given ring parameters. The
-    /// handshake completes inside sim.run(), so the CM may go out of scope.
-    void connect(RingParams params = {}) {
-        ConnectionManager cm(net, params);
+    /// CM-establish a channel pair. The handshake completes inside
+    /// sim.run(), so the CM may go out of scope.
+    void connect() {
+        ConnectionManager cm(net);
         cm.listen({ep_b, &core_b}, 7000, [&](net::ChannelPtr ch) {
             server = std::dynamic_pointer_cast<RingChannel>(std::move(ch));
         });
@@ -94,48 +94,48 @@ TEST_F(RingTest, BinaryPayloadsSurvive) {
 }
 
 TEST_F(RingTest, CreditFlowControlUnderPressure) {
-    RingParams params;
-    params.ring_bytes = 4096;
-    params.credit_threshold = 1024;
-    connect(params);
+    connect();
     int received = 0;
     server->set_on_message([&](std::string) { ++received; });
-    // Far more data than the ring holds: must stall and resume on credits.
-    for (int i = 0; i < 300; ++i) client->send(std::string(100, 'x'));
+    // Three rings' worth of 101-byte frames (flag + 100): the sender must
+    // stall on a full ring and resume on credits.
+    const int n = static_cast<int>(3 * RingChannel::kRingBytes / 101);
+    for (int i = 0; i < n; ++i) client->send(std::string(100, 'x'));
+    EXPECT_GT(client->backlog_bytes(), 0u); // the ring filled
     sim.run();
-    EXPECT_EQ(received, 300);
-    EXPECT_GT(client->credit_messages() + server->credit_messages(), 5u);
+    EXPECT_EQ(received, n);
+    // One credit per kCreditThreshold bytes consumed.
+    EXPECT_GE(server->credit_messages(),
+              3 * RingChannel::kRingBytes / RingChannel::kCreditThreshold - 1);
     EXPECT_EQ(client->backlog_bytes(), 0u);
 }
 
 TEST_F(RingTest, LargeMessageFragmentsAndReassembles) {
-    RingParams params;
-    params.ring_bytes = 4096;
-    params.credit_threshold = 1024;
-    connect(params);
+    connect();
     std::string got;
     server->set_on_message([&](std::string m) { got = std::move(m); });
-    std::string big(50'000, '?');
+    std::string big(4 * RingChannel::kRingBytes - 1000, '?');
     for (std::size_t i = 0; i < big.size(); ++i) {
         big[i] = static_cast<char>('a' + i % 26);
     }
     client->send(big);
     sim.run();
-    EXPECT_EQ(got, big); // reassembled exactly despite a 4KB ring
+    EXPECT_EQ(got, big); // reassembled exactly from almost four rings' worth
+    // Fragments are at most a quarter ring each.
+    EXPECT_EQ(client->frames_sent(), 16u);
 }
 
 TEST_F(RingTest, MessageStraddlingTheWrapPointArrivesIntact) {
-    RingParams params;
-    // Not a whole number of MR pages; 901-byte frames (flag + 900) put the
-    // 14th frame across the ring's end, and later laps straddle elsewhere.
-    params.ring_bytes = 3 * MemoryRegion::kPageBytes + 100;
-    static_assert(13 * 901 < 3 * 4096 + 100 && 14 * 901 > 3 * 4096 + 100);
-    connect(params);
+    // 901-byte frames (flag + 900) put the 291st frame across the ring's
+    // end, and the second lap straddles it elsewhere.
+    static_assert(290 * 901 < RingChannel::kRingBytes &&
+                  291 * 901 > RingChannel::kRingBytes);
+    connect();
     std::vector<std::string> got;
     server->set_on_message([&](std::string m) { got.push_back(std::move(m)); });
     sim::Rng rng(11);
     std::vector<std::string> sent;
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < 600; ++i) {
         std::string m(900, '\0');
         for (auto& c : m) c = static_cast<char>(rng.next_u64());
         sent.push_back(m);
@@ -143,7 +143,7 @@ TEST_F(RingTest, MessageStraddlingTheWrapPointArrivesIntact) {
     }
     sim.run();
     EXPECT_EQ(got, sent);
-    EXPECT_EQ(server->frames_received(), 40u);
+    EXPECT_EQ(server->frames_received(), 600u);
     EXPECT_EQ(server->lost_gap_bytes(), 0u);
 }
 
@@ -162,18 +162,17 @@ TEST_F(RingTest, InterleavedLargeAndSmall) {
 }
 
 TEST_F(RingTest, MrReregistrationAfterRingFills) {
-    RingParams params;
-    params.ring_bytes = 2048;
-    params.credit_threshold = 4096; // clamped to ring/2 by the channel
-    connect(params);
+    connect();
     int received = 0;
     server->set_on_message([&](std::string) { ++received; });
     // Stall the receiver so the sender fills the entire ring, then let the
-    // receiver drain it all in one CQ batch: the full-drain condition.
+    // receiver drain it all in one CQ batch: the full-drain condition. The
+    // frames are large enough that one batch of posted receives covers a
+    // ring.
     core_b.consume(sim::milliseconds(1));
-    for (int i = 0; i < 50; ++i) client->send(std::string(200, 'r'));
+    for (int i = 0; i < 200; ++i) client->send(std::string(4000, 'r'));
     sim.run();
-    EXPECT_EQ(received, 50);
+    EXPECT_EQ(received, 200);
     EXPECT_GT(server->mr_reregistrations(), 0u);
 }
 

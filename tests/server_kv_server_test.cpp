@@ -9,6 +9,8 @@
 namespace skv::server {
 namespace {
 
+using offload::Transport;
+
 class ServerTest : public ::testing::TestWithParam<Transport> {
 protected:
     ServerTest()

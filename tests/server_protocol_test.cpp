@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "net/wire.hpp"
 #include "server/protocol.hpp"
 
 namespace skv::server {
@@ -71,6 +72,35 @@ TEST(NodeMsg, EmptyBody) {
     const auto d = NodeMsg::decode(wire);
     ASSERT_TRUE(d.has_value());
     EXPECT_TRUE(d->body.empty());
+}
+
+// Every integer on the node-message wire goes through net::put_le/get_le:
+// NodeMsg's field, the reliable layer's seq/checksum/ack and the ring's
+// credit frames.
+TEST(NodeMsg, LittleEndianCodecRoundTripsAtTheEdges) {
+    for (const std::uint64_t v :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{UINT32_MAX},
+          static_cast<std::uint64_t>(INT64_MIN), std::uint64_t{UINT64_MAX}}) {
+        std::string wire;
+        net::put_le(wire, v);
+        ASSERT_EQ(wire.size(), 8u);
+        for (std::size_t i = 0; i < 8; ++i) {
+            EXPECT_EQ(static_cast<unsigned char>(wire[i]),
+                      static_cast<unsigned char>(v >> (8 * i)));
+        }
+        EXPECT_EQ(net::get_le(wire, 0), v);
+        // A short read counts the missing high bytes as zero.
+        EXPECT_EQ(net::get_le(std::string_view(wire).substr(0, 3), 0),
+                  v & 0xffffffu);
+        std::string low;
+        net::put_le(low, v, 4);
+        EXPECT_EQ(net::get_le(low, 0, 4), v & 0xffffffffu);
+
+        const NodeMsg m{NodeMsg::Type::kAck, static_cast<std::int64_t>(v), ""};
+        const auto d = NodeMsg::decode(m.encode());
+        ASSERT_TRUE(d.has_value());
+        EXPECT_EQ(d->field, m.field);
+    }
 }
 
 TEST(NodeMsg, TooShortRejected) {

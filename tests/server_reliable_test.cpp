@@ -73,13 +73,13 @@ private:
 /// Two reliable channels over a pair of lossy ends, recording deliveries.
 struct Link {
     Link(sim::Simulation& sim, std::uint64_t seed, LinkSpec a_to_b,
-         LinkSpec b_to_a, ReliableParams params = {})
+         LinkSpec b_to_a)
         : raw_a(std::make_shared<LossyEnd>(sim, seed, a_to_b)),
           raw_b(std::make_shared<LossyEnd>(sim, seed ^ 0x9e37, b_to_a)) {
         raw_a->wire_to(raw_b);
         raw_b->wire_to(raw_a);
-        a = ReliableChannel::wrap(sim, raw_a, params);
-        b = ReliableChannel::wrap(sim, raw_b, params);
+        a = ReliableChannel::wrap(sim, raw_a);
+        b = ReliableChannel::wrap(sim, raw_b);
         a->set_on_message([this](std::string m) { at_a.push_back(std::move(m)); });
         b->set_on_message([this](std::string m) { at_b.push_back(std::move(m)); });
     }
@@ -170,9 +170,7 @@ TEST(ReliableChannelTest, BitFlippedDataFrameIsDroppedAndRetransmitted) {
 
 TEST(ReliableChannelTest, OnBrokenFiresOnceAfterMaxRetries) {
     sim::Simulation sim(5);
-    ReliableParams params;
-    params.max_retries = 3;
-    Link link(sim, 5, LinkSpec{1.0, 0.0, {}}, {}, params);
+    Link link(sim, 5, LinkSpec{1.0, 0.0, {}}, {});
     int broken = 0;
     link.a->set_on_broken([&broken]() { ++broken; });
     link.a->send("never arrives");
@@ -181,7 +179,7 @@ TEST(ReliableChannelTest, OnBrokenFiresOnceAfterMaxRetries) {
     EXPECT_EQ(broken, 1);
     EXPECT_TRUE(link.a->broken());
     EXPECT_FALSE(link.a->open());
-    EXPECT_EQ(link.a->retransmits(), 3u);
+    EXPECT_EQ(link.a->retransmits(), 8u); // the retry limit
     // A broken link accepts nothing more and never fires again.
     const auto frames = link.raw_a->sent.size();
     link.a->send("after the break");
@@ -193,15 +191,13 @@ TEST(ReliableChannelTest, OnBrokenFiresOnceAfterMaxRetries) {
 
 TEST(ReliableChannelTest, ReorderWindowOverflowIsCountedThenRecovered) {
     sim::Simulation sim(6);
-    ReliableParams params;
-    params.reorder_window = 4;
-    Link link(sim, 6, {}, {}, params);
+    Link link(sim, 6, {}, {});
     link.raw_a->tamper = on_first_data([](std::string&) { return false; });
-    const auto msgs = numbered("m", 10);
+    const auto msgs = numbered("m", 70);
     for (const auto& m : msgs) link.a->send(m);
     sim.run();
-    // Seq 1 is lost: 2..5 fill the window and 6..10 overflow it. Nothing
-    // was duplicated.
+    // Seq 1 is lost: 2..65 fill the 64-message reorder window and 66..70
+    // overflow it. Nothing was duplicated.
     EXPECT_EQ(link.b->dups_suppressed(), 0u);
     EXPECT_EQ(link.b->reorder_overflows(), 5u);
     EXPECT_EQ(link.at_b, msgs);

@@ -15,11 +15,9 @@ using offload::ClusterConfig;
 class BaselineReplTest : public ::testing::Test {
 protected:
     std::unique_ptr<Cluster> make(int slaves, std::uint64_t seed = 5) {
-        ClusterConfig cfg;
+        ClusterConfig cfg = offload::config_of(offload::System::kRdmaRedis);
         cfg.seed = seed;
         cfg.n_slaves = slaves;
-        cfg.offload = false;
-        cfg.transport = Transport::kRdma;
         auto c = std::make_unique<Cluster>(cfg);
         c->start();
         return c;
@@ -76,13 +74,17 @@ TEST_F(BaselineReplTest, FailedWritesNotReplicated) {
 TEST_F(BaselineReplTest, LateSlaveFullSyncsExistingData) {
     ClusterConfig cfg;
     cfg.n_slaves = 0;
-    // A tiny backlog guarantees the late slave's offset 0 has already been
-    // evicted, forcing the full-RDB path rather than a partial resync.
-    cfg.server_tmpl.backlog_bytes = 64;
     auto c = std::make_unique<Cluster>(cfg);
     c->start();
-    run_commands(*c, {{"SET", "pre", "existing"}, {"SET", "pre2", "more"},
-                      {"SET", "pre3", "even-more"}});
+    // Writing past the 1 MiB replication backlog evicts the late slave's
+    // offset 0, forcing the full-RDB path rather than a partial resync.
+    std::vector<std::vector<std::string>> pre;
+    for (int i = 0; i < 20; ++i) {
+        pre.push_back({"SET", "pre" + std::to_string(i),
+                       std::string(64 * 1024, 'v')});
+    }
+    run_commands(*c, pre);
+    ASSERT_GT(c->master().master_offset(), 1 << 20);
 
     // Attach a brand-new slave after the fact through the harness parts:
     // re-use slave machinery by building a second cluster is complex, so
@@ -212,12 +214,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplConvergenceTest,
 /// retries are still suppressed).
 class DupTableLruTest : public ::testing::Test {
 protected:
-    std::unique_ptr<Cluster> make(std::size_t cap) {
+    static constexpr std::uint64_t kCap = KvServer::kDupTableMax;
+
+    std::unique_ptr<Cluster> make() {
         ClusterConfig cfg;
         cfg.seed = 7;
         cfg.n_slaves = 1;
         cfg.offload = false;
-        cfg.server_tmpl.dup_table_max = cap;
         auto c = std::make_unique<Cluster>(cfg);
         c->start();
         return c;
@@ -240,29 +243,35 @@ protected:
 };
 
 TEST_F(DupTableLruTest, CapEvictsLeastRecentClient) {
-    auto c = make(/*cap=*/4);
+    auto c = make();
     std::vector<std::vector<std::string>> cmds;
-    for (std::uint64_t cl = 1; cl <= 8; ++cl) cmds.push_back(tagged_set(cl, 1));
+    for (std::uint64_t cl = 1; cl <= kCap + 4; ++cl) {
+        cmds.push_back(tagged_set(cl, 1));
+    }
     run_commands(*c, cmds);
 
-    EXPECT_EQ(c->master().dup_entries(), 4u);
+    EXPECT_EQ(c->master().dup_entries(), kCap);
     EXPECT_EQ(c->master().stats().counter("dup_evictions"), 4u);
     for (std::uint64_t cl = 1; cl <= 4; ++cl) {
         EXPECT_FALSE(c->master().dup_has(cl)) << "client " << cl;
     }
-    for (std::uint64_t cl = 5; cl <= 8; ++cl) {
+    for (std::uint64_t cl = 5; cl <= kCap + 4; ++cl) {
         EXPECT_TRUE(c->master().dup_has(cl)) << "client " << cl;
     }
 }
 
 TEST_F(DupTableLruTest, RetryTouchKeepsLiveClientResident) {
-    auto c = make(/*cap=*/4);
+    auto c = make();
     std::vector<std::vector<std::string>> cmds;
-    for (std::uint64_t cl = 1; cl <= 4; ++cl) cmds.push_back(tagged_set(cl, 1));
+    for (std::uint64_t cl = 1; cl <= kCap; ++cl) {
+        cmds.push_back(tagged_set(cl, 1));
+    }
     // Client 1 retries its write mid-stream: the dup hit must refresh its
     // LRU position (and never re-apply the command).
     cmds.push_back(tagged_set(1, 1));
-    for (std::uint64_t cl = 5; cl <= 7; ++cl) cmds.push_back(tagged_set(cl, 1));
+    for (std::uint64_t cl = kCap + 1; cl <= kCap + 3; ++cl) {
+        cmds.push_back(tagged_set(cl, 1));
+    }
     run_commands(*c, cmds);
 
     EXPECT_EQ(c->master().stats().counter("dup_suppressed"), 1u);
@@ -273,25 +282,30 @@ TEST_F(DupTableLruTest, RetryTouchKeepsLiveClientResident) {
     }
     // The retry replayed the cached result: the write applied exactly once.
     EXPECT_EQ(c->master().stats().counter("repl_sends"),
-              7u + 3u); // 7 writes + 3 replicated evictions
+              kCap + 3 + 3); // kCap + 3 writes + 3 replicated evictions
 }
 
 TEST_F(DupTableLruTest, ReplicaTableTracksMasterInLockstep) {
-    auto c = make(/*cap=*/4);
+    auto c = make();
     std::vector<std::vector<std::string>> cmds;
-    for (std::uint64_t cl = 1; cl <= 4; ++cl) cmds.push_back(tagged_set(cl, 1));
+    for (std::uint64_t cl = 1; cl <= kCap; ++cl) {
+        cmds.push_back(tagged_set(cl, 1));
+    }
     cmds.push_back(tagged_set(2, 1)); // touch: master-side LRU refresh only
-    for (std::uint64_t cl = 5; cl <= 7; ++cl) cmds.push_back(tagged_set(cl, 1));
+    for (std::uint64_t cl = kCap + 1; cl <= kCap + 3; ++cl) {
+        cmds.push_back(tagged_set(cl, 1));
+    }
     run_commands(*c, cmds);
     ASSERT_TRUE(c->converged());
 
     // The replica never runs its own LRU scan — it obeys the replicated
     // WSEQEVICT stream — so even though the touch that saved client 2 was
     // invisible to it, its table is byte-for-byte the master's.
+    EXPECT_EQ(c->master().stats().counter("dup_evictions"), 3u);
     EXPECT_EQ(c->slave(0).stats().counter("dup_evictions_applied"),
               c->master().stats().counter("dup_evictions"));
     EXPECT_EQ(c->slave(0).dup_entries(), c->master().dup_entries());
-    for (std::uint64_t cl = 1; cl <= 7; ++cl) {
+    for (std::uint64_t cl = 1; cl <= kCap + 3; ++cl) {
         EXPECT_EQ(c->slave(0).dup_has(cl), c->master().dup_has(cl))
             << "client " << cl;
     }

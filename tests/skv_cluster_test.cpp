@@ -27,10 +27,8 @@ TEST(Cluster, BaselineAndSkvBuildTheRightTopology) {
 }
 
 TEST(Cluster, TcpTransportWorksEndToEnd) {
-    ClusterConfig cfg;
+    ClusterConfig cfg = config_of(System::kTcpRedis);
     cfg.n_slaves = 1;
-    cfg.transport = server::Transport::kTcp;
-    cfg.offload = false;
     Cluster c(cfg);
     c.start();
     workload::Session s(c, "cli");

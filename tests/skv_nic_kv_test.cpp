@@ -49,13 +49,12 @@ TEST(NicKv, ClusterBuildsTheSmartNicItIsGiven) {
     ClusterConfig cfg;
     cfg.n_slaves = 1;
     cfg.offload = true;
-    cfg.nic_params.arm_cores = 2;
     cfg.nic_params.core_slowdown = 4.0;
     Cluster c(cfg);
     c.start();
     ASSERT_NE(c.smartnic(), nullptr);
-    EXPECT_EQ(c.smartnic()->core_count(), 2);
-    EXPECT_DOUBLE_EQ(c.smartnic()->core(1).speed_factor(), 4.0);
+    EXPECT_EQ(c.smartnic()->core_count(), 8);
+    EXPECT_DOUBLE_EQ(c.smartnic()->core(7).speed_factor(), 4.0);
 }
 
 TEST(NicKv, NodeTableStopsAtOnBoardMemory) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -148,18 +149,24 @@ TEST(YcsbMix, ScanWindowsAreBoundedAndConsecutive) {
     auto frontier = std::make_shared<KeyFrontier>(500);
     auto opts = YcsbOptions::standard(Workload::kE);
     opts.record_count = 500;
-    opts.scan_len_max = 8;
     MixGenerator mix(opts, sim::Rng(29), frontier);
     int scans = 0;
+    std::size_t longest = 0;
     for (int i = 0; i < 2'000 && scans < 200; ++i) {
         const auto op = mix.next();
         if (op.kind != YcsbOp::Kind::kScan) continue;
         ++scans;
         ASSERT_FALSE(op.scan_keys.empty());
-        ASSERT_LE(op.scan_keys.size(), 8u);
+        ASSERT_LE(op.scan_keys.size(), 16u);
+        longest = std::max(longest, op.scan_keys.size());
         EXPECT_EQ(op.scan_keys.front(), op.key);
+        const std::uint64_t start = std::stoull(op.key.substr(4));
+        for (std::size_t k = 0; k < op.scan_keys.size(); ++k) {
+            EXPECT_EQ(op.scan_keys[k], "key:" + std::to_string(start + k));
+        }
     }
     EXPECT_EQ(scans, 200);
+    EXPECT_EQ(longest, 16u); // workload E's longest scan
 }
 
 TEST(YcsbMix, SameSeedSameStream) {
@@ -216,10 +223,9 @@ TEST(OpenLoop, AchievesOfferedRateOnAHealthyCluster) {
 // run_open_loop's retrying connections dial the cluster's own transport,
 // so a TCP Redis cluster is served like an RDMA one.
 TEST(OpenLoop, ServesEveryArrivalOverTcp) {
-    offload::ClusterConfig cfg;
+    offload::ClusterConfig cfg = offload::config_of(offload::System::kTcpRedis);
     cfg.seed = 7;
     cfg.n_slaves = 1;
-    cfg.transport = server::Transport::kTcp;
     offload::Cluster cluster(cfg);
     cluster.start();
     OpenLoopOptions opts;
@@ -242,8 +248,7 @@ TEST(OpenLoop, TenThousandConnectionsDoubleRunBitIdentical) {
         OpenLoopOptions opts;
         opts.ycsb = YcsbOptions::standard(Workload::kB);
         opts.ycsb.record_count = 2'000;
-        opts.connections = 10'000; // ISSUE: 10k+ multiplexed connections
-        opts.connections_per_host = 256;
+        opts.connections = 10'000; // 10k+ multiplexed connections, 64 a host
         opts.offered_kops = 60.0;
         opts.warmup = sim::milliseconds(50);
         opts.measure = sim::milliseconds(250);

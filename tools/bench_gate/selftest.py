@@ -75,6 +75,14 @@ def passes(out, db):
     return run(["check", "--bench-output", out, "--db", db]) == 0
 
 
+def failure(out, db):
+    """What check printed when it failed; None when it passed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        passed = passes(out, db)
+    return None if passed else printed.getvalue()
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="bench_gate_selftest.")
     db = os.path.join(tmp, "BENCH_test.json")
@@ -107,11 +115,9 @@ def main():
     write(out, bench_output(20, 15.0))
     check("an int where a float was recorded fails", not passes(out, db))
     write(out, bench_output(20.0, 18.0))
-    printed = io.StringIO()
-    with contextlib.redirect_stdout(printed):
-        run(["check", "--bench-output", out, "--db", db])
     check("a failure prints the field that moved",
-          "series[0].points[0].p99_us: 15.0 -> 18.0" in printed.getvalue())
+          "series[0].points[0].p99_us: 15.0 -> 18.0"
+          in (failure(out, db) or ""))
 
     # Series and points must match one for one.
     write(out, bench_output(20.0, 15.0, names=("ycsb-A/zipfian/fanout",
@@ -123,6 +129,15 @@ def main():
     check("an added point fails", not passes(out, db))
     write(out, bench_output(20.0, 15.0, points=0))
     check("a missing point fails", not passes(out, db))
+
+    # So must the keys of each series, whatever their values.
+    write(out, bench_output(20.0, 15.0).replace('"timed_out": 0, ', ""))
+    check("a series missing a recorded key fails",
+          "series[0].timed_out: 0 -> (absent)" in (failure(out, db) or ""))
+    write(out, bench_output(20.0, 15.0).replace(
+        '"timed_out": 0, ', '"timed_out": 0, "profile": "full", '))
+    check("a series with an extra key fails",
+          'series[0].profile: (absent) -> "full"' in (failure(out, db) or ""))
 
     # Runs are keyed by figure: another figure has its own baseline.
     write(out, bench_output(20.0, 15.0, figure="fig11_skv_set"))

@@ -8,7 +8,7 @@ and config-knob documentation. See DESIGN.md §14.
   repl-command    a WSEQ* replication RESP command lacks a send or handle site
   observe-taint   src/obs/ code or a `// simlint:observe-only` function can
                   reach trace-digest notes, event scheduling, or KV mutation
-  knob-drift      a field of one of KNOB_STRUCTS is not mentioned in the
+  knob-drift      a non-static field of one of KNOB_STRUCTS is not in the
                   knob documentation (--doc, EXPERIMENTS.md in the build)
 
 dead-send and dead-handler work per tag: replication protocols are types
@@ -359,8 +359,9 @@ def knob_pass(files, doc_text, findings):
                 if name in ("struct", "class", "public", "private", "using",
                             "typedef", "enum"):
                     continue
-                if re.match(r"\s*(?:using|typedef|friend|static_assert)\b",
-                            stmt):
+                # a static member is no knob: no instance can set it
+                if re.match(r"\s*(?:using|typedef|friend|static_assert|static)"
+                            r"\b", stmt):
                     continue
                 line = sf.line_of(base + stmt_m.start() + fm.start(1))
                 if re.search(r"\b" + re.escape(name) + r"\b", doc_text):

@@ -123,7 +123,8 @@ CASES = [
             has=("trace-note",)),
     fixture("protocol/bad_knob.hpp", 1, {"knob-drift": 1},
             "--doc", "{fx}/protocol/knobs_doc.md",
-            has=("mystery_knob",), lacks=("documented_knob", "excused_knob")),
+            has=("mystery_knob",),
+            lacks=("documented_knob", "excused_knob", "fixed_constant")),
     Case("knob-drift is skipped without --doc",
          ("{fx}/protocol/bad_knob.hpp",), 0),
     Case("a missing --doc file is a usage error",
